@@ -9,7 +9,7 @@ Each dimension's scale matrix can be constrained to spend fewer parameters:
   MCD-VVI    group Cholesky factor T_g, isotropic delta  G (n(n-1)/2 + 1)
   MCD-EVI    shared T, group deltas                      n(n-1)/2 + G
   EEE        one SPD matrix shared by all groups         n(n+1)/2
-  VVI        group diagonal = scale * shape              G n
+  VVI-GPCM   group diagonal = scale * shape              G n
 
 Families mix freely across dimensions.  The fit below uses a different
 family on each of the three dimensions and compares parameter counts.

@@ -16,11 +16,10 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import EmptyComponentError, SingularScaleError
 from .mda import as_batch, matricize_mode1
-from .mlnd import MlndParams, chol_lower, log_density_batch
+from .mlnd import MlndParams, chol_lower, inv_lower, log_density_batch
 from .parsimony import (
     GpcmVviFactors,
     McdFactors,
@@ -196,7 +195,10 @@ def loglik_matrix(data, model: MixtureModel) -> np.ndarray:
 def e_step(data, model: MixtureModel) -> tuple[np.ndarray, float]:
     """Responsibilities and observed log-likelihood, evaluated in log space."""
     lm = loglik_matrix(data, model)
-    tot = logsumexp(lm, axis=1)
+    top = lm.max(axis=1)
+    top[~np.isfinite(top)] = 0.0  # a row of -inf then sums to log(0) = -inf
+    with np.errstate(divide="ignore"):
+        tot = top + np.log(np.exp(lm - top[:, None]).sum(axis=1))
     if not np.all(np.isfinite(tot)):
         bad = int(np.flatnonzero(~np.isfinite(tot))[0])
         raise FloatingPointError(
@@ -251,7 +253,7 @@ def m_step_delta(data, z: np.ndarray, model, dim: int) -> list[np.ndarray]:
     n_d = dims[dim - 1]
     out = []
     for g, comp in enumerate(components):
-        s = _scatter_one(batch, comp.mean_array, z[:, g], comp.chol_factors(), dim)
+        s = _scatter_one(batch, comp.mean_array, z[:, g], comp.inv_chol_factors(), dim)
         out.append((n_d / (n_star * counts[g])) * s)
     return out
 
@@ -437,7 +439,7 @@ def fit(
 
     means = np.zeros((g,) + dims)
     scales = [[np.eye(n_d) for n_d in dims] for _ in range(g)]
-    chols = [[np.eye(n_d) for n_d in dims] for _ in range(g)]
+    inv_chols = [[np.eye(n_d) for n_d in dims] for _ in range(g)]  # L^{-1} per scale
     evi_deltas = {d0: np.ones(g) for d0, s in enumerate(specs) if s is ScaleModel.MCD_EVI}
     factors: dict[int, object] = {}
     events: list[SingularEvent] = []
@@ -465,7 +467,7 @@ def fit(
             n_d = dims[d0]
             raws = np.stack(
                 [
-                    _scatter_one(batch, means[k], z[:, k], chols[k], dim)
+                    _scatter_one(batch, means[k], z[:, k], inv_chols[k], dim)
                     for k in range(g)
                 ]
             )
@@ -479,7 +481,7 @@ def fit(
                     if flagged:
                         events.append(SingularEvent(k, dim, iteration))
                     scales[k][d0] = new
-                    chols[k][d0] = chol_lower(new, dim)
+                    inv_chols[k][d0] = inv_lower(chol_lower(new, dim))
 
             elif spec is ScaleModel.MCD_VVI:
                 facs = []
@@ -497,7 +499,7 @@ def fit(
                         events.append(SingularEvent(k, dim, iteration))
                     facs.append(fac)
                     scales[k][d0] = new
-                    chols[k][d0] = chol_lower(new, dim)
+                    inv_chols[k][d0] = inv_lower(chol_lower(new, dim))
                 factors[dim] = tuple(facs)
 
             elif spec is ScaleModel.MCD_EVI:
@@ -520,7 +522,7 @@ def fit(
                         fixed[k] = options.reg_epsilon
                         events.append(SingularEvent(k, dim, iteration))
                     scales[k][d0] = new
-                    chols[k][d0] = chol_lower(new, dim)
+                    inv_chols[k][d0] = inv_lower(chol_lower(new, dim))
                 evi_deltas[d0] = fixed
                 factors[dim] = SharedMcdFactors(t=t, deltas=fixed)
 
@@ -530,10 +532,10 @@ def fit(
                 new, flagged = regularize_and_check(pooled, options.reg_epsilon)
                 if flagged:
                     events.append(SingularEvent(None, dim, iteration))
-                new_chol = chol_lower(new, dim)
+                new_inv = inv_lower(chol_lower(new, dim))
                 for k in range(g):
                     scales[k][d0] = new
-                    chols[k][d0] = new_chol
+                    inv_chols[k][d0] = new_inv
 
             elif spec is ScaleModel.GPCM_VVI:
                 facs = []
@@ -545,7 +547,7 @@ def fit(
                     fac = gpcm_vvi_update(np.diag(np.diag(new)) * (n_star / n_d), n_star)
                     facs.append(fac)
                     scales[k][d0] = new
-                    chols[k][d0] = chol_lower(new, dim)
+                    inv_chols[k][d0] = inv_lower(chol_lower(new, dim))
                 factors[dim] = tuple(facs)
 
             else:  # pragma: no cover

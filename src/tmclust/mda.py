@@ -160,8 +160,7 @@ def mode_product(x, a, mode: int) -> Mda:
         raise ValueError(
             f"matrix of shape {a.shape} cannot multiply mode {mode} of extent {arr.shape[mode - 1]}"
         )
-    out = np.tensordot(a, arr, axes=([1], [mode - 1]))
-    return Mda(np.moveaxis(out, 0, mode - 1))
+    return Mda(multiply_axis(arr, a, mode - 1))
 
 
 def kron(mats: Sequence[np.ndarray]) -> np.ndarray:
@@ -195,16 +194,18 @@ def as_batch(data) -> np.ndarray:
     return np.stack(arrays).astype(np.float64, copy=False)
 
 
-def apply_axis(values: np.ndarray, op, axis: int) -> np.ndarray:
-    """Apply a matrix-valued operator along one axis of a batch array.
+def multiply_axis(values: np.ndarray, mat, axis: int) -> np.ndarray:
+    """Multiply one axis (0-based) of an array by a matrix, on the C layout.
 
-    ``op`` maps an (n_axis, m) matrix to a (k, m) matrix; used to run
-    triangular solves or multiplications down an arbitrary axis without
-    materializing Kronecker structure.
+    The array is viewed as (P, n, Q) around the axis of extent n, so a
+    C-contiguous input is never copied and the result keeps the input's axis
+    order; the last axis, where Q = 1, is one (P, n) @ mat.T product.  The
+    axis takes the extent ``mat.shape[0]``.
     """
-    moved = np.moveaxis(values, axis, 0)
-    lead = moved.shape[0]
-    flat = moved.reshape(lead, -1)
-    out = op(flat)
-    out = out.reshape((out.shape[0],) + moved.shape[1:])
-    return np.moveaxis(out, 0, axis)
+    shape = values.shape
+    n = shape[axis]
+    out_shape = shape[:axis] + (mat.shape[0],) + shape[axis + 1:]
+    if axis == len(shape) - 1:
+        return (values.reshape(-1, n) @ mat.T).reshape(out_shape)
+    lead = int(np.prod(shape[:axis]))
+    return np.matmul(mat, values.reshape(lead, n, -1)).reshape(out_shape)

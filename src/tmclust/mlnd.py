@@ -11,10 +11,11 @@ density at x is
     -(n*/2) log(2 pi) - (n*/2) sum_d (1/n_d) log|Delta_d| - Q/2,
 
 with n* = prod(n_d) and Q the squared Mahalanobis norm of the centered array.
-Q is always evaluated through per-dimension Cholesky solves on matricized
-slices — the dense Kronecker covariance is never formed.  The Kronecker
-factorization is only unique up to per-dimension rescalings that preserve the
-product, which downstream code resolves by convention after fitting.
+Q is always evaluated by whitening the centered array mode by mode with the
+inverse lower Cholesky factor L_d^{-1} of each Delta_d — the dense Kronecker
+covariance is never formed.  The Kronecker factorization is only unique up to
+per-dimension rescalings that preserve the product, which downstream code
+resolves by convention after fitting.
 """
 
 from __future__ import annotations
@@ -23,10 +24,9 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import NotPositiveDefiniteError
-from .mda import Matricization, Mda, apply_axis, matricize_mode1
+from .mda import Matricization, Mda, matricize_mode1, multiply_axis
 
 _SYM_TOL = 1e-12
 
@@ -43,6 +43,15 @@ def chol_lower(mat: np.ndarray, dim: int | None = None) -> np.ndarray:
         raise NotPositiveDefiniteError(
             f"scale matrix{where} is not positive definite", dim=dim
         ) from None
+
+
+def inv_lower(L: np.ndarray) -> np.ndarray:
+    """Inverse of a lower Cholesky factor, itself lower triangular.
+
+    ``tril`` drops the round-off that the pivoted LU inverse can leave above
+    the diagonal.
+    """
+    return np.tril(np.linalg.inv(L))
 
 
 def _check_symmetric(mat: np.ndarray, dim: int) -> np.ndarray:
@@ -72,6 +81,7 @@ class MlndParams:
     mean: Matricization
     scales: tuple[np.ndarray, ...]
     _chols: tuple[np.ndarray, ...] | None = field(default=None, repr=False, compare=False)
+    _inv_chols: tuple[np.ndarray, ...] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.mean, Matricization):
@@ -116,6 +126,12 @@ class MlndParams:
             )
         return self._chols
 
+    def inv_chol_factors(self) -> tuple[np.ndarray, ...]:
+        """Inverse factors L_d^{-1}, the whitening matrices (cached)."""
+        if self._inv_chols is None:
+            self._inv_chols = tuple(inv_lower(L) for L in self.chol_factors())
+        return self._inv_chols
+
     def log_det_terms(self) -> float:
         """sum_d (1/n_d) log|Delta_d|, the per-entry log determinant."""
         total = 0.0
@@ -124,131 +140,35 @@ class MlndParams:
         return total
 
 
-@dataclass(frozen=True)
-class WhitenedSlices:
-    """Matricized slices of a centered array after partial whitening.
-
-    ``slices[j]`` is the n_row x n_1 matrix obtained by slicing the centered
-    array (modes 3..D whitened) at the j-th combination of the folded
-    indices, C-ordered.  ``row_dim`` is the 1-based dimension whose scale
-    plays the row role (2 in the standard layout, l after a mode swap).
-    ``whiteners`` holds the inverse lower Cholesky factors applied to the
-    folded dimensions, in dimension order.
-    """
-
-    slices: np.ndarray
-    dims: tuple[int, ...]
-    row_dim: int
-    whiteners: tuple[np.ndarray, ...]
+def _solve_mode(values: np.ndarray, inv_factor: np.ndarray, axis: int) -> np.ndarray:
+    """Apply L^{-1} along one axis: one single-mode whitening pass."""
+    return multiply_axis(values, inv_factor, axis)
 
 
-def _solve_mode(values: np.ndarray, L: np.ndarray, axis: int) -> np.ndarray:
-    """Apply L^{-1} along one axis via a triangular solve."""
-    return apply_axis(values, lambda flat: solve_triangular(L, flat, lower=True), axis)
-
-
-def whiten_all_modes(centered: np.ndarray, chols: Sequence[np.ndarray]) -> np.ndarray:
+def whiten_all_modes(centered: np.ndarray, inv_chols: Sequence[np.ndarray]) -> np.ndarray:
     """Whiten every array mode of a batch (N, n_1, ..., n_D) of centered arrays.
 
-    After this, the squared Frobenius norm of each member equals its
-    Mahalanobis quadratic form under the Kronecker covariance.
+    ``inv_chols`` holds the inverse factors L_d^{-1}.  After this, the
+    squared Frobenius norm of each member equals its Mahalanobis quadratic
+    form under the Kronecker covariance.
     """
-    out = centered
-    for d, L in enumerate(chols):
-        out = _solve_mode(out, L, axis=d + 1)
-    return out
+    return whiten_except(centered, inv_chols, keep=0)
 
 
-def whiten_except(centered: np.ndarray, chols: Sequence[np.ndarray], keep: int) -> np.ndarray:
-    """Whiten every mode of a batch except the 1-based dimension ``keep``."""
+def whiten_except(centered: np.ndarray, inv_chols: Sequence[np.ndarray], keep: int) -> np.ndarray:
+    """Whiten every mode of a batch except the 1-based dimension ``keep``
+    (``keep=0`` whitens every mode)."""
     out = centered
-    for d, L in enumerate(chols):
+    for d, inv_factor in enumerate(inv_chols):
         if d + 1 != keep:
-            out = _solve_mode(out, L, axis=d + 1)
+            out = _solve_mode(out, inv_factor, axis=d + 1)
     return out
-
-
-def whiten_slices(centered, params: MlndParams, swap_with: int | None = None) -> WhitenedSlices:
-    """Slice a centered array for two-dimensional quadratic-form evaluation.
-
-    Parameters
-    ----------
-    centered : Matricization or array_like
-        The centered observation x - M, as a mode-1 matricization or a dense
-        array of shape ``params.dims``.
-    params : MlndParams
-    swap_with : int, optional
-        If given (1-based, 3 <= swap_with <= D), modes 2 and ``swap_with``
-        are exchanged (in the data and the scale list alike) before slicing,
-        so the returned slices pair dimension ``swap_with`` with dimension 1.
-
-    Returns
-    -------
-    WhitenedSlices
-        Slices of shape (prod of folded dims, n_row, n_1): the folded modes
-        (3..D in the working order) have been whitened with their inverse
-        Cholesky factors; the row and column modes are left untouched.
-    """
-    if isinstance(centered, Matricization):
-        arr = centered.to_array()
-    elif isinstance(centered, Mda):
-        arr = centered.array
-    else:
-        arr = np.asarray(centered, dtype=np.float64)
-    if arr.shape != params.dims:
-        raise ValueError(f"centered array has dims {arr.shape}, expected {params.dims}")
-    d = len(params.dims)
-    if d < 2:
-        raise ValueError("slicing requires order >= 2")
-
-    order = list(range(d))
-    if swap_with is not None:
-        if not 3 <= swap_with <= d:
-            raise ValueError(f"swap_with must be in [3, {d}], got {swap_with}")
-        order[1], order[swap_with - 1] = order[swap_with - 1], order[1]
-        arr = np.swapaxes(arr, 1, swap_with - 1)
-    chols = params.chol_factors()
-
-    work = arr[None]  # batch of one
-    whiteners = []
-    for pos in range(2, d):
-        L = chols[order[pos]]
-        work = _solve_mode(work, L, axis=pos + 1)
-        whiteners.append(solve_triangular(L, np.eye(L.shape[0]), lower=True))
-    n1, n_row = arr.shape[0], arr.shape[1]
-    slices = work[0].reshape(n1, n_row, -1).transpose(2, 1, 0)
-    return WhitenedSlices(
-        slices=slices,
-        dims=params.dims,
-        row_dim=(2 if swap_with is None else swap_with),
-        whiteners=tuple(whiteners),
-    )
-
-
-def quadratic_form(centered, params: MlndParams, swap_with: int | None = None) -> float:
-    """Mahalanobis quadratic form of a centered array via slice sums.
-
-    Each slice X_j contributes trace(Delta_1^{-1} X_j^T Delta_row^{-1} X_j),
-    evaluated as the squared Frobenius norm of the doubly-whitened slice.
-    """
-    ws = whiten_slices(centered, params, swap_with=swap_with)
-    chols = params.chol_factors()
-    L_col = chols[0]
-    L_row = chols[ws.row_dim - 1]
-    block = ws.slices  # (J, n_row, n_1)
-    block = apply_axis(block, lambda flat: solve_triangular(L_row, flat, lower=True), 1)
-    block = apply_axis(block, lambda flat: solve_triangular(L_col, flat, lower=True), 2)
-    return float(np.einsum("jab,jab->", block, block))
 
 
 def log_density(x, params: MlndParams) -> float:
     """Log density of one observation under a multilinear normal law."""
     arr = x.array if isinstance(x, Mda) else np.asarray(x, dtype=np.float64)
-    if arr.shape != params.dims:
-        raise ValueError(f"observation has dims {arr.shape}, expected {params.dims}")
-    n_star = params.size
-    q = quadratic_form(arr - params.mean_array, params)
-    return -0.5 * n_star * np.log(2.0 * np.pi) - 0.5 * n_star * params.log_det_terms() - 0.5 * q
+    return float(log_density_batch(arr[None], params)[0])
 
 
 def log_density_batch(batch: np.ndarray, params: MlndParams) -> np.ndarray:
@@ -258,7 +178,7 @@ def log_density_batch(batch: np.ndarray, params: MlndParams) -> np.ndarray:
         raise ValueError(f"batch has dims {batch.shape[1:]}, expected {params.dims}")
     n_star = params.size
     centered = batch - params.mean_array[None]
-    white = whiten_all_modes(centered, params.chol_factors())
+    white = whiten_all_modes(centered, params.inv_chol_factors())
     flat = white.reshape(white.shape[0], -1)
     q = np.einsum("nk,nk->n", flat, flat)
     const = -0.5 * n_star * (np.log(2.0 * np.pi) + params.log_det_terms())
@@ -279,7 +199,7 @@ def sample(params: MlndParams, rng, size: int | None = None):
     n = 1 if size is None else int(size)
     u = np.asarray(rng.standard_normal((n,) + params.dims), dtype=np.float64)
     for d, L in enumerate(params.chol_factors()):
-        u = apply_axis(u, lambda flat, L=L: L @ flat, axis=d + 1)
+        u = multiply_axis(u, L, axis=d + 1)
     u = u + params.mean_array[None]
     if size is None:
         return Mda(u[0])

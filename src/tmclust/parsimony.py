@@ -119,20 +119,25 @@ def scatter_lambda(data, z: np.ndarray, model, dim: int) -> np.ndarray:
         raise ValueError("every group needs positive responsibility mass")
     out = []
     for g, comp in enumerate(components):
-        s = _scatter_one(batch, comp.mean_array, z[:, g], comp.chol_factors(), dim)
+        s = _scatter_one(batch, comp.mean_array, z[:, g], comp.inv_chol_factors(), dim)
         out.append(s / counts[g])
     return np.stack(out)
 
 
-def _scatter_one(batch, mean_arr, weights, chols, dim) -> np.ndarray:
-    """Unnormalized weighted scatter sum_i w_i (...) for one group."""
+def _scatter_one(batch, mean_arr, weights, inv_chols, dim) -> np.ndarray:
+    """Unnormalized weighted scatter sum_i w_i (...) for one group.
+
+    ``inv_chols`` holds the group's inverse factors L_d^{-1}.  Whitening is
+    linear, so the weights are applied as sqrt(w_i) before it.
+    """
     centered = batch - mean_arr[None]
-    white = whiten_except(centered, chols, keep=dim)
-    v = np.moveaxis(white, dim, 1)
-    v = v.reshape(v.shape[0], v.shape[1], -1)
-    vw = v * np.sqrt(weights)[:, None, None]
-    flat = vw.transpose(1, 0, 2).reshape(v.shape[1], -1)
-    s = flat @ flat.T
+    centered *= np.sqrt(weights).reshape((-1,) + (1,) * (batch.ndim - 1))
+    white = whiten_except(centered, inv_chols, keep=dim)
+    n_d = white.shape[dim]
+    lead = int(np.prod(white.shape[:dim]))
+    # rows are the mode-dim fibres; a copy only when dim is not the last axis
+    fibres = white.reshape(lead, n_d, -1).transpose(0, 2, 1).reshape(-1, n_d)
+    s = fibres.T @ fibres
     return (s + s.T) / 2.0
 
 

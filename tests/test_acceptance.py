@@ -22,7 +22,7 @@ from tmclust.em import (
 )
 from tmclust.mda import Mda, kron, vectorize
 from tmclust.metrics import adjusted_rand_index
-from tmclust.mlnd import MlndParams, log_density, quadratic_form, sample
+from tmclust.mlnd import MlndParams, log_density, sample
 from tmclust.parsimony import (
     ScaleModel,
     free_params,
@@ -32,6 +32,7 @@ from tmclust.parsimony import (
 from tmclust.simulate import SimConfig, run_study
 
 from conftest import random_params, random_spd
+from oracles import quadratic_form
 
 
 def _verdict(criterion: int, ok: bool, detail: str) -> None:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from tmclust.em import (
     FitOptions,
@@ -108,6 +109,38 @@ def test_e_step_extreme_separation_is_hard(rng):
     z, _ = e_step(batch, model)
     assert z[0, 0] > 1.0 - 1e-12
     assert z[1, 1] > 1.0 - 1e-12
+
+
+def test_e_step_log_sum_exp_matches_scipy(rng):
+    dims = (3, 2)
+    comps = tuple(
+        MlndParams(
+            mean=rng.normal(size=dims) * 3.0, scales=(random_spd(3, rng), random_spd(2, rng))
+        )
+        for _ in range(3)
+    )
+    model = MixtureModel(weights=[0.2, 0.3, 0.5], components=comps)
+    batch = rng.normal(size=(40,) + dims) * 4.0
+    lm = loglik_matrix(batch, model)
+    want = logsumexp(lm, axis=1)
+    z, ll = e_step(batch, model)
+    np.testing.assert_allclose(z, np.exp(lm - want[:, None]), rtol=1e-12, atol=0)
+    assert ll == pytest.approx(float(want.sum()), rel=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+def test_e_step_names_observation_with_zero_density(rng):
+    dims = (2, 2)
+    comps = tuple(
+        MlndParams(mean=np.full(dims, float(k)), scales=(np.eye(2), np.eye(2))) for k in range(2)
+    )
+    model = MixtureModel(weights=[0.5, 0.5], components=comps)
+    batch = rng.normal(size=(5,) + dims)
+    batch[3] = 1e200  # squared Mahalanobis norm overflows to inf under every component
+    with np.errstate(over="ignore"):
+        assert np.all(np.isneginf(loglik_matrix(batch, model)[3]))
+        with pytest.raises(FloatingPointError, match="observation 3 "):
+            e_step(batch, model)
 
 
 def test_loglik_matrix_shape(rng):

@@ -1,10 +1,14 @@
 """File formats (manifest, long CSV, binary, result documents) and the CLI."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import tmclust
 from tmclust.cli import main
 from tmclust.em import FitOptions, fit
 from tmclust.errors import DataFormatError
@@ -457,3 +461,16 @@ def test_cmd_metrics_input_errors(tmp_path, capsys):
 def test_usage_errors_exit_1(capsys):
     assert main(["fit", "--groups", "1"]) == 1  # missing --manifest/--out
     assert main(["frobnicate"]) == 1
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test-only dependency; importing it would also cost every
+    # CLI call its import time
+    src = os.path.dirname(os.path.dirname(tmclust.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, tmclust; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

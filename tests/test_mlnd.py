@@ -14,14 +14,18 @@ from tmclust.errors import NotPositiveDefiniteError
 from tmclust.mda import Mda, kron, matricize_mode1, vectorize
 from tmclust.mlnd import (
     MlndParams,
+    _solve_mode,
+    chol_lower,
+    inv_lower,
     log_density,
     log_density_batch,
-    quadratic_form,
     sample,
-    whiten_slices,
+    whiten_all_modes,
 )
 
+import oracles
 from conftest import random_params, random_spd
+from oracles import quadratic_form, whiten_slices
 
 
 def dense_log_density(x: np.ndarray, params: MlndParams) -> float:
@@ -113,6 +117,40 @@ def test_non_pd_scale_names_dimension(rng):
 def test_asymmetric_scale_rejected():
     with pytest.raises(ValueError):
         MlndParams(mean=np.zeros((2, 2)), scales=(np.array([[1.0, 0.5], [0.0, 1.0]]), np.eye(2)))
+
+
+# --- whitening against the triangular-solve oracle --------------------------
+
+
+def spd_with_condition(n: int, cond: float, rng) -> np.ndarray:
+    """SPD matrix with eigenvalues log-spaced over [1, cond] in a random basis."""
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    m = (q * np.logspace(0, np.log10(cond), n)) @ q.T
+    return (m + m.T) / 2.0
+
+
+def assert_matches_oracle(got, want):
+    # rtol per entry; entries that cancel to near zero are held to the
+    # array's scale instead
+    np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("cond", [1.0, 1e6, 1e12])
+@pytest.mark.parametrize("dims", [(4, 3), (3, 4, 2), (2, 3, 4, 3)])
+def test_whitening_matches_triangular_solve(dims, cond, rng):
+    batch = rng.standard_normal((5,) + dims)
+    # one mode pass on every axis of the (N, n_1, ..., n_D) batch, the first
+    # and the last included
+    for axis, n in enumerate(batch.shape):
+        L = chol_lower(spd_with_condition(n, cond, rng))
+        got = _solve_mode(batch, inv_lower(L), axis)
+        assert_matches_oracle(got, oracles.solve_mode(batch, L, axis))
+    # all modes, with the factors the parameters cache
+    p = MlndParams(
+        mean=np.zeros(dims), scales=tuple(spd_with_condition(n, cond, rng) for n in dims)
+    )
+    got = whiten_all_modes(batch, p.inv_chol_factors())
+    assert_matches_oracle(got, oracles.whiten_all_modes(batch, p.chol_factors()))
 
 
 # --- slicing ---------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from scipy.optimize import minimize
 
 from tmclust.mda import Mda, mode_product
-from tmclust.mlnd import MlndParams, quadratic_form
+from tmclust.mlnd import MlndParams
 from tmclust.parsimony import (
     FreeParamCount,
     GpcmVviFactors,
@@ -20,6 +20,7 @@ from tmclust.parsimony import (
 )
 
 from conftest import random_spd
+from oracles import quadratic_form
 
 
 # --- modified Cholesky, group-specific (MCD-VVI) -------------------------------
