@@ -8,6 +8,10 @@ Aitken acceleration estimate of the asymptotic log-likelihood; near-singular
 scale estimates are repaired by an isotropic ridge and logged.  The
 Kronecker rescaling indeterminacy is resolved once after convergence by
 rescaling every non-leading scale matrix to a unit leading entry.
+
+The sweep whitens incrementally in one :class:`~tmclust.mlnd.SweepWorkspace`
+per fit: 3D-2 mode passes per group and iteration instead of D^2, the last
+giving the E-step's quadratic forms, and no allocation the size of the batch.
 """
 
 from __future__ import annotations
@@ -19,7 +23,14 @@ import numpy as np
 
 from .errors import EmptyComponentError, SingularScaleError
 from .mda import as_batch, matricize_mode1
-from .mlnd import MlndParams, chol_lower, inv_lower, log_density_batch
+from .mlnd import (
+    MlndParams,
+    SweepWorkspace,
+    _scatter_one,
+    chol_lower,
+    inv_lower,
+    log_density_batch,
+)
 from .parsimony import (
     GpcmVviFactors,
     McdFactors,
@@ -28,7 +39,6 @@ from .parsimony import (
     gpcm_vvi_update,
     mcd_evi_update,
     mcd_vvi_update,
-    _scatter_one,
 )
 
 _EMPTY_OP_TOL = 1e-8  # op-level flag threshold on n_g / N
@@ -137,7 +147,8 @@ def init_kmeans(data, n_groups: int, options: FitOptions | None = None, rng=None
     Runs ``options.kmeans_restarts`` restarts from random distinct
     observations and keeps the assignment with the lowest within-cluster sum
     of squares.  Deterministic given the generator state; ties keep the
-    first-found solution.
+    first-found solution.  Distances (|v|^2 - 2 v.c + |c|^2) and centres
+    come from GEMMs, so no temporary is as large as the batch.
     """
     options = options or FitOptions()
     batch = as_batch(data)
@@ -147,6 +158,10 @@ def init_kmeans(data, n_groups: int, options: FitOptions | None = None, rng=None
         raise ValueError(f"need 1 <= G <= N, got G={g}, N={n}")
     rng = rng if rng is not None else options.rng()
     v = batch.reshape(n, -1)
+    v_sq = np.einsum("ij,ij->i", v, v)
+
+    def sq_dists(centers):
+        return v_sq[:, None] - 2.0 * (v @ centers.T) + np.einsum("kj,kj->k", centers, centers)
 
     best_inertia = np.inf
     best_labels = None
@@ -154,23 +169,22 @@ def init_kmeans(data, n_groups: int, options: FitOptions | None = None, rng=None
         centers = v[rng.choice(n, size=g, replace=False)]
         labels = None
         for _ in range(100):
-            d2 = ((v[:, None, :] - centers[None]) ** 2).sum(axis=2)
+            d2 = sq_dists(centers)
             new_labels = d2.argmin(axis=1)
-            taken: set[int] = set()
-            for k in range(g):
-                if not np.any(new_labels == k):
-                    # revive an empty cluster at the worst-fit free point
-                    dist = d2[np.arange(n), new_labels].copy()
-                    if taken:
-                        dist[list(taken)] = -np.inf
-                    far = int(dist.argmax())
-                    new_labels[far] = k
-                    taken.add(far)
+            sizes = np.bincount(new_labels, minlength=g)
+            for k in np.flatnonzero(sizes == 0):
+                # revive at the worst-fit point of a cluster that keeps a member
+                dist = d2[np.arange(n), new_labels]
+                dist[sizes[new_labels] < 2] = -np.inf
+                far = int(dist.argmax())
+                sizes[new_labels[far]] -= 1
+                sizes[k] = 1
+                new_labels[far] = k
             if labels is not None and np.array_equal(labels, new_labels):
                 break
             labels = new_labels
-            centers = np.stack([v[labels == k].mean(axis=0) for k in range(g)])
-        inertia = float(((v - centers[labels]) ** 2).sum())
+            centers = (np.eye(g)[labels].T @ v) / sizes[:, None]
+        inertia = float(sq_dists(centers)[np.arange(n), labels].sum())
         if inertia < best_inertia:
             best_inertia = inertia
             best_labels = labels
@@ -182,19 +196,24 @@ def init_kmeans(data, n_groups: int, options: FitOptions | None = None, rng=None
 # --- E-step ------------------------------------------------------------------
 
 
-def loglik_matrix(data, model: MixtureModel) -> np.ndarray:
-    """(N, G) matrix of log(pi_g) + per-component log densities."""
+def loglik_matrix(data, model: MixtureModel, work: SweepWorkspace | None = None):
+    """(N, G) matrix of log(pi_g) + per-component log densities.
+
+    In a fit, ``work`` lacks only the last mode's whitening; one pass then
+    gives the quadratic forms, without re-centring or re-whitening the batch.
+    """
     batch = as_batch(data)
-    cols = [
-        np.log(model.weights[g]) + log_density_batch(batch, comp)
-        for g, comp in enumerate(model.components)
-    ]
+    cols = []
+    for g, comp in enumerate(model.components):
+        quad = None if work is None else work.quad_forms(g, comp.inv_chol_factors()[-1])
+        cols.append(np.log(model.weights[g]) + log_density_batch(batch, comp, quad))
     return np.column_stack(cols)
 
 
-def e_step(data, model: MixtureModel) -> tuple[np.ndarray, float]:
-    """Responsibilities and observed log-likelihood, evaluated in log space."""
-    lm = loglik_matrix(data, model)
+def e_step(data, model: MixtureModel, work: SweepWorkspace | None = None):
+    """Responsibilities and observed log-likelihood, evaluated in log space;
+    ``work`` as in :func:`loglik_matrix`."""
+    lm = loglik_matrix(data, model, work)
     top = lm.max(axis=1)
     top[~np.isfinite(top)] = 0.0  # a row of -inf then sums to log(0) = -inf
     with np.errstate(divide="ignore"):
@@ -235,27 +254,6 @@ def m_step_mean(data, z: np.ndarray):
     means = (z.T @ flat) / counts[:, None]
     dims = batch.shape[1:]
     return [matricize_mode1(means[g].reshape(dims)) for g in range(z.shape[1])]
-
-
-def m_step_delta(data, z: np.ndarray, model, dim: int) -> list[np.ndarray]:
-    """Unconstrained (VVV) scale update for one dimension, all groups.
-
-    Returns the raw symmetrized estimates (n_d / (n* n_g)) * scatter_g;
-    singularity repair is applied separately by the fit sweep through
-    :func:`regularize_and_check`.
-    """
-    batch = as_batch(data)
-    components = getattr(model, "components", model)
-    z = np.asarray(z, dtype=np.float64)
-    counts = z.sum(axis=0)
-    dims = batch.shape[1:]
-    n_star = int(np.prod(dims))
-    n_d = dims[dim - 1]
-    out = []
-    for g, comp in enumerate(components):
-        s = _scatter_one(batch, comp.mean_array, z[:, g], comp.inv_chol_factors(), dim)
-        out.append((n_d / (n_star * counts[g])) * s)
-    return out
 
 
 def aitken_stop(window: Sequence[float], epsilon: float) -> bool:
@@ -380,8 +378,12 @@ def normalize_identifiability(model: MixtureModel) -> MixtureModel:
 # --- the full loop ------------------------------------------------------------
 
 
-def _identity_fallback(n_d: int, reg_epsilon: float) -> np.ndarray:
-    return reg_epsilon * np.eye(n_d)
+def _positive_definite(mat: np.ndarray) -> bool:
+    try:
+        np.linalg.cholesky(mat)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def fit(
@@ -437,14 +439,14 @@ def fit(
         if z.shape != (n, g):
             raise ValueError(f"init_z must have shape {(n, g)}")
 
-    means = np.zeros((g,) + dims)
     scales = [[np.eye(n_d) for n_d in dims] for _ in range(g)]
+    chols = [[np.eye(n_d) for n_d in dims] for _ in range(g)]  # L per scale
     inv_chols = [[np.eye(n_d) for n_d in dims] for _ in range(g)]  # L^{-1} per scale
     evi_deltas = {d0: np.ones(g) for d0, s in enumerate(specs) if s is ScaleModel.MCD_EVI}
     factors: dict[int, object] = {}
     events: list[SingularEvent] = []
     trace: list[float] = []
-    weights = np.full(g, 1.0 / g)
+    work = SweepWorkspace(batch, g)
     converged = False
     iteration = 0
 
@@ -467,11 +469,12 @@ def fit(
             n_d = dims[d0]
             raws = np.stack(
                 [
-                    _scatter_one(batch, means[k], z[:, k], inv_chols[k], dim)
+                    _scatter_one(work, k, dim, means[k], z[:, k], inv_chols[k], chols[k])
                     for k in range(g)
                 ]
             )
             lams = raws / counts[:, None, None]
+            news, facs = [], []  # new scales and factor records, per group
 
             if spec is ScaleModel.VVV:
                 for k in range(g):
@@ -480,26 +483,18 @@ def fit(
                     )
                     if flagged:
                         events.append(SingularEvent(k, dim, iteration))
-                    scales[k][d0] = new
-                    inv_chols[k][d0] = inv_lower(chol_lower(new, dim))
+                    news.append(new)
 
             elif spec is ScaleModel.MCD_VVI:
-                facs = []
                 for k in range(g):
                     fac = mcd_vvi_update(lams[k], n_star)
                     new = fac.scale() if fac.delta > 0 else None
-                    if new is not None:
-                        try:
-                            np.linalg.cholesky(new)
-                        except np.linalg.LinAlgError:
-                            new = None
-                    if new is None:
-                        new = _identity_fallback(n_d, options.reg_epsilon)
+                    if new is None or not _positive_definite(new):
+                        new = options.reg_epsilon * np.eye(n_d)
                         fac = McdFactors(t=np.eye(n_d), delta=options.reg_epsilon)
                         events.append(SingularEvent(k, dim, iteration))
                     facs.append(fac)
-                    scales[k][d0] = new
-                    inv_chols[k][d0] = inv_lower(chol_lower(new, dim))
+                    news.append(new)
                 factors[dim] = tuple(facs)
 
             elif spec is ScaleModel.MCD_EVI:
@@ -509,20 +504,12 @@ def fit(
                 base = (base + base.T) / 2.0
                 fixed = deltas.copy()
                 for k in range(g):
-                    if deltas[k] > 0:
-                        new = deltas[k] * base
-                        try:
-                            np.linalg.cholesky(new)
-                        except np.linalg.LinAlgError:
-                            new = None
-                    else:
-                        new = None
-                    if new is None:
-                        new = _identity_fallback(n_d, options.reg_epsilon)
+                    new = deltas[k] * base
+                    if not deltas[k] > 0 or not _positive_definite(new):
+                        new = options.reg_epsilon * np.eye(n_d)
                         fixed[k] = options.reg_epsilon
                         events.append(SingularEvent(k, dim, iteration))
-                    scales[k][d0] = new
-                    inv_chols[k][d0] = inv_lower(chol_lower(new, dim))
+                    news.append(new)
                 evi_deltas[d0] = fixed
                 factors[dim] = SharedMcdFactors(t=t, deltas=fixed)
 
@@ -532,36 +519,35 @@ def fit(
                 new, flagged = regularize_and_check(pooled, options.reg_epsilon)
                 if flagged:
                     events.append(SingularEvent(None, dim, iteration))
-                new_inv = inv_lower(chol_lower(new, dim))
-                for k in range(g):
-                    scales[k][d0] = new
-                    inv_chols[k][d0] = new_inv
+                news = [new] * g
 
             elif spec is ScaleModel.GPCM_VVI:
-                facs = []
                 for k in range(g):
                     raw_diag = (n_d / n_star) * np.diag(np.diag(lams[k]))
                     new, flagged = regularize_and_check(raw_diag, options.reg_epsilon)
                     if flagged:
                         events.append(SingularEvent(k, dim, iteration))
-                    fac = gpcm_vvi_update(np.diag(np.diag(new)) * (n_star / n_d), n_star)
-                    facs.append(fac)
-                    scales[k][d0] = new
-                    inv_chols[k][d0] = inv_lower(chol_lower(new, dim))
+                    facs.append(gpcm_vvi_update(np.diag(np.diag(new)) * (n_star / n_d), n_star))
+                    news.append(new)
                 factors[dim] = tuple(facs)
 
             else:  # pragma: no cover
                 raise ValueError(f"unhandled scale model {spec}")
 
+            for k, new in enumerate(news):
+                L = chol_lower(new, dim)
+                scales[k][d0], chols[k][d0], inv_chols[k][d0] = new, L, inv_lower(L)
+
         model = MixtureModel(
             weights=weights,
-            components=tuple(
-                MlndParams(mean=means[k], scales=tuple(scales[k])) for k in range(g)
+            components=tuple(  # with the factors cached for the E-step
+                MlndParams(means[k], tuple(scales[k]), tuple(chols[k]), tuple(inv_chols[k]))
+                for k in range(g)
             ),
             specs=specs,
             factors=dict(factors),
         )
-        z, ll = e_step(batch, model)
+        z, ll = e_step(batch, model, work)
         trace.append(ll)
         if len(trace) >= 3 and aitken_stop(trace[-3:], options.aitken_epsilon):
             converged = True
@@ -594,7 +580,6 @@ __all__ = [
     "fit",
     "init_kmeans",
     "loglik_matrix",
-    "m_step_delta",
     "m_step_mean",
     "m_step_pi",
     "normalize_identifiability",

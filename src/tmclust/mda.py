@@ -194,18 +194,22 @@ def as_batch(data) -> np.ndarray:
     return np.stack(arrays).astype(np.float64, copy=False)
 
 
-def multiply_axis(values: np.ndarray, mat, axis: int) -> np.ndarray:
+def multiply_axis(values: np.ndarray, mat, axis: int, out=None) -> np.ndarray:
     """Multiply one axis (0-based) of an array by a matrix, on the C layout.
 
     The array is viewed as (P, n, Q) around the axis of extent n, so a
     C-contiguous input is never copied and the result keeps the input's axis
     order; the last axis, where Q = 1, is one (P, n) @ mat.T product.  The
-    axis takes the extent ``mat.shape[0]``.
+    axis takes the extent ``mat.shape[0]``.  ``out`` (C-contiguous, float64,
+    not overlapping ``values``) receives the result instead of a new array.
     """
     shape = values.shape
     n = shape[axis]
-    out_shape = shape[:axis] + (mat.shape[0],) + shape[axis + 1:]
-    if axis == len(shape) - 1:
-        return (values.reshape(-1, n) @ mat.T).reshape(out_shape)
+    if out is None:
+        out = np.empty(shape[:axis] + (mat.shape[0],) + shape[axis + 1:])
     lead = int(np.prod(shape[:axis]))
-    return np.matmul(mat, values.reshape(lead, n, -1)).reshape(out_shape)
+    if axis == len(shape) - 1:
+        np.matmul(values.reshape(lead, n), mat.T, out=out.reshape(lead, -1))
+    else:
+        np.matmul(mat, values.reshape(lead, n, -1), out=out.reshape(lead, mat.shape[0], -1))
+    return out

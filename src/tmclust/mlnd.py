@@ -16,12 +16,16 @@ inverse lower Cholesky factor L_d^{-1} of each Delta_d — the dense Kronecker
 covariance is never formed.  The Kronecker factorization is only unique up to
 per-dimension rescalings that preserve the product, which downstream code
 resolves by convention after fitting.
+
+EM whitens incrementally in a :class:`SweepWorkspace` (one per fit), which
+holds each group's centred batch whitened on every mode but the one being
+updated; :func:`_scatter_one` advances it by the new L_d^{-1} and the old
+L_{d+1}.  Every single-mode pass goes through :func:`_solve_mode`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -29,6 +33,7 @@ from .errors import NotPositiveDefiniteError
 from .mda import Matricization, Mda, matricize_mode1, multiply_axis
 
 _SYM_TOL = 1e-12
+_BLOCK_BYTES = 512 * 1024  # largest block of observations one sweep pass touches
 
 
 def chol_lower(mat: np.ndarray, dim: int | None = None) -> np.ndarray:
@@ -140,29 +145,76 @@ class MlndParams:
         return total
 
 
-def _solve_mode(values: np.ndarray, inv_factor: np.ndarray, axis: int) -> np.ndarray:
-    """Apply L^{-1} along one axis: one single-mode whitening pass."""
-    return multiply_axis(values, inv_factor, axis)
+def _solve_mode(values: np.ndarray, inv_factor: np.ndarray, axis: int, out=None) -> np.ndarray:
+    """Apply L^{-1} along one axis: one single-mode whitening pass (the EM
+    sweep also passes L, to undo one).  ``out`` as in ``multiply_axis``."""
+    return multiply_axis(values, inv_factor, axis, out)
 
 
-def whiten_all_modes(centered: np.ndarray, inv_chols: Sequence[np.ndarray]) -> np.ndarray:
-    """Whiten every array mode of a batch (N, n_1, ..., n_D) of centered arrays.
+class SweepWorkspace:
+    """The buffers of one fit's whitening sweep: ``held[k]``, group k's
+    partly whitened batch, and ``buf``, one block of observations (at most
+    ``_BLOCK_BYTES``, at least one observation) that every other pass and
+    the scatter products write into."""
 
-    ``inv_chols`` holds the inverse factors L_d^{-1}.  After this, the
-    squared Frobenius norm of each member equals its Mahalanobis quadratic
-    form under the Kronecker covariance.
+    def __init__(self, batch: np.ndarray, n_groups: int):
+        self.batch = batch
+        self.held = np.empty((n_groups,) + batch.shape)
+        step = min(len(batch), max(1, _BLOCK_BYTES // batch[0].nbytes))
+        self.buf = np.empty((step,) + batch.shape[1:])
+        # (rows, buffer trimmed to them) per block of observations
+        self.blocks = [
+            (slice(i, i + step), self.buf[: len(batch[i : i + step])])
+            for i in range(0, len(batch), step)
+        ]
+
+    def quad_forms(self, k: int, inv_last: np.ndarray) -> np.ndarray:
+        """Whiten group k's last mode with its new L_D^{-1}: the squared norms
+        are the Mahalanobis quadratic forms."""
+        quad = np.empty(len(self.batch))
+        for rows, tmp in self.blocks:
+            _solve_mode(self.held[k, rows], inv_last, self.batch.ndim - 1, out=tmp)
+            flat = tmp.reshape(len(tmp), -1)
+            np.einsum("nk,nk->n", flat, flat, out=quad[rows])
+        return quad
+
+
+def _scatter_one(work: SweepWorkspace, k: int, dim: int, mean, weights, inv_chols, chols):
+    """Group k's unnormalized weighted scatter sum_i w_i (...) for ``dim``.
+
+    First advances the held tensor: dimension 1 centres the batch and whitens
+    modes 2..D; a later one applies the new L_{dim-1}^{-1}, then the old L_dim
+    to undo that mode.  The factor lists are new below ``dim``, old from it on.
     """
-    return whiten_except(centered, inv_chols, keep=0)
-
-
-def whiten_except(centered: np.ndarray, inv_chols: Sequence[np.ndarray], keep: int) -> np.ndarray:
-    """Whiten every mode of a batch except the 1-based dimension ``keep``
-    (``keep=0`` whitens every mode)."""
-    out = centered
-    for d, inv_factor in enumerate(inv_chols):
-        if d + 1 != keep:
-            out = _solve_mode(out, inv_factor, axis=d + 1)
-    return out
+    held = work.held[k]
+    dims = held.shape[1:]
+    if dim == 1:
+        passes = [(inv_chols[m], m + 1) for m in range(1, len(dims))]
+    else:
+        passes = [(inv_chols[dim - 2], dim - 1), (chols[dim - 1], dim)]
+    n_d, lead = dims[dim - 1], int(np.prod(dims[: dim - 1]))
+    rest = int(np.prod(dims[dim:]))
+    s = np.zeros((n_d, n_d))
+    for rows, tmp in work.blocks:
+        block = held[rows]
+        # an odd number of passes starts in the buffer, so the last ends in block
+        src, dst = (tmp, block) if len(passes) % 2 else (block, tmp)
+        if dim == 1:
+            np.subtract(work.batch[rows], mean, out=src)
+        for factor, axis in passes:
+            _solve_mode(src, factor, axis, out=dst)
+            src, dst = dst, src
+        if rest > 2 * n_d:  # long fibres: one product per (observation, leading index)
+            slices = block.reshape(-1, n_d, rest)
+            prods = tmp.reshape(-1)[: len(slices) * n_d * n_d].reshape(-1, n_d, n_d)
+            np.matmul(slices, slices.transpose(0, 2, 1), out=prods)
+            s += (weights[rows] @ prods.reshape(len(tmp), -1)).reshape(lead, n_d, n_d).sum(axis=0)
+        else:  # short fibres: weighted by sqrt(w_i), as the rows of one matrix
+            fibres = block.reshape(len(tmp), lead, n_d, rest).transpose(0, 1, 3, 2)
+            root = np.sqrt(weights[rows]).reshape(-1, 1, 1, 1)
+            np.multiply(fibres, root, out=tmp.reshape(fibres.shape))
+            s += tmp.reshape(-1, n_d).T @ tmp.reshape(-1, n_d)
+    return (s + s.T) / 2.0
 
 
 def log_density(x, params: MlndParams) -> float:
@@ -171,18 +223,20 @@ def log_density(x, params: MlndParams) -> float:
     return float(log_density_batch(arr[None], params)[0])
 
 
-def log_density_batch(batch: np.ndarray, params: MlndParams) -> np.ndarray:
-    """Log densities for a stacked batch of shape (N, n_1, ..., n_D)."""
+def log_density_batch(batch: np.ndarray, params: MlndParams, quad=None) -> np.ndarray:
+    """Log densities for a stacked batch of shape (N, n_1, ..., n_D); ``quad``
+    gives the quadratic forms when the caller has them (the EM sweep does)."""
     batch = np.asarray(batch, dtype=np.float64)
     if batch.shape[1:] != params.dims:
         raise ValueError(f"batch has dims {batch.shape[1:]}, expected {params.dims}")
     n_star = params.size
-    centered = batch - params.mean_array[None]
-    white = whiten_all_modes(centered, params.inv_chol_factors())
-    flat = white.reshape(white.shape[0], -1)
-    q = np.einsum("nk,nk->n", flat, flat)
+    if quad is None:  # whiten every mode; the squared norms are the quadratic forms
+        white = batch - params.mean_array[None]
+        for d, inv_factor in enumerate(params.inv_chol_factors()):
+            white = _solve_mode(white, inv_factor, axis=d + 1)
+        quad = np.einsum("nk,nk->n", white.reshape(len(white), -1), white.reshape(len(white), -1))
     const = -0.5 * n_star * (np.log(2.0 * np.pi) + params.log_det_terms())
-    return const - 0.5 * q
+    return const - 0.5 * quad
 
 
 def sample(params: MlndParams, rng, size: int | None = None):

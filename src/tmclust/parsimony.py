@@ -30,8 +30,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .mda import as_batch
-from .mlnd import whiten_except
 
 
 class ScaleModel(str, Enum):
@@ -88,57 +86,6 @@ class FreeParamCount:
     @property
     def total(self) -> int:
         return self.weights + self.means + sum(self.per_dim)
-
-
-def scatter_lambda(data, z: np.ndarray, model, dim: int) -> np.ndarray:
-    """Per-group scatter matrices Lambda_{g,dim}, stacked (G, n_d, n_d).
-
-    Lambda_{g,d} averages, with weights z[:, g], the cross-products of the
-    centered observations along dimension ``dim`` after whitening every
-    other dimension with the group's current scale factors:
-
-        Lambda_{g,1} = (1/n_g) sum_i z_ig sum_j X_j' Delta_{g,2}^{-1} X_j
-
-    and its transposed/mode-swapped analogues for the other dimensions —
-    all of which reduce to the same whiten-all-but-one contraction.
-
-    Parameters
-    ----------
-    data : ndarray (N, n_1, ..., n_D) or sequence of Mda
-    z : ndarray (N, G)
-    model : MixtureModel or sequence of MlndParams
-        Supplies the current means and the other dimensions' scales.
-    dim : int
-        1-based dimension index.
-    """
-    batch = as_batch(data)
-    components = getattr(model, "components", model)
-    z = np.asarray(z, dtype=np.float64)
-    counts = z.sum(axis=0)
-    if np.any(counts <= 0):
-        raise ValueError("every group needs positive responsibility mass")
-    out = []
-    for g, comp in enumerate(components):
-        s = _scatter_one(batch, comp.mean_array, z[:, g], comp.inv_chol_factors(), dim)
-        out.append(s / counts[g])
-    return np.stack(out)
-
-
-def _scatter_one(batch, mean_arr, weights, inv_chols, dim) -> np.ndarray:
-    """Unnormalized weighted scatter sum_i w_i (...) for one group.
-
-    ``inv_chols`` holds the group's inverse factors L_d^{-1}.  Whitening is
-    linear, so the weights are applied as sqrt(w_i) before it.
-    """
-    centered = batch - mean_arr[None]
-    centered *= np.sqrt(weights).reshape((-1,) + (1,) * (batch.ndim - 1))
-    white = whiten_except(centered, inv_chols, keep=dim)
-    n_d = white.shape[dim]
-    lead = int(np.prod(white.shape[:dim]))
-    # rows are the mode-dim fibres; a copy only when dim is not the last axis
-    fibres = white.reshape(lead, n_d, -1).transpose(0, 2, 1).reshape(-1, n_d)
-    s = fibres.T @ fibres
-    return (s + s.T) / 2.0
 
 
 def _unit_lower_solve(lam: np.ndarray) -> np.ndarray:
@@ -271,5 +218,4 @@ __all__ = [
     "gpcm_vvi_update",
     "mcd_evi_update",
     "mcd_vvi_update",
-    "scatter_lambda",
 ]

@@ -85,8 +85,17 @@ def _cell_seed(base_seed, g: int, specs: Sequence[ScaleModel]) -> tuple[int, ...
     return base + (104729, g) + tuple(_FAMILY_ORDINAL[s] for s in specs)
 
 
-def _run_cell(args) -> ScanRow:
-    batch, g, specs, options, keep_models = args
+_worker_batch = None  # the scan's batch, sent once to each pool worker
+
+
+def _set_worker_batch(batch) -> None:
+    global _worker_batch
+    _worker_batch = batch
+
+
+def _run_cell(task, batch=None) -> ScanRow:
+    g, specs, options, keep_models = task
+    batch = _worker_batch if batch is None else batch
     dims = batch.shape[1:]
     rho = free_params(specs, g, dims).total
     try:
@@ -133,14 +142,14 @@ def scan(data, grid: ScanGrid, threads: int = 1, keep_models: bool = False) -> S
     """
     batch = as_batch(data)
     tasks = [
-        (batch, g, specs, replace(grid.options, seed=_cell_seed(grid.options.seed, g, specs)), keep_models)
+        (g, specs, replace(grid.options, seed=_cell_seed(grid.options.seed, g, specs)), keep_models)
         for g, specs in grid.cells()
     ]
     if threads > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(threads, initializer=_set_worker_batch, initargs=(batch,)) as pool:
             rows = list(pool.map(_run_cell, tasks))
     else:
-        rows = [_run_cell(t) for t in tasks]
+        rows = [_run_cell(t, batch) for t in tasks]
     best = None
     for row in rows:
         if row.selectable and _prefer(row, best):

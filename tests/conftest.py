@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tmclust.mda import Mda, matricize_mode1
-from tmclust.mlnd import MlndParams
+from tmclust.mlnd import MlndParams, SweepWorkspace, _scatter_one
 
 
 def random_spd(n: int, rng: np.random.Generator, jitter: float = 0.5) -> np.ndarray:
@@ -21,6 +21,43 @@ def random_params(dims, rng: np.random.Generator) -> MlndParams:
     mean = rng.standard_normal(dims)
     scales = [random_spd(n, rng) for n in dims]
     return MlndParams(mean=matricize_mode1(mean), scales=tuple(scales))
+
+
+def spd_with_condition(n: int, cond: float, rng) -> np.ndarray:
+    """SPD matrix with eigenvalues log-spaced over [1, cond] in a random basis."""
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    m = (q * np.logspace(0, np.log10(cond), n)) @ q.T
+    return (m + m.T) / 2.0
+
+
+def sweep_scatters(batch, z, comps, next_comps=None):
+    """Drive the EM sweep of ``tmclust.mlnd`` through every dimension.
+
+    Group k is centred on ``next_comps[k]``'s mean and starts from
+    ``comps[k]``'s factors; after dimension d's scatters its factor d becomes
+    ``next_comps[k]``'s, as in a fit (``next_comps`` defaults to ``comps``).
+    Returns the unnormalized scatters, one (G, n_d, n_d) stack per
+    dimension, and the (N, G) quadratic forms under the final factors.
+    """
+    next_comps = comps if next_comps is None else next_comps
+    work = SweepWorkspace(batch, len(comps))
+    chols = [list(c.chol_factors()) for c in comps]
+    invs = [list(c.inv_chol_factors()) for c in comps]
+    scatters = []
+    for d0 in range(batch.ndim - 1):
+        scatters.append(
+            np.stack(
+                [
+                    _scatter_one(work, k, d0 + 1, c.mean_array, z[:, k], invs[k], chols[k])
+                    for k, c in enumerate(next_comps)
+                ]
+            )
+        )
+        for k, c in enumerate(next_comps):
+            chols[k][d0] = c.chol_factors()[d0]
+            invs[k][d0] = c.inv_chol_factors()[d0]
+    quad = np.column_stack([work.quad_forms(k, invs[k][-1]) for k in range(len(comps))])
+    return scatters, quad
 
 
 def random_mda(dims, rng: np.random.Generator) -> Mda:

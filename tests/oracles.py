@@ -7,6 +7,8 @@ to the front.
 
 * :func:`solve_mode` / :func:`whiten_all_modes` — per-mode triangular-solve
   whitening of a batch, the oracle for ``tmclust.mlnd._solve_mode``.
+* :func:`scatter` — one group's weighted scatter for one dimension, whitened
+  from scratch, the oracle for the EM sweep's incremental scatters.
 * :func:`whiten_slices` / :func:`quadratic_form` — the Mahalanobis quadratic
   form of one array as a sum over matricized two-dimensional slices, with
   optional mode swaps (acceptance criterion 2).
@@ -37,6 +39,20 @@ def whiten_all_modes(centered: np.ndarray, chols) -> np.ndarray:
     for d, L in enumerate(chols):
         out = solve_mode(out, L, axis=d + 1)
     return out
+
+
+def scatter(batch: np.ndarray, mean: np.ndarray, weights, chols, dim: int) -> np.ndarray:
+    """Unnormalized scatter sum_i w_i F_i F_i' of one group for dimension ``dim``.
+
+    F_i holds the mode-``dim`` fibres of observation i after centring and
+    whitening every other mode from scratch.
+    """
+    white = batch - mean[None]
+    for d, L in enumerate(chols):
+        if d + 1 != dim:
+            white = solve_mode(white, L, axis=d + 1)
+    fibres = np.moveaxis(white, dim, -1).reshape(len(batch), -1, batch.shape[dim])
+    return np.einsum("i,ira,irb->ab", np.asarray(weights, dtype=np.float64), fibres, fibres)
 
 
 @dataclass(frozen=True)

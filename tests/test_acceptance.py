@@ -118,10 +118,17 @@ def test_criterion_3_em_monotone():
     families = list(ScaleModel)
     per_family = {f: 0 for f in families}
     n_events = 0
+    n_mixed = 0
     worst_drop = 0.0
-    for i in range(50):
-        family = families[i % len(families)]
-        dims = (2, 3)
+    # 50 fits of order 2 with one family on both dimensions, then 30 of
+    # order 2, 3 and 4 with a different family on each dimension
+    for i in range(80):
+        if i < 50:
+            dims = (2, 3)
+            specs = (families[i % len(families)],) * 2
+        else:
+            dims = ((3, 2), (2, 3, 2), (2, 2, 3, 2))[i % 3]
+            specs = tuple(families[(i + j) % len(families)] for j in range(len(dims)))
         means = [np.zeros(dims), np.full(dims, 2.0)]
         scales = [
             tuple(random_spd(n, rng) for n in dims),
@@ -134,20 +141,24 @@ def test_criterion_3_em_monotone():
             ]
         )
         options = FitOptions(max_iterations=80, seed=i)
-        _, report = fit(batch, 2, specs=(family, family), options=options)
+        _, report = fit(batch, 2, specs=specs, options=options)
         if report.singular_events:
             n_events += 1
             continue
-        per_family[family] += 1
+        if i < 50:
+            per_family[specs[0]] += 1
+        else:
+            n_mixed += 1
         trace = np.asarray(report.loglik_trace)
         drops = trace[:-1] - trace[1:]
         worst_drop = max(worst_drop, float(np.max(drops / np.abs(trace[:-1]))))
     coverage = min(per_family.values())
     _verdict(
         3,
-        worst_drop <= 1e-8 and coverage >= 10,
-        f"50 fits ({n_events} skipped for regularization events), every family "
-        f">= {coverage} times, worst relative decrease = {worst_drop:.3e} (<= 1e-8)",
+        worst_drop <= 1e-8 and coverage >= 10 and n_mixed >= 20,
+        f"80 fits ({n_events} skipped for regularization events), every family "
+        f">= {coverage} times on both dimensions, {n_mixed} mixed-family fits of "
+        f"order 2-4, worst relative decrease = {worst_drop:.3e} (<= 1e-8)",
     )
 
 

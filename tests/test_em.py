@@ -1,9 +1,13 @@
 """EM loop pieces (init, E-step, M-steps, stopping, repair) and full fits."""
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import logsumexp
 
+from tmclust import em
 from tmclust.em import (
     FitOptions,
     MixtureModel,
@@ -13,7 +17,6 @@ from tmclust.em import (
     fit,
     init_kmeans,
     loglik_matrix,
-    m_step_delta,
     m_step_mean,
     m_step_pi,
     normalize_identifiability,
@@ -25,7 +28,8 @@ from tmclust.metrics import adjusted_rand_index
 from tmclust.mlnd import MlndParams, log_density_batch, sample
 from tmclust.parsimony import McdFactors, ScaleModel
 
-from conftest import random_spd
+import oracles
+from conftest import random_spd, sweep_scatters
 
 ALL_SPECS = [
     ScaleModel.VVV,
@@ -69,6 +73,25 @@ def test_kmeans_one_cluster_per_point(rng):
     z = init_kmeans(batch, 4, rng=rng)
     assert np.array_equal(z.sum(axis=0), np.ones(4))
     assert np.array_equal(z.sum(axis=1), np.ones(4))
+
+
+@pytest.mark.parametrize(
+    "batch, g",
+    [
+        # one array of ones, seven of zeros: the revival used to empty a
+        # cluster it had already checked
+        (np.concatenate([np.ones((1, 2, 2)), np.zeros((7, 2, 2))]), 6),
+        (np.repeat(np.eye(3)[:, None, :] * np.arange(1, 4)[:, None, None], 5, axis=0), 5),
+        (np.concatenate([np.zeros((9, 2, 3)), np.full((2, 2, 3), 2.0)]), 4),
+    ],
+)
+def test_kmeans_duplicates_leave_no_cluster_empty(batch, g):
+    for seed in range(40):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            z = init_kmeans(batch, g, rng=np.random.default_rng(seed))
+        assert np.all(z.sum(axis=0) >= 1)
+        assert np.array_equal(z.sum(axis=1), np.ones(len(batch)))
 
 
 def test_kmeans_rejects_too_many_groups(rng):
@@ -192,6 +215,16 @@ def test_m_step_mean_soft_weights(rng):
     mean = m_step_mean(batch, z)[0].to_array()
     expected = np.tensordot(w, batch, axes=(0, 0)) / w.sum()
     assert np.allclose(mean, expected, rtol=0, atol=1e-14)
+
+
+def m_step_delta(batch, z, comps, dim):
+    """The sweep's unconstrained update (n_d / (n* n_g)) * scatter_g for ``dim``."""
+    dims = batch.shape[1:]
+    scatters, _ = sweep_scatters(batch, z, comps)
+    return [
+        (dims[dim - 1] / (np.prod(dims) * z[:, g].sum())) * s
+        for g, s in enumerate(scatters[dim - 1])
+    ]
 
 
 def test_m_step_delta_scalar_variance(rng):
@@ -460,3 +493,83 @@ def test_fit_reports_bic_consistent_with_rho(rng):
 def test_singular_event_fields():
     e = SingularEvent(group=None, dim=2, iteration=7)
     assert e.group is None and e.dim == 2 and e.iteration == 7
+
+
+# --- the incremental sweep inside fits ----------------------------------------------
+
+
+def assert_matches_oracle(got, want):
+    np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS)
+def test_fit_sweep_matches_from_scratch_oracle(spec, rng, monkeypatch):
+    """In fits of order 2, 3 and 4, every scatter of the sweep and every
+    E-step quadratic form equals the from-scratch triangular-solve route
+    under the factors the fit holds at that moment.  Ill-conditioned factors
+    are covered by the sweep test in ``test_mlnd.py``: fitted to such data,
+    three factors of condition 1e11-1e12 leave even the from-scratch routes
+    disagreeing in the second digit."""
+    checked = {"scatter": 0, "quad": 0}
+    sweep_step, density = em._scatter_one, em.log_density_batch
+
+    def scatter(work, k, dim, mean, weights, inv_chols, chols):
+        got = sweep_step(work, k, dim, mean, weights, inv_chols, chols)
+        assert_matches_oracle(got, oracles.scatter(work.batch, mean, weights, chols, dim))
+        checked["scatter"] += 1
+        return got
+
+    def log_density(batch, comp, quad):
+        white = oracles.whiten_all_modes(batch - comp.mean_array, comp.chol_factors())
+        assert_matches_oracle(quad, (white.reshape(len(batch), -1) ** 2).sum(axis=1))
+        checked["quad"] += 1
+        return density(batch, comp, quad)
+
+    monkeypatch.setattr(em, "_scatter_one", scatter)
+    monkeypatch.setattr(em, "log_density_batch", log_density)
+    for dims in [(3, 2), (2, 3, 2), (2, 2, 3, 2)]:
+        comps = [
+            MlndParams(
+                mean=np.full(dims, 3.0 * k),
+                scales=tuple(random_spd(n, rng) for n in dims),
+            )
+            for k in range(2)
+        ]
+        batch = np.stack([sample(comps[i % 2], rng).array for i in range(40)])
+        _, report = fit(batch, 2, specs=(spec,) * len(dims), options=FitOptions(max_iterations=3))
+        assert report.n_iterations == 3
+    assert checked == {"scatter": 2 * 3 * (2 + 3 + 4), "quad": 2 * 3 * 3}
+
+
+# --- allocation guards on the benchmark cell (7^4, N=180, G=3) ----------------------
+
+
+@pytest.fixture(scope="module")
+def cell_7x4():
+    rng = np.random.default_rng(7)
+    dims = (7, 7, 7, 7)
+    scales = tuple(np.eye(7) for _ in dims)
+    comps = [MlndParams(mean=np.full(dims, 2.0 * k), scales=scales) for k in range(3)]
+    return np.stack([sample(comps[i % 3], rng).array for i in range(180)])
+
+
+def traced_peak(fn, *args, **kwargs):
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_kmeans_peak_is_at_most_one_batch(cell_7x4):
+    peak = traced_peak(init_kmeans, cell_7x4, 3, FitOptions(kmeans_restarts=2))
+    assert peak <= cell_7x4.nbytes
+
+
+def test_fit_peak_is_the_workspace(cell_7x4):
+    """The sweep holds G partly whitened batches plus one block buffer; the
+    EM loop allocates nothing else of the batch's size."""
+    z = init_kmeans(cell_7x4, 3, rng=np.random.default_rng(0))
+    peak = traced_peak(fit, cell_7x4, 3, init_z=z, options=FitOptions(max_iterations=3))
+    assert peak <= 4 * cell_7x4.nbytes + 2**20

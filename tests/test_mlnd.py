@@ -10,8 +10,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from tmclust import mlnd
 from tmclust.errors import NotPositiveDefiniteError
 from tmclust.mda import Mda, kron, matricize_mode1, vectorize
+from tmclust.parsimony import ScaleModel
 from tmclust.mlnd import (
     MlndParams,
     _solve_mode,
@@ -20,11 +22,10 @@ from tmclust.mlnd import (
     log_density,
     log_density_batch,
     sample,
-    whiten_all_modes,
 )
 
 import oracles
-from conftest import random_params, random_spd
+from conftest import random_params, random_spd, spd_with_condition, sweep_scatters
 from oracles import quadratic_form, whiten_slices
 
 
@@ -122,13 +123,6 @@ def test_asymmetric_scale_rejected():
 # --- whitening against the triangular-solve oracle --------------------------
 
 
-def spd_with_condition(n: int, cond: float, rng) -> np.ndarray:
-    """SPD matrix with eigenvalues log-spaced over [1, cond] in a random basis."""
-    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    m = (q * np.logspace(0, np.log10(cond), n)) @ q.T
-    return (m + m.T) / 2.0
-
-
 def assert_matches_oracle(got, want):
     # rtol per entry; entries that cancel to near zero are held to the
     # array's scale instead
@@ -149,8 +143,61 @@ def test_whitening_matches_triangular_solve(dims, cond, rng):
     p = MlndParams(
         mean=np.zeros(dims), scales=tuple(spd_with_condition(n, cond, rng) for n in dims)
     )
-    got = whiten_all_modes(batch, p.inv_chol_factors())
+    got = batch
+    for d, inv_factor in enumerate(p.inv_chol_factors()):
+        got = _solve_mode(got, inv_factor, d + 1)
     assert_matches_oracle(got, oracles.whiten_all_modes(batch, p.chol_factors()))
+
+
+def family_scales(family, dims, cond, rng):
+    """Scale tuples of two groups with the structure ``family`` gives every
+    dimension, each matrix of condition number ``cond``."""
+    per_dim = []
+    for n in dims:
+        if family is ScaleModel.GPCM_EEE:
+            per_dim.append([spd_with_condition(n, cond, rng)] * 2)
+        elif family is ScaleModel.MCD_EVI:
+            base = spd_with_condition(n, cond, rng)
+            per_dim.append([delta * base for delta in rng.uniform(0.5, 2.0, 2)])
+        elif family is ScaleModel.GPCM_VVI:
+            diag = np.logspace(0, np.log10(cond), n)
+            per_dim.append([np.diag(rng.permutation(diag)) for _ in range(2)])
+        else:  # VVV and MCD-VVI: group-specific full matrices
+            per_dim.append([spd_with_condition(n, cond, rng) for _ in range(2)])
+    return [tuple(mats[k] for mats in per_dim) for k in range(2)]
+
+
+@pytest.mark.parametrize("block_rows", [None, 2])
+@pytest.mark.parametrize("family", list(ScaleModel))
+@pytest.mark.parametrize("cond", [1.0, 1e6, 1e12])
+@pytest.mark.parametrize("dims", [(4, 3), (3, 4, 2), (2, 3, 4, 3)])
+def test_sweep_matches_from_scratch_scatter(dims, cond, family, block_rows, rng, monkeypatch):
+    """Each incremental scatter equals the from-scratch one under the factors
+    the sweep has reached (new below the dimension, old above it), and the
+    finished tensors give the quadratic forms under the new factors.  With
+    ``block_rows`` the passes run in blocks of two observations, the last
+    block trimmed to one."""
+    n = 9
+    batch = rng.standard_normal((n,) + dims)
+    if block_rows is not None:
+        monkeypatch.setattr(mlnd, "_BLOCK_BYTES", block_rows * batch[0].nbytes)
+
+    def params():
+        return [
+            MlndParams(mean=rng.standard_normal(dims), scales=scales)
+            for scales in family_scales(family, dims, cond, rng)
+        ]
+
+    old, new = params(), params()
+    z = rng.random((n, 2)) + 0.05
+    scatters, quad = sweep_scatters(batch, z, old, new)
+    for k in range(2):
+        for d0 in range(len(dims)):
+            chols = new[k].chol_factors()[:d0] + old[k].chol_factors()[d0:]
+            want = oracles.scatter(batch, new[k].mean_array, z[:, k], chols, d0 + 1)
+            assert_matches_oracle(scatters[d0][k], want)
+        white = oracles.whiten_all_modes(batch - new[k].mean_array, new[k].chol_factors())
+        assert_matches_oracle(quad[:, k], (white.reshape(n, -1) ** 2).sum(axis=1))
 
 
 # --- slicing ---------------------------------------------------------------

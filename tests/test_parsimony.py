@@ -16,10 +16,11 @@ from tmclust.parsimony import (
     gpcm_vvi_update,
     mcd_evi_update,
     mcd_vvi_update,
-    scatter_lambda,
 )
+from tmclust.em import fit
+from tmclust.errors import EmptyComponentError
 
-from conftest import random_spd
+from conftest import random_spd, sweep_scatters
 from oracles import quadratic_form
 
 
@@ -219,6 +220,12 @@ def _scatter_oracle(batch, comp, w, dim):
     return out / w.sum()
 
 
+def scatter_lambda(batch, z, comps, dim):
+    """The sweep's per-group scatters Lambda_{g,dim}, stacked (G, n_d, n_d)."""
+    scatters, _ = sweep_scatters(batch, z, comps)
+    return scatters[dim - 1] / z.sum(axis=0)[:, None, None]
+
+
 def test_scatter_matches_mode_product_oracle(rng):
     dims = (2, 3, 2)
     batch = rng.normal(size=(12,) + dims)
@@ -255,11 +262,12 @@ def test_scatter_trace_equals_weighted_quadratic_forms(rng):
 
 
 def test_scatter_requires_positive_mass(rng):
+    """A group without responsibility mass gets no scatter: the fit stops."""
     batch = rng.normal(size=(4, 2, 2))
-    comp = MlndParams(mean=np.zeros((2, 2)), scales=(np.eye(2), np.eye(2)))
-    z = np.zeros((4, 1))
-    with pytest.raises(ValueError):
-        scatter_lambda(batch, z, [comp], 1)
+    z = np.zeros((4, 2))
+    z[:, 0] = 1.0
+    with pytest.raises(EmptyComponentError):
+        fit(batch, 2, init_z=z)
 
 
 # --- tokens and counting --------------------------------------------------------------
