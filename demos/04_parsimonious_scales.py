@@ -17,9 +17,9 @@ family on each of the three dimensions and compares parameter counts.
 
 import numpy as np
 
-from tmclust.em import FitOptions, fit
+from tmclust.em import FitOptions, fit, free_params
 from tmclust.mlnd import MlndParams, sample
-from tmclust.parsimony import ScaleModel, free_params
+from tmclust.parsimony import ScaleModel
 
 rng = np.random.default_rng(4)
 dims = (4, 3, 2)

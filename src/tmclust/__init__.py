@@ -12,10 +12,11 @@ from ._version import __version__
 from .em import (
     FitOptions,
     FitReport,
+    FreeParamCount,
     MixtureModel,
-    SharedMcdFactors,
     e_step,
     fit,
+    free_params,
     init_kmeans,
     normalize_identifiability,
 )
@@ -35,13 +36,7 @@ from .metrics import (
     relative_error,
 )
 from .mlnd import MlndParams, log_density, log_density_batch, sample
-from .parsimony import (
-    FreeParamCount,
-    GpcmVviFactors,
-    McdFactors,
-    ScaleModel,
-    free_params,
-)
+from .parsimony import GpcmVviFactors, McdFactors, ScaleModel, SharedMcdFactors
 from .selection import ScanGrid, ScanResult, ScanRow, bic, scan
 from .simulate import SimConfig, default_study, full_study, generate_dataset, run_study
 

@@ -2,10 +2,11 @@
 
 The loop alternates a soft E-step (log-sum-exp responsibilities) with a
 cyclic conditional M-step sweep — weights, then means, then the scale matrix
-of each dimension in order, every update using the freshest available
-estimates — so the observed log-likelihood is monotone.  Stopping uses the
-Aitken acceleration estimate of the asymptotic log-likelihood; near-singular
-scale estimates are repaired by an isotropic ridge and logged.  The
+of each dimension in order by its family's update in :data:`FAMILIES`, every
+update using the freshest estimates — so the observed log-likelihood is
+monotone.  :data:`FAMILIES` is the one place a scale family is defined: its
+update and singularity repair, parameter count, rescaling and JSON form.
+Stopping uses the Aitken estimate of the asymptotic log-likelihood.  The
 Kronecker rescaling indeterminacy is resolved once after convergence by
 rescaling every non-leading scale matrix to a unit leading entry.
 
@@ -21,8 +22,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import EmptyComponentError, SingularScaleError
-from .mda import as_batch, matricize_mode1
+from .errors import DataFormatError, EmptyComponentError, SingularScaleError
+from .mda import as_batch
 from .mlnd import (
     MlndParams,
     SweepWorkspace,
@@ -35,13 +36,13 @@ from .parsimony import (
     GpcmVviFactors,
     McdFactors,
     ScaleModel,
-    free_params,
+    SharedMcdFactors,
+    gpcm_eee_update,
     gpcm_vvi_update,
     mcd_evi_update,
     mcd_vvi_update,
 )
 
-_EMPTY_OP_TOL = 1e-8  # op-level flag threshold on n_g / N
 _EMPTY_FIT_TOL = 1e-6  # fit-level abort threshold on n_g / N
 
 
@@ -230,32 +231,6 @@ def e_step(data, model: MixtureModel, work: SweepWorkspace | None = None):
 # --- M-step ------------------------------------------------------------------
 
 
-def m_step_pi(z: np.ndarray) -> np.ndarray:
-    """Weight update n_g / N; flags effectively empty components."""
-    z = np.asarray(z, dtype=np.float64)
-    n = z.shape[0]
-    counts = z.sum(axis=0)
-    if np.any(counts < _EMPTY_OP_TOL * n):
-        g = int(counts.argmin())
-        raise EmptyComponentError(
-            f"component {g} has effective size {counts[g]:.3e}", group=g
-        )
-    return counts / n
-
-
-def m_step_mean(data, z: np.ndarray):
-    """Per-group weighted mean matricizations."""
-    batch = as_batch(data)
-    z = np.asarray(z, dtype=np.float64)
-    counts = z.sum(axis=0)
-    if np.any(counts <= 0):
-        raise ValueError("every group needs positive responsibility mass")
-    flat = batch.reshape(batch.shape[0], -1)
-    means = (z.T @ flat) / counts[:, None]
-    dims = batch.shape[1:]
-    return [matricize_mode1(means[g].reshape(dims)) for g in range(z.shape[1])]
-
-
 def aitken_stop(window: Sequence[float], epsilon: float) -> bool:
     """Aitken-accelerated stopping rule on the last three log-likelihoods.
 
@@ -279,6 +254,14 @@ def aitken_stop(window: Sequence[float], epsilon: float) -> bool:
     return 0.0 <= gap < epsilon
 
 
+def _positive_definite(mat: np.ndarray) -> bool:
+    try:
+        np.linalg.cholesky(mat)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def regularize_and_check(delta: np.ndarray, reg_epsilon: float) -> tuple[np.ndarray, bool]:
     """Repair a near-singular symmetric scale estimate with a ridge.
 
@@ -291,49 +274,185 @@ def regularize_and_check(delta: np.ndarray, reg_epsilon: float) -> tuple[np.ndar
     svals = np.linalg.svd(delta, compute_uv=False)
     smax = float(svals[0])
     invcond = float(svals[-1]) / smax if smax > 0 else 0.0
-    work = delta
-    regularized = False
-    if not np.isfinite(invcond) or invcond < np.finfo(np.float64).eps:
-        work = delta + reg_epsilon * np.eye(delta.shape[0])
-        regularized = True
-    for _ in range(2):
-        try:
-            np.linalg.cholesky(work)
-            return work, regularized
-        except np.linalg.LinAlgError:
-            if regularized:
-                raise SingularScaleError(
-                    "scale matrix is not positive definite after regularization"
-                ) from None
-            work = delta + reg_epsilon * np.eye(delta.shape[0])
-            regularized = True
-    raise AssertionError("unreachable")
+    if invcond >= np.finfo(np.float64).eps and _positive_definite(delta):
+        return delta, False
+    work = delta + reg_epsilon * np.eye(delta.shape[0])
+    if not _positive_definite(work):
+        raise SingularScaleError("scale matrix is not positive definite after regularization")
+    return work, True
 
 
-# --- identifiability ----------------------------------------------------------
+# --- scale families -------------------------------------------------------------
 
 
-def _rescale_factor_record(record, multipliers: np.ndarray):
-    """Apply per-group scale multipliers to a stored factor record."""
-    if isinstance(record, tuple) and record and isinstance(record[0], McdFactors):
-        return tuple(
-            McdFactors(t=f.t, delta=f.delta * m) for f, m in zip(record, multipliers)
-        )
-    if isinstance(record, tuple) and record and isinstance(record[0], GpcmVviFactors):
-        return tuple(
-            GpcmVviFactors(scale=f.scale * m, shape=f.shape) for f, m in zip(record, multipliers)
-        )
-    if isinstance(record, SharedMcdFactors):
+class _Family:
+    """One scale family's M-step, parameter count, rescaling and JSON form.
+
+    ``update(lams, counts, n_obs, n_star, previous, reg_epsilon)`` is the
+    M-step of one dimension from the (G, n_d, n_d) scatters Lambda_g, the
+    group sizes n_g and the previous sweep's record (None at first).  It
+    returns ``(scales, record, flagged)``: a scale matrix per group, the new
+    record (None if the family keeps none) and the repaired groups (group
+    None for a shared matrix).  ``n_params(n_d, G)`` counts free parameters;
+    families with a record define ``rescale(record, multipliers)`` (group k's
+    scale times ``multipliers[k]``) and ``to_json``/``from_json``.  The
+    estimators and ``regularize_and_check`` are looked up in this module's
+    globals at call time, so wrappers set on them see every call.
+    """
+
+    def from_json(self, doc: dict):
+        raise DataFormatError(f"family {doc['family']} stores no factor record")
+
+
+class _Vvv(_Family):
+    def update(self, lams, counts, n_obs, n_star, previous, reg_epsilon):
+        checked = [regularize_and_check((len(lam) / n_star) * lam, reg_epsilon) for lam in lams]
+        flagged = [k for k, (_, repaired) in enumerate(checked) if repaired]
+        return [new for new, _ in checked], None, flagged
+
+    def n_params(self, n_d: int, n_groups: int) -> int:
+        return n_groups * n_d * (n_d + 1) // 2
+
+
+class _Eee(_Family):
+    def update(self, lams, counts, n_obs, n_star, previous, reg_epsilon):
+        pooled = gpcm_eee_update(lams, counts, n_obs, n_star)
+        new, repaired = regularize_and_check(pooled, reg_epsilon)
+        return [new] * len(lams), None, [None] if repaired else []
+
+    def n_params(self, n_d: int, n_groups: int) -> int:
+        return n_d * (n_d + 1) // 2
+
+
+class _McdVvi(_Family):
+    def update(self, lams, counts, n_obs, n_star, previous, reg_epsilon):
+        scales, record, flagged = [], [], []
+        for k, lam in enumerate(lams):
+            fac = mcd_vvi_update(lam, n_star)
+            new = fac.scale()
+            if not (fac.delta > 0 and _positive_definite(new)):
+                new = reg_epsilon * np.eye(len(lam))
+                fac = McdFactors(t=np.eye(len(lam)), delta=reg_epsilon)
+                flagged.append(k)
+            scales.append(new)
+            record.append(fac)
+        return scales, tuple(record), flagged
+
+    def n_params(self, n_d: int, n_groups: int) -> int:
+        return n_groups * (n_d * (n_d - 1) // 2 + 1)
+
+    def rescale(self, record, multipliers):
+        return tuple(McdFactors(f.t, f.delta * m) for f, m in zip(record, multipliers))
+
+    def to_json(self, record) -> dict:
+        return {"groups": [{"t": _mat(f.t), "delta": float(f.delta)} for f in record]}
+
+    def from_json(self, doc: dict):
+        groups = doc["groups"]
+        return tuple(McdFactors(np.asarray(g["t"], float), float(g["delta"])) for g in groups)
+
+
+class _McdEvi(_Family):
+    def update(self, lams, counts, n_obs, n_star, previous, reg_epsilon):
+        prev = np.ones(len(lams)) if previous is None else previous.deltas
+        t, deltas = mcd_evi_update(lams, counts, prev, n_star)
+        tinv = np.linalg.inv(t)
+        base = tinv @ tinv.T
+        base = (base + base.T) / 2.0
+        scales, flagged = [], []
+        for k in range(len(lams)):
+            new = deltas[k] * base
+            if not (deltas[k] > 0 and _positive_definite(new)):
+                new = reg_epsilon * np.eye(len(t))
+                deltas[k] = reg_epsilon
+                flagged.append(k)
+            scales.append(new)
+        return scales, SharedMcdFactors(t=t, deltas=deltas), flagged
+
+    def n_params(self, n_d: int, n_groups: int) -> int:
+        return n_d * (n_d - 1) // 2 + n_groups
+
+    def rescale(self, record, multipliers):
         return SharedMcdFactors(t=record.t, deltas=record.deltas * multipliers)
-    raise TypeError(f"unknown factor record {type(record).__name__}")
+
+    def to_json(self, record) -> dict:
+        return {"t": _mat(record.t), "deltas": _mat(record.deltas)}
+
+    def from_json(self, doc: dict):
+        return SharedMcdFactors(np.asarray(doc["t"], float), np.asarray(doc["deltas"], float))
+
+
+class _GpcmVvi(_Vvv):
+    def update(self, lams, counts, n_obs, n_star, previous, reg_epsilon):
+        # the VVV update of the diagonal scatters; the record splits each
+        # repaired diagonal, taken back to scatter units
+        diagonal = [np.diag(np.diag(lam)) for lam in lams]
+        scales, _, flagged = super().update(diagonal, counts, n_obs, n_star, None, reg_epsilon)
+        n_d = lams.shape[1]
+        record = tuple(
+            gpcm_vvi_update(np.diag(np.diag(s)) * (n_star / n_d), n_star) for s in scales
+        )
+        return scales, record, flagged
+
+    def n_params(self, n_d: int, n_groups: int) -> int:
+        return n_groups * n_d
+
+    def rescale(self, record, multipliers):
+        return tuple(GpcmVviFactors(f.scale * m, f.shape) for f, m in zip(record, multipliers))
+
+    def to_json(self, record) -> dict:
+        return {"groups": [{"scale": float(f.scale), "shape": _mat(f.shape)} for f in record]}
+
+    def from_json(self, doc: dict):
+        return tuple(
+            GpcmVviFactors(float(g["scale"]), np.asarray(g["shape"], float)) for g in doc["groups"]
+        )
+
+
+def _mat(a) -> list:
+    """An array as nested lists of Python floats, the JSON form of every matrix."""
+    return np.asarray(a, dtype=np.float64).tolist()
+
+
+FAMILIES = {
+    ScaleModel.VVV: _Vvv(),
+    ScaleModel.MCD_VVI: _McdVvi(),
+    ScaleModel.MCD_EVI: _McdEvi(),
+    ScaleModel.GPCM_EEE: _Eee(),
+    ScaleModel.GPCM_VVI: _GpcmVvi(),
+}
 
 
 @dataclass(frozen=True)
-class SharedMcdFactors:
-    """Shared unit-lower T with per-group innovation scales (EVI family)."""
+class FreeParamCount:
+    """Free-parameter tally: mixing weights, means, and per-dimension scales."""
 
-    t: np.ndarray
-    deltas: np.ndarray
+    weights: int
+    means: int
+    per_dim: tuple[int, ...]
+
+    @property
+    def total(self) -> int:
+        return self.weights + self.means + sum(self.per_dim)
+
+
+def free_params(specs: Sequence[ScaleModel], n_groups: int, dims: Sequence[int]) -> FreeParamCount:
+    """Count free parameters for a (G, per-dimension spec) combination.
+
+    Weights contribute G-1 and means G*n*; per-dimension scale contributions
+    follow the table in :mod:`tmclust.parsimony`.  Redundant multiplicative
+    constants across Kronecker factors are deliberately not subtracted.
+    """
+    dims = tuple(int(n) for n in dims)
+    specs = tuple(specs)
+    if len(specs) != len(dims):
+        raise ValueError(f"got {len(specs)} specs for {len(dims)} dimensions")
+    g = int(n_groups)
+    per_dim = tuple(FAMILIES[s].n_params(n, g) for s, n in zip(specs, dims))
+    return FreeParamCount(weights=g - 1, means=g * int(np.prod(dims)), per_dim=per_dim)
+
+
+# --- identifiability ----------------------------------------------------------
 
 
 def normalize_identifiability(model: MixtureModel) -> MixtureModel:
@@ -364,9 +483,10 @@ def normalize_identifiability(model: MixtureModel) -> MixtureModel:
         scales[0] *= prod
         multipliers[g, 0] = prod
         new_components.append(MlndParams(mean=comp.mean, scales=tuple(scales)))
-    new_factors = {}
-    for dim, record in model.factors.items():
-        new_factors[dim] = _rescale_factor_record(record, multipliers[:, dim - 1])
+    new_factors = {
+        dim: FAMILIES[model.specs[dim - 1]].rescale(record, multipliers[:, dim - 1])
+        for dim, record in model.factors.items()
+    }
     return MixtureModel(
         weights=model.weights.copy(),
         components=tuple(new_components),
@@ -376,14 +496,6 @@ def normalize_identifiability(model: MixtureModel) -> MixtureModel:
 
 
 # --- the full loop ------------------------------------------------------------
-
-
-def _positive_definite(mat: np.ndarray) -> bool:
-    try:
-        np.linalg.cholesky(mat)
-    except np.linalg.LinAlgError:
-        return False
-    return True
 
 
 def fit(
@@ -442,7 +554,6 @@ def fit(
     scales = [[np.eye(n_d) for n_d in dims] for _ in range(g)]
     chols = [[np.eye(n_d) for n_d in dims] for _ in range(g)]  # L per scale
     inv_chols = [[np.eye(n_d) for n_d in dims] for _ in range(g)]  # L^{-1} per scale
-    evi_deltas = {d0: np.ones(g) for d0, s in enumerate(specs) if s is ScaleModel.MCD_EVI}
     factors: dict[int, object] = {}
     events: list[SingularEvent] = []
     trace: list[float] = []
@@ -466,74 +577,19 @@ def fit(
 
         for d0, spec in enumerate(specs):
             dim = d0 + 1
-            n_d = dims[d0]
             raws = np.stack(
                 [
                     _scatter_one(work, k, dim, means[k], z[:, k], inv_chols[k], chols[k])
                     for k in range(g)
                 ]
             )
-            lams = raws / counts[:, None, None]
-            news, facs = [], []  # new scales and factor records, per group
-
-            if spec is ScaleModel.VVV:
-                for k in range(g):
-                    new, flagged = regularize_and_check(
-                        (n_d / n_star) * lams[k], options.reg_epsilon
-                    )
-                    if flagged:
-                        events.append(SingularEvent(k, dim, iteration))
-                    news.append(new)
-
-            elif spec is ScaleModel.MCD_VVI:
-                for k in range(g):
-                    fac = mcd_vvi_update(lams[k], n_star)
-                    new = fac.scale() if fac.delta > 0 else None
-                    if new is None or not _positive_definite(new):
-                        new = options.reg_epsilon * np.eye(n_d)
-                        fac = McdFactors(t=np.eye(n_d), delta=options.reg_epsilon)
-                        events.append(SingularEvent(k, dim, iteration))
-                    facs.append(fac)
-                    news.append(new)
-                factors[dim] = tuple(facs)
-
-            elif spec is ScaleModel.MCD_EVI:
-                t, deltas = mcd_evi_update(lams, counts, evi_deltas[d0], n_star)
-                tinv = np.linalg.inv(t)
-                base = tinv @ tinv.T
-                base = (base + base.T) / 2.0
-                fixed = deltas.copy()
-                for k in range(g):
-                    new = deltas[k] * base
-                    if not deltas[k] > 0 or not _positive_definite(new):
-                        new = options.reg_epsilon * np.eye(n_d)
-                        fixed[k] = options.reg_epsilon
-                        events.append(SingularEvent(k, dim, iteration))
-                    news.append(new)
-                evi_deltas[d0] = fixed
-                factors[dim] = SharedMcdFactors(t=t, deltas=fixed)
-
-            elif spec is ScaleModel.GPCM_EEE:
-                pooled = (n_d / (n_star * n)) * np.einsum("k,kab->ab", counts, lams)
-                pooled = (pooled + pooled.T) / 2.0
-                new, flagged = regularize_and_check(pooled, options.reg_epsilon)
-                if flagged:
-                    events.append(SingularEvent(None, dim, iteration))
-                news = [new] * g
-
-            elif spec is ScaleModel.GPCM_VVI:
-                for k in range(g):
-                    raw_diag = (n_d / n_star) * np.diag(np.diag(lams[k]))
-                    new, flagged = regularize_and_check(raw_diag, options.reg_epsilon)
-                    if flagged:
-                        events.append(SingularEvent(k, dim, iteration))
-                    facs.append(gpcm_vvi_update(np.diag(np.diag(new)) * (n_star / n_d), n_star))
-                    news.append(new)
-                factors[dim] = tuple(facs)
-
-            else:  # pragma: no cover
-                raise ValueError(f"unhandled scale model {spec}")
-
+            news, record, flagged = FAMILIES[spec].update(
+                raws / counts[:, None, None], counts, n, n_star, factors.get(dim),
+                options.reg_epsilon,
+            )
+            events.extend(SingularEvent(k, dim, iteration) for k in flagged)
+            if record is not None:
+                factors[dim] = record
             for k, new in enumerate(news):
                 L = chol_lower(new, dim)
                 scales[k][d0], chols[k][d0], inv_chols[k][d0] = new, L, inv_lower(L)
@@ -570,18 +626,18 @@ def fit(
 
 
 __all__ = [
+    "FAMILIES",
     "FitOptions",
     "FitReport",
+    "FreeParamCount",
     "MixtureModel",
-    "SharedMcdFactors",
     "SingularEvent",
     "aitken_stop",
     "e_step",
     "fit",
+    "free_params",
     "init_kmeans",
     "loglik_matrix",
-    "m_step_mean",
-    "m_step_pi",
     "normalize_identifiability",
     "regularize_and_check",
 ]

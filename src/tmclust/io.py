@@ -19,11 +19,11 @@ from typing import Sequence
 import numpy as np
 
 from ._version import __version__
-from .em import FitOptions, FitReport, MixtureModel, SharedMcdFactors, SingularEvent
+from .em import FAMILIES, FitOptions, FitReport, MixtureModel, SingularEvent, _mat
 from .errors import DataFormatError
-from .mda import Mda, as_batch
+from .mda import Matricization, Mda, as_batch
 from .mlnd import MlndParams
-from .parsimony import GpcmVviFactors, McdFactors, ScaleModel
+from .parsimony import ScaleModel
 
 _FORMATS = ("csv-long", "bin-f64")
 
@@ -216,50 +216,6 @@ def write_bin_f64(path, data) -> None:
 # --- fit result documents ---------------------------------------------------------
 
 
-def _mat(a: np.ndarray) -> list:
-    return np.asarray(a, dtype=np.float64).tolist()
-
-
-def _factors_to_json(dim: int, spec: ScaleModel, record) -> dict:
-    if isinstance(record, SharedMcdFactors):
-        return {
-            "family": spec.value,
-            "t": _mat(record.t),
-            "deltas": [float(v) for v in record.deltas],
-        }
-    groups = []
-    for fac in record:
-        if isinstance(fac, McdFactors):
-            groups.append({"t": _mat(fac.t), "delta": float(fac.delta)})
-        elif isinstance(fac, GpcmVviFactors):
-            groups.append({"scale": float(fac.scale), "shape": [float(v) for v in fac.shape]})
-        else:  # pragma: no cover
-            raise TypeError(f"unknown factor {type(fac).__name__}")
-    return {"family": spec.value, "groups": groups}
-
-
-def _factors_from_json(doc: dict):
-    spec = ScaleModel.from_token(doc["family"])
-    if spec is ScaleModel.MCD_EVI:
-        return SharedMcdFactors(
-            t=np.asarray(doc["t"], dtype=np.float64),
-            deltas=np.asarray(doc["deltas"], dtype=np.float64),
-        )
-    if spec is ScaleModel.MCD_VVI:
-        return tuple(
-            McdFactors(t=np.asarray(g["t"], dtype=np.float64), delta=float(g["delta"]))
-            for g in doc["groups"]
-        )
-    if spec is ScaleModel.GPCM_VVI:
-        return tuple(
-            GpcmVviFactors(
-                scale=float(g["scale"]), shape=np.asarray(g["shape"], dtype=np.float64)
-            )
-            for g in doc["groups"]
-        )
-    raise DataFormatError(f"family {spec.value} stores no factor record")
-
-
 def result_document(
     model: MixtureModel,
     report: FitReport,
@@ -283,7 +239,10 @@ def result_document(
             for comp in model.components
         ],
         "factors": {
-            str(dim): _factors_to_json(dim, model.specs[dim - 1], rec)
+            str(dim): {
+                "family": model.specs[dim - 1].value,
+                **FAMILIES[model.specs[dim - 1]].to_json(rec),
+            }
             for dim, rec in sorted(model.factors.items())
         },
         "labels": [int(v) for v in report.labels],
@@ -318,42 +277,52 @@ def write_result(doc: dict, path) -> None:
 
 
 def read_result(path) -> tuple[MixtureModel, FitReport, dict]:
-    """Rebuild (model, report, config echo) from a written result document."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    dims = tuple(doc["dims"])
-    specs = tuple(ScaleModel.from_token(t) for t in doc["scale_models"])
-    from .mda import Matricization  # local: narrow dependency
+    """Rebuild (model, report, config echo) from a written result document.
 
-    components = []
-    for gdoc in doc["groups"]:
-        mat = np.asarray(gdoc["mean_matricization"], dtype=np.float64)
-        mean = Matricization(matrix=mat, dims=dims)
-        scales = tuple(np.asarray(s, dtype=np.float64) for s in gdoc["scales"])
-        components.append(MlndParams(mean=mean, scales=scales))
-    factors = {
-        int(dim): _factors_from_json(rec) for dim, rec in doc["factors"].items()
-    }
-    model = MixtureModel(
-        weights=np.asarray(doc["weights"], dtype=np.float64),
-        components=tuple(components),
-        specs=specs,
-        factors=factors,
-    )
-    report = FitReport(
-        loglik_trace=np.asarray(doc["loglik_trace"], dtype=np.float64),
-        converged=doc["converged"],
-        n_iterations=doc["n_iterations"],
-        singular_events=[
-            SingularEvent(group=e["group"], dim=e["dim"], iteration=e["iteration"])
-            for e in doc["singular_events"]
-        ],
-        rho=doc["rho"],
-        bic=doc["bic"],
-        labels=np.asarray(doc["labels"], dtype=np.int64),
-        responsibilities=np.asarray(doc["responsibilities"], dtype=np.float64),
-    )
-    return model, report, doc["config"]
+    Invalid JSON, a missing field or a value the model rejects (such as an
+    unknown family token) raises :class:`DataFormatError` naming the file.
+    """
+    with open(path) as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DataFormatError(f"result {path}: invalid JSON ({exc})") from None
+    try:
+        dims = tuple(doc["dims"])
+        components = []
+        for gdoc in doc["groups"]:
+            mat = np.asarray(gdoc["mean_matricization"], dtype=np.float64)
+            mean = Matricization(matrix=mat, dims=dims)
+            scales = tuple(np.asarray(s, dtype=np.float64) for s in gdoc["scales"])
+            components.append(MlndParams(mean=mean, scales=scales))
+        factors = {
+            int(dim): FAMILIES[ScaleModel.from_token(rec["family"])].from_json(rec)
+            for dim, rec in doc["factors"].items()
+        }
+        model = MixtureModel(
+            weights=np.asarray(doc["weights"], dtype=np.float64),
+            components=tuple(components),
+            specs=tuple(ScaleModel.from_token(t) for t in doc["scale_models"]),
+            factors=factors,
+        )
+        report = FitReport(
+            loglik_trace=np.asarray(doc["loglik_trace"], dtype=np.float64),
+            converged=doc["converged"],
+            n_iterations=doc["n_iterations"],
+            singular_events=[
+                SingularEvent(group=e["group"], dim=e["dim"], iteration=e["iteration"])
+                for e in doc["singular_events"]
+            ],
+            rho=doc["rho"],
+            bic=doc["bic"],
+            labels=np.asarray(doc["labels"], dtype=np.int64),
+            responsibilities=np.asarray(doc["responsibilities"], dtype=np.float64),
+        )
+        return model, report, doc["config"]
+    except KeyError as exc:
+        raise DataFormatError(f"result {path}: missing field {exc}") from None
+    except (AttributeError, TypeError, ValueError, DataFormatError) as exc:
+        raise DataFormatError(f"result {path}: {exc}") from None
 
 
 def write_labels_csv(path, labels, responsibilities) -> None:

@@ -116,32 +116,10 @@ def vectorize(x) -> np.ndarray:
     return _as_array(x).reshape(-1).copy()
 
 
-def from_vector(vec, dims: Sequence[int]) -> Mda:
-    """Inverse of :func:`vectorize` for the given dims."""
-    dims = tuple(int(n) for n in dims)
-    vec = np.asarray(vec, dtype=np.float64).reshape(-1)
-    if vec.size != int(np.prod(dims)):
-        raise ValueError(f"vector of length {vec.size} does not fold to dims {dims}")
-    return Mda(vec.reshape(dims))
-
-
 def matricize_mode1(x) -> Matricization:
     """Mode-1 unfolding; see :class:`Matricization` for the row order."""
     arr = _as_array(x)
     return Matricization(arr.reshape(arr.shape[0], -1).T, arr.shape)
-
-
-def swap_mode2(x, mode: int) -> Mda:
-    """Exchange mode 2 and ``mode`` (1-based, 3 <= mode <= D).
-
-    The entry at (i_1, i_2, ..., i_mode, ...) moves to the position with
-    i_2 and i_mode interchanged.
-    """
-    arr = _as_array(x)
-    d = arr.ndim
-    if not 3 <= mode <= d:
-        raise ValueError(f"mode must be in [3, {d}], got {mode}")
-    return Mda(np.swapaxes(arr, 1, mode - 1))
 
 
 def mode_product(x, a, mode: int) -> Mda:

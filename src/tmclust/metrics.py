@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .mda import kron
-
 
 def _pair_counts(labels_a, labels_b):
     """Exact pair-concordance sums from the contingency table of two labelings.
@@ -93,15 +91,9 @@ def kron_relative_error(estimate_scales, truth_scales) -> float:
     return float(np.sqrt(diff_sq) / np.sqrt(tt))
 
 
-def kron_relative_error_dense(estimate_scales, truth_scales) -> float:
-    """Reference implementation of :func:`kron_relative_error` via dense products."""
-    return relative_error(kron(list(estimate_scales)), kron(list(truth_scales)))
-
-
 __all__ = [
     "adjusted_rand_index",
     "kron_relative_error",
-    "kron_relative_error_dense",
     "rand_index",
     "relative_error",
 ]

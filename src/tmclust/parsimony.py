@@ -1,4 +1,4 @@
-"""Constrained per-dimension scale-matrix families and parameter counts.
+"""Scale-family tokens, factor records and the pure per-family estimators.
 
 Five families can be assigned per dimension:
 
@@ -20,6 +20,8 @@ ordered (e.g. temporal) dimensions: row r of T holds negated autoregressive
 coefficients of index r on indices 1..r-1.  The updates below are the exact
 conditional maximizers of the expected complete-data log-likelihood given
 the per-group scatters Lambda_{g,d}, so a cyclic sweep keeps EM monotone.
+Each family's M-step with its repair, parameter count, rescaling and JSON
+form are defined in one place, ``tmclust.em.FAMILIES``, which calls these.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from enum import Enum
 from typing import Sequence
 
 import numpy as np
-
 
 
 class ScaleModel(str, Enum):
@@ -76,16 +77,11 @@ class GpcmVviFactors:
 
 
 @dataclass(frozen=True)
-class FreeParamCount:
-    """Free-parameter tally: mixing weights, means, and per-dimension scales."""
+class SharedMcdFactors:
+    """Shared unit-lower T with per-group innovation scales (EVI family)."""
 
-    weights: int
-    means: int
-    per_dim: tuple[int, ...]
-
-    @property
-    def total(self) -> int:
-        return self.weights + self.means + sum(self.per_dim)
+    t: np.ndarray
+    deltas: np.ndarray
 
 
 def _unit_lower_solve(lam: np.ndarray) -> np.ndarray:
@@ -150,12 +146,10 @@ def gpcm_eee_update(
     lams: Sequence[np.ndarray], counts: Sequence[float], n_obs: int, n_star: int
 ) -> np.ndarray:
     """Shared full-matrix update: Delta = (n_d/(n* N)) sum_g n_g Lambda_g."""
-    lams = [np.asarray(l, dtype=np.float64) for l in lams]
-    counts = np.asarray(counts, dtype=np.float64)
-    n_d = lams[0].shape[0]
-    pooled = sum(n * l for n, l in zip(counts, lams))
-    out = (n_d / (n_star * n_obs)) * pooled
-    return (out + out.T) / 2.0
+    lams = np.asarray(lams, dtype=np.float64)
+    pooled = np.einsum("k,kab->ab", np.asarray(counts, dtype=np.float64), lams)
+    pooled = (lams.shape[1] / (n_star * n_obs)) * pooled
+    return (pooled + pooled.T) / 2.0
 
 
 def gpcm_vvi_update(lam: np.ndarray, n_star: int) -> GpcmVviFactors:
@@ -175,45 +169,11 @@ def gpcm_vvi_update(lam: np.ndarray, n_star: int) -> GpcmVviFactors:
     return GpcmVviFactors(scale=scale, shape=shape)
 
 
-def free_params(specs: Sequence[ScaleModel], n_groups: int, dims: Sequence[int]) -> FreeParamCount:
-    """Count free parameters for a (G, per-dimension spec) combination.
-
-    Weights contribute G-1 and means G*n*; per-dimension scale contributions
-    follow the table in the module docstring.  Redundant multiplicative
-    constants across Kronecker factors are deliberately not subtracted.
-    """
-    dims = tuple(int(n) for n in dims)
-    specs = tuple(specs)
-    if len(specs) != len(dims):
-        raise ValueError(f"got {len(specs)} specs for {len(dims)} dimensions")
-    g = int(n_groups)
-    n_star = int(np.prod(dims))
-    per_dim = []
-    for spec, n in zip(specs, dims):
-        full = n * (n + 1) // 2
-        lower = n * (n - 1) // 2
-        if spec is ScaleModel.VVV:
-            c = g * full
-        elif spec is ScaleModel.MCD_VVI:
-            c = g * lower + g
-        elif spec is ScaleModel.MCD_EVI:
-            c = lower + g
-        elif spec is ScaleModel.GPCM_EEE:
-            c = full
-        elif spec is ScaleModel.GPCM_VVI:
-            c = g * n
-        else:  # pragma: no cover
-            raise ValueError(f"unhandled scale model {spec}")
-        per_dim.append(c)
-    return FreeParamCount(weights=g - 1, means=g * n_star, per_dim=tuple(per_dim))
-
-
 __all__ = [
-    "FreeParamCount",
     "GpcmVviFactors",
     "McdFactors",
     "ScaleModel",
-    "free_params",
+    "SharedMcdFactors",
     "gpcm_eee_update",
     "gpcm_vvi_update",
     "mcd_evi_update",

@@ -10,9 +10,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .em import FitOptions, FitReport, MixtureModel, fit
+from .em import FitOptions, FitReport, MixtureModel, fit, free_params
 from .mda import as_batch
-from .parsimony import ScaleModel, free_params
+from .parsimony import ScaleModel
 
 _TIE_TOL = 1e-9
 _FAMILY_ORDINAL = {m: i for i, m in enumerate(ScaleModel)}

@@ -12,6 +12,10 @@ to the front.
 * :func:`whiten_slices` / :func:`quadratic_form` — the Mahalanobis quadratic
   form of one array as a sum over matricized two-dimensional slices, with
   optional mode swaps (acceptance criterion 2).
+* :func:`kron_relative_error_dense` — ``tmclust.metrics.kron_relative_error``
+  through the dense Kronecker products.
+* :func:`eee_oracle` — the shared full scale (EEE) by derivative-free
+  minimization of its objective (acceptance criterion 9).
 """
 
 from __future__ import annotations
@@ -20,9 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
+from scipy.optimize import minimize
 
-from tmclust.mda import Matricization, Mda
+from tmclust.mda import Matricization, Mda, kron
+from tmclust.metrics import relative_error
 from tmclust.mlnd import MlndParams
+from tmclust.parsimony import gpcm_eee_update
 
 
 def solve_mode(values: np.ndarray, L: np.ndarray, axis: int) -> np.ndarray:
@@ -144,3 +151,43 @@ def quadratic_form(centered, params: MlndParams, swap_with: int | None = None) -
     block = solve_mode(block, L_row, 1)
     block = solve_mode(block, L_col, 2)
     return float(np.einsum("jab,jab->", block, block))
+
+
+def kron_relative_error_dense(estimate_scales, truth_scales) -> float:
+    """Relative Frobenius error of two Kronecker products, formed densely."""
+    return relative_error(kron(list(estimate_scales)), kron(list(truth_scales)))
+
+
+def eee_oracle(lams, counts, n_obs, n_star):
+    """Derivative-free minimizer of the pooled scale objective (n_d = 2 only).
+
+    Nelder-Mead over a log-Cholesky parametrization, started next to the
+    closed form ``gpcm_eee_update``.
+    """
+    n_d = 2
+
+    def unpack(p):
+        a, b, c = p
+        low = np.array([[np.exp(a), 0.0], [b, np.exp(c)]])
+        return low @ low.T
+
+    def objective(p):
+        delta = unpack(p)
+        sign, logdet = np.linalg.slogdet(delta)
+        if sign <= 0:
+            return np.inf
+        inv = np.linalg.inv(delta)
+        return (n_obs * n_star / n_d) * logdet + sum(
+            n * np.trace(inv @ l) for n, l in zip(counts, lams)
+        )
+
+    closed = gpcm_eee_update(lams, counts, n_obs, n_star)
+    l0 = np.linalg.cholesky(closed)
+    x0 = np.array([np.log(l0[0, 0]) + 0.05, l0[1, 0] + 0.05, np.log(l0[1, 1]) - 0.05])
+    res = minimize(
+        objective,
+        x0,
+        method="Nelder-Mead",
+        options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 20000, "maxfev": 20000},
+    )
+    return unpack(res.x)

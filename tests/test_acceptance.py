@@ -10,7 +10,6 @@ import time
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize
 
 from tmclust.cli import main
 from tmclust.em import (
@@ -18,21 +17,17 @@ from tmclust.em import (
     MixtureModel,
     e_step,
     fit,
+    free_params,
     normalize_identifiability,
 )
 from tmclust.mda import Mda, kron, vectorize
 from tmclust.metrics import adjusted_rand_index
 from tmclust.mlnd import MlndParams, log_density, sample
-from tmclust.parsimony import (
-    ScaleModel,
-    free_params,
-    gpcm_eee_update,
-    mcd_vvi_update,
-)
+from tmclust.parsimony import ScaleModel, gpcm_eee_update, mcd_vvi_update
 from tmclust.simulate import SimConfig, run_study
 
 from conftest import random_params, random_spd
-from oracles import quadratic_form
+from oracles import eee_oracle, quadratic_form
 
 
 def _verdict(criterion: int, ok: bool, detail: str) -> None:
@@ -319,34 +314,6 @@ def test_criterion_8_ari_fixtures():
 # ---------------------------------------------------------------------------
 
 
-def _eee_oracle(lams, counts, n_obs, n_star):
-    def unpack(p):
-        a, b, c = p
-        low = np.array([[np.exp(a), 0.0], [b, np.exp(c)]])
-        return low @ low.T
-
-    def objective(p):
-        delta = unpack(p)
-        sign, logdet = np.linalg.slogdet(delta)
-        if sign <= 0:
-            return np.inf
-        inv = np.linalg.inv(delta)
-        return (n_obs * n_star / 2) * logdet + sum(
-            n * np.trace(inv @ l) for n, l in zip(counts, lams)
-        )
-
-    closed = gpcm_eee_update(lams, counts, n_obs, n_star)
-    l0 = np.linalg.cholesky(closed)
-    x0 = np.array([np.log(l0[0, 0]) + 0.05, l0[1, 0] + 0.05, np.log(l0[1, 1]) - 0.05])
-    res = minimize(
-        objective,
-        x0,
-        method="Nelder-Mead",
-        options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 20000, "maxfev": 20000},
-    )
-    return unpack(res.x)
-
-
 def test_criterion_9_factor_estimators():
     factors = mcd_vvi_update(np.array([[2.0, 1.0], [1.0, 2.0]]), n_star=1)
     fixture_ok = (
@@ -369,7 +336,7 @@ def test_criterion_9_factor_estimators():
         counts = rng.integers(5, 30, size=3).astype(float)
         n_obs = int(counts.sum())
         closed = gpcm_eee_update(lams, counts, n_obs, n_star=6)
-        numeric = _eee_oracle(lams, counts, n_obs, n_star=6)
+        numeric = eee_oracle(lams, counts, n_obs, n_star=6)
         rel = np.linalg.norm(closed - numeric) / np.linalg.norm(closed)
         worst_eee = max(worst_eee, float(rel))
 

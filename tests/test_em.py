@@ -9,6 +9,7 @@ from scipy.special import logsumexp
 
 from tmclust import em
 from tmclust.em import (
+    FAMILIES,
     FitOptions,
     MixtureModel,
     SingularEvent,
@@ -17,8 +18,6 @@ from tmclust.em import (
     fit,
     init_kmeans,
     loglik_matrix,
-    m_step_mean,
-    m_step_pi,
     normalize_identifiability,
     regularize_and_check,
 )
@@ -26,7 +25,7 @@ from tmclust.errors import EmptyComponentError, SingularScaleError
 from tmclust.mda import kron, mode_product
 from tmclust.metrics import adjusted_rand_index
 from tmclust.mlnd import MlndParams, log_density_batch, sample
-from tmclust.parsimony import McdFactors, ScaleModel
+from tmclust.parsimony import McdFactors, ScaleModel, SharedMcdFactors
 
 import oracles
 from conftest import random_spd, sweep_scatters
@@ -178,23 +177,31 @@ def test_loglik_matrix_shape(rng):
 # --- M-steps -----------------------------------------------------------------------
 
 
-def test_m_step_pi_hard_counts():
+def first_m_step(batch, z):
+    """The model after one EM iteration from responsibilities ``z``."""
+    model, _ = fit(batch, z.shape[1], init_z=z, options=FitOptions(max_iterations=1))
+    return model
+
+
+def test_m_step_pi_hard_counts(rng):
     z = np.zeros((8, 2))
     z[:6, 0] = 1.0
     z[6:, 1] = 1.0
-    assert np.array_equal(m_step_pi(z), np.array([0.75, 0.25]))
+    model = first_m_step(rng.normal(size=(8, 2, 2)), z)
+    assert np.array_equal(model.weights, np.array([0.75, 0.25]))
 
 
-def test_m_step_pi_soft():
+def test_m_step_pi_soft(rng):
     z = np.tile([0.3, 0.7], (10, 1))
-    assert np.allclose(m_step_pi(z), [0.3, 0.7], rtol=0, atol=1e-15)
+    model = first_m_step(rng.normal(size=(10, 2, 2)), z)
+    assert np.allclose(model.weights, [0.3, 0.7], rtol=0, atol=1e-15)
 
 
-def test_m_step_pi_flags_empty():
+def test_m_step_pi_flags_empty(rng):
     z = np.ones((10, 2))
     z[:, 1] = 1e-9
     with pytest.raises(EmptyComponentError):
-        m_step_pi(z)
+        first_m_step(rng.normal(size=(10, 2, 2)), z)
 
 
 def test_m_step_mean_matches_group_averages(rng):
@@ -202,7 +209,7 @@ def test_m_step_mean_matches_group_averages(rng):
     z = np.zeros((9, 2))
     z[:4, 0] = 1.0
     z[4:, 1] = 1.0
-    means = m_step_mean(batch, z)
+    means = [comp.mean for comp in first_m_step(batch, z).components]
     assert np.allclose(means[0].to_array(), batch[:4].mean(axis=0), rtol=0, atol=1e-14)
     assert np.allclose(means[1].to_array(), batch[4:].mean(axis=0), rtol=0, atol=1e-14)
     assert means[0].matrix.shape == (3, 2)
@@ -210,11 +217,12 @@ def test_m_step_mean_matches_group_averages(rng):
 
 def test_m_step_mean_soft_weights(rng):
     batch = rng.normal(size=(5, 2, 2))
-    w = rng.random(5) + 0.1
-    z = w[:, None]
-    mean = m_step_mean(batch, z)[0].to_array()
-    expected = np.tensordot(w, batch, axes=(0, 0)) / w.sum()
-    assert np.allclose(mean, expected, rtol=0, atol=1e-14)
+    w = 0.1 + 0.8 * rng.random(5)  # responsibilities: every row of z sums to one
+    z = np.column_stack([w, 1.0 - w])
+    model = first_m_step(batch, z)
+    for comp, weights in zip(model.components, z.T):
+        expected = np.tensordot(weights, batch, axes=(0, 0)) / weights.sum()
+        assert np.allclose(comp.mean_array, expected, rtol=0, atol=1e-14)
 
 
 def m_step_delta(batch, z, comps, dim):
@@ -396,6 +404,46 @@ def test_normalize_rescales_factor_records(rng):
     new_fac = out.factors[2][0]
     assert isinstance(new_fac, McdFactors)
     assert np.allclose(new_fac.scale(), out.components[0].scales[1], rtol=1e-12, atol=1e-14)
+
+
+def record_scale(record, k):
+    """Group k's scale matrix as its factor record reconstructs it."""
+    if isinstance(record, SharedMcdFactors):
+        return McdFactors(t=record.t, delta=record.deltas[k]).scale()
+    fac = record[k]
+    return fac.scale() if isinstance(fac, McdFactors) else fac.matrix()
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS)
+def test_normalize_keeps_every_record_consistent(rng, spec):
+    """After the fit's normalization each stored record still gives its
+    group's (rescaled) scale matrix, on every dimension."""
+    batch, _ = separated_batch(rng, n=40, g=2)
+    model, _ = fit(batch, 2, specs=[spec] * 3, options=FitOptions(seed=3))
+    has_record = spec in (ScaleModel.MCD_VVI, ScaleModel.MCD_EVI, ScaleModel.GPCM_VVI)
+    assert sorted(model.factors) == ([1, 2, 3] if has_record else [])
+    for dim, record in model.factors.items():
+        for k, comp in enumerate(model.components):
+            np.testing.assert_allclose(
+                record_scale(record, k), comp.scales[dim - 1], rtol=1e-12, atol=1e-15
+            )
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS)
+def test_family_update_repairs_zero_scatter(spec):
+    """An all-zero scatter leaves every group at reg_epsilon * I, flagged
+    one by one, or once with group None for the shared matrix."""
+    g, n_d, reg = 3, 4, 1e-3
+    scales, record, flagged = FAMILIES[spec].update(
+        np.zeros((g, n_d, n_d)), np.array([5.0, 7.0, 8.0]), 20, 12, None, reg
+    )
+    assert len(scales) == g
+    for new in scales:
+        assert np.array_equal(new, reg * np.eye(n_d))
+    assert flagged == ([None] if spec is ScaleModel.GPCM_EEE else [0, 1, 2])
+    if record is not None:
+        for k in range(g):
+            np.testing.assert_allclose(record_scale(record, k), reg * np.eye(n_d), rtol=1e-12)
 
 
 # --- full fits ----------------------------------------------------------------------

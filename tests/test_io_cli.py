@@ -1,5 +1,6 @@
 """File formats (manifest, long CSV, binary, result documents) and the CLI."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -223,6 +224,68 @@ def test_result_document_round_trips_exactly(tmp_path, rng):
         assert a.delta == b.delta
     assert np.array_equal(model.factors[2].t, model2.factors[2].t)
     assert np.array_equal(model.factors[2].deltas, model2.factors[2].deltas)
+
+
+def assert_same_record(a, b):
+    if isinstance(a, tuple):
+        assert isinstance(b, tuple) and len(a) == len(b)
+        for x, y in zip(a, b):
+            assert_same_record(x, y)
+        return
+    assert type(a) is type(b)
+    for f in dataclasses.fields(a):
+        assert np.array_equal(getattr(a, f.name), getattr(b, f.name))
+
+
+@pytest.mark.parametrize("spec", list(ScaleModel))
+def test_result_document_round_trips_every_family(tmp_path, rng, spec):
+    batch = np.stack(
+        [
+            sample(MlndParams(mean=np.full((3, 2), 4.0 * (i % 2)),
+                              scales=(np.eye(3), np.eye(2))), rng).array
+            for i in range(24)
+        ]
+    )
+    options = FitOptions(seed=5)
+    model, report = fit(batch, 2, specs=(spec, spec), options=options)
+    doc = result_document(model, report, options)
+    path = tmp_path / "result.json"
+    write_result(doc, path)
+    model2, report2, _ = read_result(path)
+    assert model2.specs == (spec, spec)
+    assert sorted(model2.factors) == sorted(model.factors)
+    for dim, record in model.factors.items():
+        assert_same_record(record, model2.factors[dim])
+    assert result_document(model2, report2, options) == doc
+
+
+@pytest.fixture
+def result_doc(rng):
+    batch = rng.normal(size=(12, 2, 3))
+    options = FitOptions(seed=1, max_iterations=5)
+    specs = (ScaleModel.MCD_VVI, ScaleModel.VVV)
+    model, report = fit(batch, 2, specs=specs, options=options)
+    return result_document(model, report, options)
+
+
+@pytest.mark.parametrize(
+    "corrupt, match",
+    [
+        (lambda doc: "{ nope", "invalid JSON"),
+        (lambda doc: json.dumps({k: v for k, v in doc.items() if k != "weights"}),
+         "missing field 'weights'"),
+        (lambda doc: json.dumps({**doc, "factors": {"1": {**doc["factors"]["1"], "family": "VII"}}}),
+         "unknown scale-model token 'VII'"),
+        (lambda doc: json.dumps({**doc, "scale_models": [3, "VVV"]}), "has no attribute 'strip'"),
+    ],
+    ids=["invalid-json", "missing-field", "unknown-family", "family-not-a-string"],
+)
+def test_read_result_names_the_file_on_bad_input(tmp_path, result_doc, corrupt, match):
+    path = tmp_path / "result.json"
+    path.write_text(corrupt(result_doc))
+    with pytest.raises(DataFormatError, match=match) as info:
+        read_result(path)
+    assert str(path) in str(info.value)
 
 
 def test_labels_csv_round_trip(tmp_path):

@@ -15,11 +15,9 @@ import pytest
 
 from tmclust.mda import (
     Mda,
-    from_vector,
     kron,
     matricize_mode1,
     mode_product,
-    swap_mode2,
     vectorize,
 )
 
@@ -61,13 +59,6 @@ def test_vectorize_matches_oracle(rng):
         np.testing.assert_array_equal(vectorize(Mda(arr)), vec_oracle(arr))
 
 
-def test_from_vector_round_trip(rng):
-    arr = rng.standard_normal((3, 4, 2))
-    x = Mda(arr)
-    y = from_vector(vectorize(x), x.dims)
-    np.testing.assert_array_equal(y.array, arr)
-
-
 def test_matricize_small_cube():
     # x[i, j, k] = 4i + 2j + k for 0-based indices over a 2x2x2 array
     arr = np.arange(8, dtype=float).reshape(2, 2, 2)
@@ -96,28 +87,6 @@ def test_matricize_fold_round_trip(rng):
     arr = rng.standard_normal((3, 2, 4))
     m = matricize_mode1(Mda(arr))
     np.testing.assert_array_equal(m.to_array(), arr)
-
-
-def test_swap_mode2_moves_entries():
-    arr = np.arange(8, dtype=float).reshape(2, 2, 2)
-    y = swap_mode2(Mda(arr), 3)
-    for i, j, k in itertools.product(range(2), repeat=3):
-        assert y.array[i, k, j] == arr[i, j, k]
-
-
-def test_swap_mode2_is_involution(rng):
-    arr = rng.standard_normal((2, 3, 4, 5))
-    for mode in (3, 4):
-        twice = swap_mode2(swap_mode2(Mda(arr), mode), mode)
-        np.testing.assert_array_equal(twice.array, arr)
-
-
-def test_swap_mode2_rejects_bad_mode(rng):
-    x = Mda(rng.standard_normal((2, 2, 2)))
-    with pytest.raises(ValueError):
-        swap_mode2(x, 2)
-    with pytest.raises(ValueError):
-        swap_mode2(x, 4)
 
 
 def test_kron_determinant_identity(rng):

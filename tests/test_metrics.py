@@ -9,12 +9,12 @@ from tmclust.mda import kron
 from tmclust.metrics import (
     adjusted_rand_index,
     kron_relative_error,
-    kron_relative_error_dense,
     rand_index,
     relative_error,
 )
 
 from conftest import random_spd
+from oracles import kron_relative_error_dense
 
 
 def pair_oracle(a, b):

@@ -1,27 +1,24 @@
-"""Scale-family updates: modified-Cholesky, shared/diagonal variants, counting."""
+"""Scale-family estimators: modified-Cholesky, shared/diagonal variants, counting."""
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize
 
 from tmclust.mda import Mda, mode_product
 from tmclust.mlnd import MlndParams
 from tmclust.parsimony import (
-    FreeParamCount,
     GpcmVviFactors,
     McdFactors,
     ScaleModel,
-    free_params,
     gpcm_eee_update,
     gpcm_vvi_update,
     mcd_evi_update,
     mcd_vvi_update,
 )
-from tmclust.em import fit
+from tmclust.em import FreeParamCount, fit, free_params
 from tmclust.errors import EmptyComponentError
 
 from conftest import random_spd, sweep_scatters
-from oracles import quadratic_form
+from oracles import eee_oracle, quadratic_form
 
 
 # --- modified Cholesky, group-specific (MCD-VVI) -------------------------------
@@ -129,44 +126,13 @@ def test_gpcm_eee_single_group_reduces_to_vvv(rng):
     assert np.allclose(out, (3 / 12) * lam, rtol=0, atol=1e-12)
 
 
-def _eee_oracle(lams, counts, n_obs, n_star):
-    """Derivative-free minimizer of the pooled scale objective (n_d = 2 only)."""
-    n_d = 2
-
-    def unpack(p):
-        a, b, c = p
-        low = np.array([[np.exp(a), 0.0], [b, np.exp(c)]])
-        return low @ low.T
-
-    def objective(p):
-        delta = unpack(p)
-        sign, logdet = np.linalg.slogdet(delta)
-        if sign <= 0:
-            return np.inf
-        inv = np.linalg.inv(delta)
-        return (n_obs * n_star / n_d) * logdet + sum(
-            n * np.trace(inv @ l) for n, l in zip(counts, lams)
-        )
-
-    closed = gpcm_eee_update(lams, counts, n_obs, n_star)
-    l0 = np.linalg.cholesky(closed)
-    x0 = np.array([np.log(l0[0, 0]) + 0.05, l0[1, 0] + 0.05, np.log(l0[1, 1]) - 0.05])
-    res = minimize(
-        objective,
-        x0,
-        method="Nelder-Mead",
-        options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 20000, "maxfev": 20000},
-    )
-    return unpack(res.x)
-
-
 def test_gpcm_eee_matches_derivative_free_oracle(rng):
     for _ in range(5):
         lams = [random_spd(2, rng) for _ in range(3)]
         counts = rng.integers(5, 30, size=3).astype(float)
         n_obs = int(counts.sum())
         closed = gpcm_eee_update(lams, counts, n_obs, n_star=6)
-        numeric = _eee_oracle(lams, counts, n_obs, n_star=6)
+        numeric = eee_oracle(lams, counts, n_obs, n_star=6)
         assert np.linalg.norm(closed - numeric) < 1e-6 * np.linalg.norm(closed)
 
 
