@@ -21,15 +21,16 @@ print("dims: ", x.dims)           # (3, 4, 2)
 print("size: ", x.size)           # 24 cells in total
 
 # the mode-1 matricization lays the array out as an (n*/n_1) x n_1 matrix;
-# its columns correspond to the first dimension
+# its columns correspond to the first dimension.  It is a plain ndarray, a
+# rearrangement of the entries (means and batches are stored as arrays)
 m = matricize_mode1(x)
-print("matricization shape:", m.matrix.shape)   # (8, 3)
+print("matricization shape:", m.shape)   # (8, 3)
 
-# vec of the matricization equals vec of the array, so nothing is lost
-assert np.array_equal(vectorize(m.to_mda()), vectorize(x))
+# stacking its columns gives vec of the array, so nothing is lost
+assert np.array_equal(m.T.reshape(-1), vectorize(x))
 
 # folding back is exact
-assert np.array_equal(m.to_mda().array, x.array)
+assert np.array_equal(m.T.reshape(x.dims), x.array)
 
 # the mode-d product multiplies one dimension by a matrix, leaving the
 # others alone.  Multiplying every mode by an identity is a no-op:

@@ -44,9 +44,10 @@ batch = rng.standard_normal((500,) + dims)
 lls = log_density_batch(batch, params)
 print("batch of 500 log densities, mean =", lls.mean())
 
-# sampling: draws should reproduce the Kronecker covariance empirically
+# sampling: size=n returns the stacked (n, n_1, ..., n_D) batch, whose
+# draws should reproduce the Kronecker covariance empirically
 draws = sample(params, rng, size=20000)
-vecs = np.stack([vectorize(d) for d in draws])
+vecs = draws.reshape(len(draws), -1)
 emp = np.cov(vecs.T)
 err = np.linalg.norm(emp - sigma) / np.linalg.norm(sigma)
 print("empirical covariance vs kron(scales), rel error:", round(err, 4))

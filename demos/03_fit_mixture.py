@@ -20,7 +20,8 @@ truth = [
     MlndParams(mean=np.full(dims, 2.5), scales=tuple(0.5 * np.eye(n) for n in dims)),
 ]
 labels = np.repeat([0, 1], 30)
-batch = np.stack([sample(truth[g], rng).array for g in labels])
+# size=30 draws a group's 30 observations as one (30, 4, 3, 2) batch
+batch = np.concatenate([sample(comp, rng, size=30) for comp in truth])
 
 model, report = fit(batch, n_groups=2, options=FitOptions(seed=42))
 
@@ -35,8 +36,8 @@ print("ARI vs truth:   ", adjusted_rand_index(report.labels, labels))
 trace = np.asarray(report.loglik_trace)
 print("monotone trace: ", bool(np.all(np.diff(trace) >= -1e-9)))
 
-# estimated group means live as mode-1 matricizations; fold one back
-est_mean = model.components[0].mean.to_mda().array
+# estimated group means are arrays of shape dims
+est_mean = model.components[0].mean
 which = int(np.argmin([np.abs(est_mean).sum(), np.abs(est_mean - 2.5).sum()]))
 print("component 0 recovers the group-%d mean to %.3f (max abs error)"
       % (which, np.abs(est_mean - which * 2.5).max()))

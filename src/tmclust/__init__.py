@@ -28,7 +28,7 @@ from .errors import (
     TmclustError,
 )
 from .io import DatasetManifest, load_dataset, read_manifest
-from .mda import Matricization, Mda, matricize_mode1, mode_product, vectorize
+from .mda import Mda, matricize_mode1, mode_product, vectorize
 from .metrics import (
     adjusted_rand_index,
     kron_relative_error,
@@ -48,7 +48,6 @@ __all__ = [
     "FitReport",
     "FreeParamCount",
     "GpcmVviFactors",
-    "Matricization",
     "McdFactors",
     "Mda",
     "MixtureModel",

@@ -29,7 +29,7 @@ from .io import (
 )
 from .metrics import adjusted_rand_index, rand_index, relative_error
 from .parsimony import ScaleModel
-from .selection import ScanGrid, _cell_seed, scan, write_bic_table
+from .selection import ScanGrid, scan, write_bic_table
 from .simulate import (
     default_study,
     full_study,
@@ -189,12 +189,8 @@ def cmd_scan(args) -> int:
     write_bic_table(result, args.out)
     if result.best is not None and args.best:
         row = result.best
-        cell_options = replace(
-            grid.options, seed=_cell_seed(grid.options.seed, row.g, row.specs)
-        )
         write_result(
-            result_document(row.model, row.report, cell_options, manifest=manifest),
-            args.best,
+            result_document(row.model, row.report, row.options, manifest=manifest), args.best
         )
     n_ok = sum(1 for r in result.rows if r.selectable)
     summary = {

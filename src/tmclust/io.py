@@ -12,16 +12,16 @@ from __future__ import annotations
 
 import csv
 import json
+import operator
 import os
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from ._version import __version__
 from .em import FAMILIES, FitOptions, FitReport, MixtureModel, SingularEvent, _mat
 from .errors import DataFormatError
-from .mda import Matricization, Mda, as_batch
+from .mda import as_batch, matricize_mode1
 from .mlnd import MlndParams
 from .parsimony import ScaleModel
 
@@ -40,21 +40,31 @@ class DatasetManifest:
     temporal: tuple[bool, ...] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(int(n) for n in self.dims))
+        def convert(name, kind, fn):
+            try:
+                object.__setattr__(self, name, fn(getattr(self, name)))
+            except TypeError:
+                value = getattr(self, name)
+                raise DataFormatError(f"{name} must be {kind}, got {value!r}") from None
+
+        convert("dims", "a list of integers", lambda v: tuple(operator.index(n) for n in v))
         if len(self.dims) < 2 or any(n < 1 for n in self.dims):
             raise DataFormatError("dims must have order >= 2 with positive extents")
+        convert("n_obs", "an integer", operator.index)
         if self.n_obs < 1:
             raise DataFormatError("n_obs must be >= 1")
+        if not isinstance(self.data, str):
+            raise DataFormatError(f"data must be a file path, got {self.data!r}")
         if self.format not in _FORMATS:
             raise DataFormatError(
                 f"unknown format tag {self.format!r} (expected one of {_FORMATS})"
             )
         if self.dim_names is not None:
-            object.__setattr__(self, "dim_names", tuple(str(s) for s in self.dim_names))
+            convert("dim_names", "a list", lambda v: tuple(str(s) for s in v))
             if len(self.dim_names) != len(self.dims):
                 raise DataFormatError("dim_names must have one entry per dimension")
         if self.temporal is not None:
-            object.__setattr__(self, "temporal", tuple(bool(b) for b in self.temporal))
+            convert("temporal", "a list", lambda v: tuple(bool(b) for b in v))
             if len(self.temporal) != len(self.dims):
                 raise DataFormatError("temporal must have one flag per dimension")
 
@@ -83,7 +93,7 @@ class DatasetManifest:
                 temporal=d.get("temporal"),
             )
         except KeyError as exc:
-            raise DataFormatError(f"manifest is missing required field {exc}") from None
+            raise DataFormatError(f"missing required field {exc}") from None
 
 
 def read_manifest(path) -> DatasetManifest:
@@ -94,13 +104,21 @@ def read_manifest(path) -> DatasetManifest:
             raise DataFormatError(f"manifest {path}: invalid JSON ({exc})") from None
     if not isinstance(doc, dict):
         raise DataFormatError(f"manifest {path}: expected a JSON object")
-    return DatasetManifest.from_dict(doc)
+    try:
+        return DatasetManifest.from_dict(doc)
+    except DataFormatError as exc:
+        raise DataFormatError(f"manifest {path}: {exc}") from None
+
+
+def _write_json(doc, path) -> None:
+    """Deterministic JSON: sorted keys, two-space indent, no NaN, final newline."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
+        fh.write("\n")
 
 
 def write_manifest(manifest: DatasetManifest, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(manifest.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(manifest.to_dict(), path)
 
 
 def _resolve(manifest_path, data_path: str) -> str:
@@ -178,8 +196,9 @@ def _load_bin_f64(path, dims: tuple[int, ...], n_obs: int) -> np.ndarray:
     return raw.astype(np.float64).reshape((n_obs,) + dims)
 
 
-def load_dataset(manifest_path, data_path: str | None = None) -> list[Mda]:
-    """Load the observations a manifest describes, in ascending obs_id order.
+def load_dataset(manifest_path, data_path: str | None = None) -> np.ndarray:
+    """Load the (N, n_1, ..., n_D) batch a manifest describes, observations in
+    ascending obs_id order.
 
     ``data_path`` overrides the manifest's data file location (same format).
     """
@@ -188,10 +207,8 @@ def load_dataset(manifest_path, data_path: str | None = None) -> list[Mda]:
     if not os.path.exists(path):
         raise DataFormatError(f"data file not found: {path}")
     if manifest.format == "csv-long":
-        batch = _load_csv_long(path, manifest.dims, manifest.n_obs)
-    else:
-        batch = _load_bin_f64(path, manifest.dims, manifest.n_obs)
-    return [Mda(batch[i]) for i in range(manifest.n_obs)]
+        return _load_csv_long(path, manifest.dims, manifest.n_obs)
+    return _load_bin_f64(path, manifest.dims, manifest.n_obs)
 
 
 def write_csv_long(path, data) -> None:
@@ -233,7 +250,7 @@ def result_document(
         "weights": [float(w) for w in model.weights],
         "groups": [
             {
-                "mean_matricization": _mat(comp.mean.matrix),
+                "mean_matricization": _mat(matricize_mode1(comp.mean)),
                 "scales": [_mat(s) for s in comp.scales],
             }
             for comp in model.components
@@ -271,9 +288,7 @@ def result_document(
 
 
 def write_result(doc: dict, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+    _write_json(doc, path)
 
 
 def read_result(path) -> tuple[MixtureModel, FitReport, dict]:
@@ -288,13 +303,18 @@ def read_result(path) -> tuple[MixtureModel, FitReport, dict]:
         except json.JSONDecodeError as exc:
             raise DataFormatError(f"result {path}: invalid JSON ({exc})") from None
     try:
-        dims = tuple(doc["dims"])
+        dims = tuple(int(n) for n in doc["dims"])
+        unfolded = (int(np.prod(dims[1:])), dims[0])
         components = []
         for gdoc in doc["groups"]:
             mat = np.asarray(gdoc["mean_matricization"], dtype=np.float64)
-            mean = Matricization(matrix=mat, dims=dims)
+            if mat.shape != unfolded:
+                raise DataFormatError(
+                    f"mean_matricization of dims {dims} must have shape {unfolded}, "
+                    f"got {mat.shape}"
+                )
             scales = tuple(np.asarray(s, dtype=np.float64) for s in gdoc["scales"])
-            components.append(MlndParams(mean=mean, scales=scales))
+            components.append(MlndParams(mean=mat.T.reshape(dims), scales=scales))
         factors = {
             int(dim): FAMILIES[ScaleModel.from_token(rec["family"])].from_json(rec)
             for dim, rec in doc["factors"].items()
@@ -321,7 +341,7 @@ def read_result(path) -> tuple[MixtureModel, FitReport, dict]:
         return model, report, doc["config"]
     except KeyError as exc:
         raise DataFormatError(f"result {path}: missing field {exc}") from None
-    except (AttributeError, TypeError, ValueError, DataFormatError) as exc:
+    except (AttributeError, IndexError, TypeError, ValueError, DataFormatError) as exc:
         raise DataFormatError(f"result {path}: {exc}") from None
 
 
@@ -345,7 +365,14 @@ def read_labels_csv(path) -> np.ndarray:
         header = next(reader, None)
         if header is None or header[:2] != ["obs_id", "map_label"]:
             raise DataFormatError(f"{path}: expected a labels CSV header")
-        rows = [(int(r[0]), int(r[1])) for r in reader if r]
+        rows = []
+        for lineno, row in enumerate(reader, start=2):
+            try:
+                if row:
+                    rows.append((int(row[0]), int(row[1])))
+            except (IndexError, ValueError):
+                msg = f"expected an integer obs_id and map_label, got {row!r}"
+                raise DataFormatError(f"{path}: row {lineno}: {msg}") from None
     rows.sort()
     return np.asarray([lbl - 1 for _, lbl in rows], dtype=np.int64)
 

@@ -9,14 +9,16 @@ first index most significant, which is exactly C-order raveling, so
 Under this convention a mode-d product by ``a`` acts on vec(x) as the
 Kronecker operator ``I x ... x a x ... x I`` with ``a`` in slot d, and the
 mode-1 matricization is the (n*/n_1) x n_1 matrix whose column i_1 holds the
-C-ordered entries over the remaining indices.  Dense Kronecker products are
-provided for test oracles and small problems only; the statistical code never
+C-ordered entries over the remaining indices.  It is a rearrangement of the
+entries, computed when needed (the result JSON stores means in that form);
+means and batches of N observations, shape (N, n_1, ..., n_D), are plain
+float64 arrays everywhere else.  Dense Kronecker products are provided for
+test oracles and small problems only; the statistical code never
 materializes them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from typing import Sequence
 
@@ -71,37 +73,6 @@ class Mda:
         return f"Mda(dims={self.dims})"
 
 
-@dataclass(frozen=True)
-class Matricization:
-    """Mode-1 unfolding of an MDA: an (n*/n_1) x n_1 matrix plus source dims.
-
-    Row r corresponds to the index tuple (i_2, ..., i_D) with i_2 most
-    significant; column i corresponds to the first index.
-    """
-
-    matrix: np.ndarray
-    dims: tuple[int, ...]
-
-    def __post_init__(self):
-        dims = tuple(int(n) for n in self.dims)
-        object.__setattr__(self, "dims", dims)
-        mat = np.asarray(self.matrix, dtype=np.float64)
-        n1 = dims[0]
-        rest = int(np.prod(dims[1:]))
-        if mat.shape != (rest, n1):
-            raise ValueError(
-                f"matricization of dims {dims} must have shape {(rest, n1)}, got {mat.shape}"
-            )
-        object.__setattr__(self, "matrix", mat)
-
-    def to_array(self) -> np.ndarray:
-        """Fold back to the dense array of shape ``dims``."""
-        return np.ascontiguousarray(self.matrix.T.reshape(self.dims))
-
-    def to_mda(self) -> Mda:
-        return Mda(self.to_array())
-
-
 def _as_array(x) -> np.ndarray:
     if isinstance(x, Mda):
         return x.array
@@ -116,10 +87,15 @@ def vectorize(x) -> np.ndarray:
     return _as_array(x).reshape(-1).copy()
 
 
-def matricize_mode1(x) -> Matricization:
-    """Mode-1 unfolding; see :class:`Matricization` for the row order."""
+def matricize_mode1(x) -> np.ndarray:
+    """Mode-1 unfolding, the (n*/n_1) x n_1 matrix (a view when it can be).
+
+    Row r corresponds to the index tuple (i_2, ..., i_D) with i_2 most
+    significant; column i corresponds to the first index.  ``m.T.reshape(dims)``
+    folds it back.
+    """
     arr = _as_array(x)
-    return Matricization(arr.reshape(arr.shape[0], -1).T, arr.shape)
+    return arr.reshape(arr.shape[0], -1).T
 
 
 def mode_product(x, a, mode: int) -> Mda:
@@ -158,18 +134,18 @@ def as_batch(data) -> np.ndarray:
     Accepts a sequence of :class:`Mda` (or arrays) with identical dims, or
     an already-stacked array, which is passed through as float64.
     """
-    if isinstance(data, np.ndarray):
-        if data.ndim < 3:
-            raise ValueError("a stacked batch must have ndim >= 3 (N plus order >= 2)")
-        return np.asarray(data, dtype=np.float64)
-    arrays = [x.array if isinstance(x, Mda) else np.asarray(x, dtype=np.float64) for x in data]
-    if not arrays:
-        raise ValueError("empty dataset")
-    dims = arrays[0].shape
-    for i, a in enumerate(arrays):
-        if a.shape != dims:
-            raise ValueError(f"observation {i} has dims {a.shape}, expected {dims}")
-    return np.stack(arrays).astype(np.float64, copy=False)
+    if not isinstance(data, np.ndarray):
+        arrays = [x.array if isinstance(x, Mda) else np.asarray(x, np.float64) for x in data]
+        if not arrays:
+            raise ValueError("empty dataset")
+        dims = arrays[0].shape
+        for i, a in enumerate(arrays):
+            if a.shape != dims:
+                raise ValueError(f"observation {i} has dims {a.shape}, expected {dims}")
+        data = np.stack(arrays)
+    if data.ndim < 3:
+        raise ValueError("a stacked batch must have ndim >= 3 (N plus order >= 2)")
+    return np.asarray(data, dtype=np.float64)
 
 
 def multiply_axis(values: np.ndarray, mat, axis: int, out=None) -> np.ndarray:

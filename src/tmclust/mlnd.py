@@ -15,7 +15,8 @@ Q is always evaluated by whitening the centered array mode by mode with the
 inverse lower Cholesky factor L_d^{-1} of each Delta_d — the dense Kronecker
 covariance is never formed.  The Kronecker factorization is only unique up to
 per-dimension rescalings that preserve the product, which downstream code
-resolves by convention after fitting.
+resolves by convention after fitting.  Means are dense arrays of shape dims,
+and :func:`sample` with ``size=n`` draws one (n, n_1, ..., n_D) batch.
 
 EM whitens incrementally in a :class:`SweepWorkspace` (one per fit), which
 holds each group's centred batch whitened on every mode but the one being
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotPositiveDefiniteError
-from .mda import Matricization, Mda, matricize_mode1, multiply_axis
+from .mda import Mda, multiply_axis
 
 _SYM_TOL = 1e-12
 _BLOCK_BYTES = 512 * 1024  # largest block of observations one sweep pass touches
@@ -75,31 +76,27 @@ class MlndParams:
 
     Parameters
     ----------
-    mean : Matricization or array_like
-        The mean array, given either as its mode-1 matricization or as a
-        dense array of shape ``dims``.
+    mean : array_like
+        The mean array, of shape ``dims`` and order D >= 2; kept as a
+        C-contiguous float64 ndarray.
     scales : sequence of ndarray
         Per-dimension scale matrices (Delta_1, ..., Delta_D), each symmetric
         positive definite.
     """
 
-    mean: Matricization
+    mean: np.ndarray
     scales: tuple[np.ndarray, ...]
     _chols: tuple[np.ndarray, ...] | None = field(default=None, repr=False, compare=False)
     _inv_chols: tuple[np.ndarray, ...] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if not isinstance(self.mean, Matricization):
-            arr = np.asarray(self.mean, dtype=np.float64)
-            self.mean = matricize_mode1(arr)
-        scales = tuple(
-            _check_symmetric(s, d + 1) for d, s in enumerate(self.scales)
-        )
-        if len(scales) != len(self.mean.dims):
-            raise ValueError(
-                f"got {len(scales)} scale matrices for an order-{len(self.mean.dims)} mean"
-            )
-        for d, (s, n) in enumerate(zip(scales, self.mean.dims)):
+        self.mean = np.ascontiguousarray(self.mean, dtype=np.float64)
+        if self.mean.ndim < 2:
+            raise ValueError(f"the mean must have order >= 2, got order {self.mean.ndim}")
+        scales = tuple(_check_symmetric(s, d + 1) for d, s in enumerate(self.scales))
+        if len(scales) != self.order:
+            raise ValueError(f"got {len(scales)} scale matrices for an order-{self.order} mean")
+        for d, (s, n) in enumerate(zip(scales, self.dims)):
             if s.shape[0] != n:
                 raise ValueError(
                     f"scale matrix for dimension {d + 1} has extent {s.shape[0]}, expected {n}"
@@ -108,20 +105,15 @@ class MlndParams:
 
     @property
     def dims(self) -> tuple[int, ...]:
-        return self.mean.dims
+        return self.mean.shape
 
     @property
     def order(self) -> int:
-        return len(self.dims)
+        return self.mean.ndim
 
     @property
     def size(self) -> int:
-        return int(np.prod(self.dims))
-
-    @property
-    def mean_array(self) -> np.ndarray:
-        """The mean folded back to an array of shape ``dims``."""
-        return self.mean.to_array()
+        return self.mean.size
 
     def chol_factors(self) -> tuple[np.ndarray, ...]:
         """Lower Cholesky factors L_d of every scale matrix (cached)."""
@@ -231,7 +223,7 @@ def log_density_batch(batch: np.ndarray, params: MlndParams, quad=None) -> np.nd
         raise ValueError(f"batch has dims {batch.shape[1:]}, expected {params.dims}")
     n_star = params.size
     if quad is None:  # whiten every mode; the squared norms are the quadratic forms
-        white = batch - params.mean_array[None]
+        white = batch - params.mean[None]
         for d, inv_factor in enumerate(params.inv_chol_factors()):
             white = _solve_mode(white, inv_factor, axis=d + 1)
         quad = np.einsum("nk,nk->n", white.reshape(len(white), -1), white.reshape(len(white), -1))
@@ -247,14 +239,12 @@ def sample(params: MlndParams, rng, size: int | None = None):
     has exactly the Kronecker vec-covariance.  ``rng`` needs only a
     ``standard_normal(shape)`` method.
 
-    Returns a single :class:`~tmclust.mda.Mda` when ``size`` is None, else a
-    list of ``size`` draws.
+    Returns a single :class:`~tmclust.mda.Mda` when ``size`` is None, else
+    the stacked (size, n_1, ..., n_D) array of ``size`` draws.
     """
     n = 1 if size is None else int(size)
     u = np.asarray(rng.standard_normal((n,) + params.dims), dtype=np.float64)
     for d, L in enumerate(params.chol_factors()):
         u = multiply_axis(u, L, axis=d + 1)
-    u = u + params.mean_array[None]
-    if size is None:
-        return Mda(u[0])
-    return [Mda(u[i]) for i in range(n)]
+    u += params.mean
+    return Mda(u[0]) if size is None else u

@@ -56,7 +56,7 @@ class ScanGrid:
 
 @dataclass
 class ScanRow:
-    """Outcome of one (G, specs) cell."""
+    """Outcome of one (G, specs) cell, fitted with ``options`` (the cell's seed)."""
 
     g: int
     specs: tuple[ScaleModel, ...]
@@ -68,6 +68,7 @@ class ScanRow:
     error: str | None = None
     model: MixtureModel | None = None
     report: FitReport | None = None
+    options: FitOptions | None = None
 
     @property
     def selectable(self) -> bool:
@@ -102,12 +103,13 @@ def _run_cell(task, batch=None) -> ScanRow:
         model, report = fit(batch, g, specs=specs, options=options)
     except Exception as exc:  # failed cells are recorded, never selected
         return ScanRow(
-            g=g, specs=specs, loglik=None, rho=rho, bic=None,
+            g=g, specs=specs, options=options, loglik=None, rho=rho, bic=None,
             converged=False, n_singular_events=0, error=f"{type(exc).__name__}: {exc}",
         )
     return ScanRow(
         g=g,
         specs=specs,
+        options=options,
         loglik=report.loglik,
         rho=report.rho,
         bic=report.bic,

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from typing import Sequence
@@ -20,6 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .em import FitOptions, MixtureModel, normalize_identifiability
+from .io import _write_json
 from .metrics import adjusted_rand_index, kron_relative_error, relative_error
 from .mlnd import MlndParams, sample
 from .parsimony import ScaleModel
@@ -171,9 +173,7 @@ def generate_dataset(config: SimConfig, rng) -> tuple[np.ndarray, MixtureModel, 
         MixtureModel(weights=np.full(g, 1.0 / g), components=components)
     )
     labels = np.repeat(np.arange(g), per)
-    batch = np.stack(
-        [sample(truth.components[k], rng).array for k in labels]
-    )
+    batch = np.concatenate([sample(comp, rng, size=per) for comp in truth.components])
     return batch, truth, labels
 
 
@@ -212,9 +212,9 @@ def _best_permutation(true_labels, est_labels, g: int) -> tuple[int, ...]:
     return best
 
 
-def _run_replicate(task) -> dict:
-    config_dict, cell_index, rep, options_dict = task
-    cfg = SimConfig.from_dict(config_dict)
+def _run_replicate(
+    cfg: SimConfig, cell_index: int, rep: int, options: FitOptions
+) -> ReplicateRecord:
     record = ReplicateRecord(
         cell_index=cell_index, n_obs=cfg.n_obs, dims=cfg.dims, replicate=rep
     )
@@ -223,17 +223,15 @@ def _run_replicate(task) -> dict:
             np.random.SeedSequence([cfg.base_seed, _DATA_STREAM, cell_index, rep])
         )
         batch, truth, labels = generate_dataset(cfg, rng)
-        options = FitOptions(**options_dict)
-        options = replace(options, seed=(cfg.base_seed, _FIT_STREAM, cell_index, rep))
         grid = ScanGrid(
             groups=cfg.g_scan,
             spec_candidates=tuple((ScaleModel.VVV,) for _ in cfg.dims),
-            options=options,
+            options=replace(options, seed=(cfg.base_seed, _FIT_STREAM, cell_index, rep)),
         )
         result = scan(batch, grid, threads=1, keep_models=True)
         if result.best is None:
             record.error = "no scan cell converged"
-            return asdict(record)
+            return record
         best = result.best
         record.selected_g = best.g
         record.true_g_selected = best.g == cfg.n_groups
@@ -243,29 +241,15 @@ def _run_replicate(task) -> dict:
 
         true_row = next((r for r in result.rows if r.g == cfg.n_groups), None)
         if true_row is not None and true_row.model is not None:
-            g = cfg.n_groups
-            perm = _best_permutation(labels, true_row.report.labels, g)
-            est = true_row.model
-            record.rel_err_mean = tuple(
-                float(
-                    relative_error(
-                        est.components[perm[t]].mean_array,
-                        truth.components[t].mean_array,
-                    )
-                )
-                for t in range(g)
-            )
+            perm = _best_permutation(labels, true_row.report.labels, cfg.n_groups)
+            pairs = [(true_row.model.components[p], t) for p, t in zip(perm, truth.components)]
+            record.rel_err_mean = tuple(float(relative_error(e.mean, t.mean)) for e, t in pairs)
             record.rel_err_scale = tuple(
-                float(
-                    kron_relative_error(
-                        est.components[perm[t]].scales, truth.components[t].scales
-                    )
-                )
-                for t in range(g)
+                float(kron_relative_error(e.scales, t.scales)) for e, t in pairs
             )
     except Exception as exc:  # record, never abort the study
         record.error = f"{type(exc).__name__}: {exc}"
-    return asdict(record)
+    return record
 
 
 # --- aggregation ----------------------------------------------------------------
@@ -365,25 +349,14 @@ def run_study(configs, options: FitOptions | None = None, workers: int = 1) -> S
     if not configs:
         raise ValueError("need at least one cell config")
     options = options or FitOptions()
-    options_dict = asdict(options)
     tasks = [
-        (cfg.to_dict(), i, rep, options_dict)
-        for i, cfg in enumerate(configs)
-        for rep in range(cfg.replicates)
+        (cfg, i, rep, options) for i, cfg in enumerate(configs) for rep in range(cfg.replicates)
     ]
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            raw = list(pool.map(_run_replicate, tasks))
+            records = list(pool.map(_run_replicate, *zip(*tasks)))
     else:
-        raw = [_run_replicate(t) for t in tasks]
-    records = []
-    for d in raw:
-        d = dict(d)
-        d["dims"] = tuple(d["dims"])
-        for key in ("rel_err_mean", "rel_err_scale"):
-            if d[key] is not None:
-                d[key] = tuple(d[key])
-        records.append(ReplicateRecord(**d))
+        records = [_run_replicate(*t) for t in tasks]
 
     cells = [
         _summarize_cell(i, cfg, [r for r in records if r.cell_index == i])
@@ -404,9 +377,7 @@ def run_study(configs, options: FitOptions | None = None, workers: int = 1) -> S
 
 def write_report_json(report: StudyReport, path) -> None:
     """Serialize the full report; deterministic bytes for a given report."""
-    with open(path, "w") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+    _write_json(report.to_dict(), path)
 
 
 def write_report_csvs(report: StudyReport, directory) -> None:
@@ -415,8 +386,6 @@ def write_report_csvs(report: StudyReport, directory) -> None:
     Per-group error vectors are semicolon-joined in a single column so the
     layout does not depend on the group count.
     """
-    import os
-
     os.makedirs(directory, exist_ok=True)
 
     def join(vals):

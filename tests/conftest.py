@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from tmclust.mda import Mda, matricize_mode1
+from tmclust.mda import Mda
 from tmclust.mlnd import MlndParams, SweepWorkspace, _scatter_one
 
 
@@ -20,7 +20,7 @@ def random_params(dims, rng: np.random.Generator) -> MlndParams:
     """Random component parameters with moderate condition numbers."""
     mean = rng.standard_normal(dims)
     scales = [random_spd(n, rng) for n in dims]
-    return MlndParams(mean=matricize_mode1(mean), scales=tuple(scales))
+    return MlndParams(mean=mean, scales=tuple(scales))
 
 
 def spd_with_condition(n: int, cond: float, rng) -> np.ndarray:
@@ -48,7 +48,7 @@ def sweep_scatters(batch, z, comps, next_comps=None):
         scatters.append(
             np.stack(
                 [
-                    _scatter_one(work, k, d0 + 1, c.mean_array, z[:, k], invs[k], chols[k])
+                    _scatter_one(work, k, d0 + 1, c.mean, z[:, k], invs[k], chols[k])
                     for k, c in enumerate(next_comps)
                 ]
             )

@@ -26,7 +26,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.optimize import minimize
 
-from tmclust.mda import Matricization, Mda, kron
+from tmclust.mda import Mda, kron
 from tmclust.metrics import relative_error
 from tmclust.mlnd import MlndParams
 from tmclust.parsimony import gpcm_eee_update
@@ -85,9 +85,8 @@ def whiten_slices(centered, params: MlndParams, swap_with: int | None = None) ->
 
     Parameters
     ----------
-    centered : Matricization or array_like
-        The centered observation x - M, as a mode-1 matricization or a dense
-        array of shape ``params.dims``.
+    centered : Mda or array_like
+        The centered observation x - M, of shape ``params.dims``.
     params : MlndParams
     swap_with : int, optional
         If given (1-based, 3 <= swap_with <= D), modes 2 and ``swap_with``
@@ -101,9 +100,7 @@ def whiten_slices(centered, params: MlndParams, swap_with: int | None = None) ->
         (3..D in the working order) have been whitened with their inverse
         Cholesky factors; the row and column modes are left untouched.
     """
-    if isinstance(centered, Matricization):
-        arr = centered.to_array()
-    elif isinstance(centered, Mda):
+    if isinstance(centered, Mda):
         arr = centered.array
     else:
         arr = np.asarray(centered, dtype=np.float64)

@@ -43,7 +43,7 @@ def _verdict(criterion: int, ok: bool, detail: str) -> None:
 
 def _dense_log_density(x: np.ndarray, params: MlndParams) -> float:
     sigma = kron(params.scales)
-    resid = x.reshape(-1) - vectorize(params.mean.to_mda())
+    resid = x.reshape(-1) - vectorize(params.mean)
     sign, logdet = np.linalg.slogdet(sigma)
     assert sign > 0
     quad = float(resid @ np.linalg.solve(sigma, resid))
@@ -84,10 +84,10 @@ def test_criterion_2_quadratic_form_routes():
         dims = tuple(int(rng.integers(1, 5)) for _ in range(order))
         params = random_params(dims, rng)
         x = rng.standard_normal(dims)
-        centered = Mda(x - params.mean_array)
+        centered = Mda(x - params.mean)
 
         sigma = kron(params.scales)
-        v = (x - params.mean_array).reshape(-1)
+        v = (x - params.mean).reshape(-1)
         routes = [float(v @ np.linalg.solve(sigma, v))]
         routes.append(quadratic_form(centered, params))
         for swap in range(3, order + 1):

@@ -127,7 +127,7 @@ def test_e_step_extreme_separation_is_hard(rng):
         for k in range(2)
     )
     model = MixtureModel(weights=[0.5, 0.5], components=comps)
-    batch = np.stack([comps[0].mean_array, comps[1].mean_array])
+    batch = np.stack([comps[0].mean, comps[1].mean])
     z, _ = e_step(batch, model)
     assert z[0, 0] > 1.0 - 1e-12
     assert z[1, 1] > 1.0 - 1e-12
@@ -210,9 +210,9 @@ def test_m_step_mean_matches_group_averages(rng):
     z[:4, 0] = 1.0
     z[4:, 1] = 1.0
     means = [comp.mean for comp in first_m_step(batch, z).components]
-    assert np.allclose(means[0].to_array(), batch[:4].mean(axis=0), rtol=0, atol=1e-14)
-    assert np.allclose(means[1].to_array(), batch[4:].mean(axis=0), rtol=0, atol=1e-14)
-    assert means[0].matrix.shape == (3, 2)
+    assert np.allclose(means[0], batch[:4].mean(axis=0), rtol=0, atol=1e-14)
+    assert np.allclose(means[1], batch[4:].mean(axis=0), rtol=0, atol=1e-14)
+    assert means[0].shape == (2, 3)
 
 
 def test_m_step_mean_soft_weights(rng):
@@ -222,7 +222,7 @@ def test_m_step_mean_soft_weights(rng):
     model = first_m_step(batch, z)
     for comp, weights in zip(model.components, z.T):
         expected = np.tensordot(weights, batch, axes=(0, 0)) / weights.sum()
-        assert np.allclose(comp.mean_array, expected, rtol=0, atol=1e-14)
+        assert np.allclose(comp.mean, expected, rtol=0, atol=1e-14)
 
 
 def m_step_delta(batch, z, comps, dim):
@@ -258,7 +258,7 @@ def test_m_step_delta_matches_mode_product_oracle(rng):
         inv_l = [np.linalg.inv(l) for l in comp.chol_factors()]
         acc = np.zeros((dims[dim - 1],) * 2)
         for i in range(15):
-            y = batch[i] - comp.mean_array
+            y = batch[i] - comp.mean
             for k in (1, 2, 3):
                 if k != dim:
                     y = mode_product(y, inv_l[k - 1], k).array
@@ -455,7 +455,7 @@ def test_fit_single_group_matches_sample_moments(rng):
     assert report.converged
     assert np.array_equal(report.labels, np.zeros(40, dtype=np.int64))
     assert np.allclose(
-        model.components[0].mean_array, batch.mean(axis=0), rtol=0, atol=1e-10
+        model.components[0].mean, batch.mean(axis=0), rtol=0, atol=1e-10
     )
     # a dense-covariance Gaussian MLE bounds any Kronecker-structured fit
     flat = batch.reshape(40, -1)
@@ -568,7 +568,7 @@ def test_fit_sweep_matches_from_scratch_oracle(spec, rng, monkeypatch):
         return got
 
     def log_density(batch, comp, quad):
-        white = oracles.whiten_all_modes(batch - comp.mean_array, comp.chol_factors())
+        white = oracles.whiten_all_modes(batch - comp.mean, comp.chol_factors())
         assert_matches_oracle(quad, (white.reshape(len(batch), -1) ** 2).sum(axis=1))
         checked["quad"] += 1
         return density(batch, comp, quad)

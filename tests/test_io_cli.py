@@ -28,6 +28,7 @@ from tmclust.io import (
 )
 from tmclust.mlnd import MlndParams, sample
 from tmclust.parsimony import ScaleModel
+from tmclust.selection import _cell_seed
 
 
 @pytest.fixture
@@ -56,8 +57,8 @@ def _write_bundle(tmp_path, batch, fmt="csv-long", name="data"):
 def test_csv_round_trip_is_exact(tmp_path, dataset):
     manifest_path, _ = _write_bundle(tmp_path, dataset)
     loaded = load_dataset(manifest_path)
-    assert len(loaded) == 6
-    assert np.array_equal(np.stack([m.array for m in loaded]), dataset)
+    assert loaded.shape == (6, 2, 3)
+    assert np.array_equal(loaded, dataset)
 
 
 def test_csv_rows_may_come_in_any_order(tmp_path, dataset):
@@ -67,15 +68,14 @@ def test_csv_rows_may_come_in_any_order(tmp_path, dataset):
     rng = np.random.default_rng(0)
     rng.shuffle(body)
     data_path.write_text("\n".join([header] + body) + "\n")
-    loaded = load_dataset(manifest_path)
-    assert np.array_equal(np.stack([m.array for m in loaded]), dataset)
+    assert np.array_equal(load_dataset(manifest_path), dataset)
 
 
 def test_bin_and_csv_agree_bitwise(tmp_path, dataset):
     csv_manifest, _ = _write_bundle(tmp_path, dataset, "csv-long", "a")
     bin_manifest, _ = _write_bundle(tmp_path, dataset, "bin-f64", "b")
-    from_csv = np.stack([m.array for m in load_dataset(csv_manifest)])
-    from_bin = np.stack([m.array for m in load_dataset(bin_manifest)])
+    from_csv = load_dataset(csv_manifest)
+    from_bin = load_dataset(bin_manifest)
     assert np.array_equal(from_csv, from_bin)
 
 
@@ -88,7 +88,7 @@ def test_single_observation_fixture(tmp_path):
         DatasetManifest(dims=(2, 2), n_obs=1, data="one.csv"), tmp_path / "m.json"
     )
     (obs,) = load_dataset(tmp_path / "m.json")
-    assert np.array_equal(obs.array, np.array([[1.5, -2.0], [0.25, 8.0]]))
+    assert np.array_equal(obs, np.array([[1.5, -2.0], [0.25, 8.0]]))
 
 
 def _corrupt(tmp_path, dataset, mutate):
@@ -173,6 +173,20 @@ def test_manifest_validation(tmp_path):
     path.write_text("{ nope")
     with pytest.raises(DataFormatError, match="invalid JSON"):
         read_manifest(path)
+    good = {"dims": [2, 2], "n_obs": 1, "data": "x.csv"}
+    for field, value, match in [
+        ("dims", 5, "dims must be a list of integers, got 5"),
+        ("dims", [2.5, 2], "dims must be a list of integers"),
+        ("n_obs", "abc", "n_obs must be an integer, got 'abc'"),
+        ("data", 3, "data must be a file path"),
+        ("temporal", True, "temporal must be a list"),
+    ]:
+        path.write_text(json.dumps({**good, field: value}))
+        with pytest.raises(DataFormatError, match=match) as info:
+            read_manifest(path)
+        assert str(path) in str(info.value)
+        out = str(tmp_path / "fit.json")
+        assert main(["fit", "--manifest", str(path), "--groups", "1", "--out", out]) == 1
 
 
 def test_manifest_metadata_round_trip(tmp_path):
@@ -207,7 +221,7 @@ def test_result_document_round_trips_exactly(tmp_path, rng):
     assert np.array_equal(model2.weights, model.weights)
     assert model2.specs == specs
     for a, b in zip(model.components, model2.components):
-        assert np.array_equal(a.mean.matrix, b.mean.matrix)
+        assert np.array_equal(a.mean, b.mean)
         for s1, s2 in zip(a.scales, b.scales):
             assert np.array_equal(s1, s2)
     assert np.array_equal(report2.labels, report.labels)
@@ -277,8 +291,14 @@ def result_doc(rng):
         (lambda doc: json.dumps({**doc, "factors": {"1": {**doc["factors"]["1"], "family": "VII"}}}),
          "unknown scale-model token 'VII'"),
         (lambda doc: json.dumps({**doc, "scale_models": [3, "VVV"]}), "has no attribute 'strip'"),
+        # the transposed (n_1, n*/n_1) matrix has the right size but not the right shape
+        (lambda doc: json.dumps({**doc, "groups": [
+            {**g, "mean_matricization": np.asarray(g["mean_matricization"]).T.tolist()}
+            for g in doc["groups"]]}),
+         r"mean_matricization of dims \(2, 3\) must have shape \(3, 2\), got \(2, 3\)"),
     ],
-    ids=["invalid-json", "missing-field", "unknown-family", "family-not-a-string"],
+    ids=["invalid-json", "missing-field", "unknown-family", "family-not-a-string",
+         "transposed-mean"],
 )
 def test_read_result_names_the_file_on_bad_input(tmp_path, result_doc, corrupt, match):
     path = tmp_path / "result.json"
@@ -411,9 +431,10 @@ def test_cmd_scan_table_and_best(cli_bundle, capsys):
     summary = json.loads(capsys.readouterr().out)
     assert summary["best"]["G"] == 3
     assert len(table.read_text().strip().splitlines()) == 1 + 3
-    model, report, _ = read_result(best)
+    model, report, config = read_result(best)
     assert model.n_groups == 3
     assert report.converged
+    assert config["seed"] == list(_cell_seed(0, 3, model.specs))  # the winning cell's seed
 
 
 def test_cmd_scan_single_cell_and_bad_grid(cli_bundle, capsys, tmp_path):
@@ -519,6 +540,12 @@ def test_cmd_metrics_input_errors(tmp_path, capsys):
     np.savetxt(est, np.eye(2), delimiter=",")
     np.savetxt(truth, np.eye(3), delimiter=",")
     assert main(["metrics", "--est", str(est), "--truth", str(truth)]) == 1
+    for body, match in [("1\n", "row 2: expected an integer"), ("1,2\n2,x\n", "row 3: ")]:
+        b.write_text("obs_id,map_label,z_1,z_2\n" + body)
+        with pytest.raises(DataFormatError, match=match) as info:
+            read_labels_csv(b)
+        assert str(b) in str(info.value)
+        assert main(["metrics", "--labels-a", str(a), "--labels-b", str(b)]) == 1
 
 
 def test_usage_errors_exit_1(capsys):

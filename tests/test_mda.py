@@ -63,30 +63,30 @@ def test_matricize_small_cube():
     # x[i, j, k] = 4i + 2j + k for 0-based indices over a 2x2x2 array
     arr = np.arange(8, dtype=float).reshape(2, 2, 2)
     m = matricize_mode1(Mda(arr))
-    assert m.matrix.shape == (4, 2)
+    assert m.shape == (4, 2)
     # column i lists (x_i00, x_i01, x_i10, x_i11)
-    np.testing.assert_array_equal(m.matrix[:, 0], [0.0, 1.0, 2.0, 3.0])
-    np.testing.assert_array_equal(m.matrix[:, 1], [4.0, 5.0, 6.0, 7.0])
+    np.testing.assert_array_equal(m[:, 0], [0.0, 1.0, 2.0, 3.0])
+    np.testing.assert_array_equal(m[:, 1], [4.0, 5.0, 6.0, 7.0])
 
 
 def test_matricize_matches_oracle(rng):
     for dims in [(2, 5), (4, 3, 2), (2, 3, 2, 2)]:
         arr = rng.standard_normal(dims)
-        np.testing.assert_array_equal(matricize_mode1(Mda(arr)).matrix, matricize_oracle(arr))
+        np.testing.assert_array_equal(matricize_mode1(Mda(arr)), matricize_oracle(arr))
 
 
 def test_matricize_vec_consistency(rng):
     # column-stacking the matricization reproduces the canonical vec
     for dims in [(3, 2), (2, 3, 4)]:
         arr = rng.standard_normal(dims)
-        m = matricize_mode1(Mda(arr)).matrix
+        m = matricize_mode1(Mda(arr))
         np.testing.assert_array_equal(m.T.reshape(-1), vectorize(Mda(arr)))
 
 
 def test_matricize_fold_round_trip(rng):
     arr = rng.standard_normal((3, 2, 4))
     m = matricize_mode1(Mda(arr))
-    np.testing.assert_array_equal(m.to_array(), arr)
+    np.testing.assert_array_equal(m.T.reshape(arr.shape), arr)
 
 
 def test_kron_determinant_identity(rng):
@@ -150,8 +150,8 @@ def test_mode_product_matricization_relation(rng):
     a = rng.standard_normal((3, 3))
     y = mode_product(Mda(arr), a, 1)
     np.testing.assert_allclose(
-        matricize_mode1(y).matrix,
-        matricize_mode1(Mda(arr)).matrix @ a.T,
+        matricize_mode1(y),
+        matricize_mode1(Mda(arr)) @ a.T,
         rtol=0,
         atol=1e-12,
     )

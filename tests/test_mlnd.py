@@ -32,7 +32,7 @@ from oracles import quadratic_form, whiten_slices
 def dense_log_density(x: np.ndarray, params: MlndParams) -> float:
     """Dense multivariate-normal oracle on the vectorized problem."""
     sigma = kron(params.scales)
-    resid = x.reshape(-1) - vectorize(params.mean.to_mda())
+    resid = x.reshape(-1) - vectorize(params.mean)
     sign, logdet = np.linalg.slogdet(sigma)
     assert sign > 0
     quad = float(resid @ np.linalg.solve(sigma, resid))
@@ -57,7 +57,7 @@ def test_standard_normal_scalar_cell():
 def test_identity_scales_reduce_to_univariate_sum(rng):
     dims = (2, 3, 2)
     mean = rng.standard_normal(dims)
-    p = MlndParams(mean=matricize_mode1(mean), scales=tuple(np.eye(n) for n in dims))
+    p = MlndParams(mean=mean, scales=tuple(np.eye(n) for n in dims))
     x = rng.standard_normal(dims)
     resid = (x - mean).reshape(-1)
     want = np.sum(-0.5 * np.log(2 * np.pi) - 0.5 * resid**2)
@@ -194,9 +194,9 @@ def test_sweep_matches_from_scratch_scatter(dims, cond, family, block_rows, rng,
     for k in range(2):
         for d0 in range(len(dims)):
             chols = new[k].chol_factors()[:d0] + old[k].chol_factors()[d0:]
-            want = oracles.scatter(batch, new[k].mean_array, z[:, k], chols, d0 + 1)
+            want = oracles.scatter(batch, new[k].mean, z[:, k], chols, d0 + 1)
             assert_matches_oracle(scatters[d0][k], want)
-        white = oracles.whiten_all_modes(batch - new[k].mean_array, new[k].chol_factors())
+        white = oracles.whiten_all_modes(batch - new[k].mean, new[k].chol_factors())
         assert_matches_oracle(quad[:, k], (white.reshape(n, -1) ** 2).sum(axis=1))
 
 
@@ -271,7 +271,18 @@ class _ZeroRng:
 def test_sample_degenerate_rng_returns_mean(rng):
     p = random_params((2, 3, 2), rng)
     x = sample(p, _ZeroRng())
-    np.testing.assert_allclose(x.array, p.mean_array, atol=1e-14)
+    np.testing.assert_allclose(x.array, p.mean, atol=1e-14)
+
+
+def test_sample_batch_matches_single_draws():
+    # size=n colours one (n, ...) block of normals: the same stream and values
+    # as n single draws
+    for i, dims in enumerate([(2, 2), (3, 1, 2), (4, 3, 2), (3, 2, 2, 3)]):
+        p = random_params(dims, np.random.default_rng(i))
+        batched = sample(p, np.random.default_rng(i), size=9)
+        rng = np.random.default_rng(i)
+        assert batched.shape == (9,) + dims
+        assert np.array_equal(batched, np.stack([sample(p, rng).array for _ in range(9)]))
 
 
 def test_sample_mean_recovery(rng):
@@ -279,8 +290,7 @@ def test_sample_mean_recovery(rng):
     p = random_params(dims, rng)
     k = 10_000
     draws = sample(p, rng, size=k)
-    stacked = np.stack([d.array for d in draws])
-    err = np.abs(stacked.mean(axis=0) - p.mean_array)
+    err = np.abs(draws.mean(axis=0) - p.mean)
     # entries have variance <= max diag of the Kronecker covariance
     sd = np.sqrt(np.max(np.diag(kron(p.scales))) / k)
     assert np.all(err < 4.5 * sd)
@@ -291,7 +301,7 @@ def test_sample_covariance_recovery(rng):
     p = random_params(dims, rng)
     k = 50_000
     draws = sample(p, rng, size=k)
-    vecs = np.stack([vectorize(d) for d in draws])
+    vecs = draws.reshape(k, -1)
     emp = np.cov(vecs.T)
     sigma = kron(p.scales)
     # standard error of a sample covariance entry

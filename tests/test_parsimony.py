@@ -175,7 +175,7 @@ def _scatter_oracle(batch, comp, w, dim):
     d = batch.ndim - 1
     n_d = batch.shape[dim]
     out = np.zeros((n_d, n_d))
-    mean = comp.mean_array
+    mean = comp.mean
     for i in range(batch.shape[0]):
         y = batch[i] - mean
         for k in range(1, d + 1):
@@ -218,7 +218,7 @@ def test_scatter_trace_equals_weighted_quadratic_forms(rng):
     )
     z = rng.random((8, 1)) + 0.1
     q = np.array(
-        [quadratic_form(Mda(batch[i] - comp.mean_array), comp) for i in range(8)]
+        [quadratic_form(Mda(batch[i] - comp.mean), comp) for i in range(8)]
     )
     expected = float(z[:, 0] @ q)
     for dim in (1, 2, 3):

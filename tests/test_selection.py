@@ -8,7 +8,9 @@ import pytest
 from tmclust.em import FitOptions
 from tmclust.mlnd import MlndParams, sample
 from tmclust.parsimony import ScaleModel
-from tmclust.selection import ScanGrid, ScanRow, _prefer, bic, scan, write_bic_table
+from tmclust.selection import (
+    ScanGrid, ScanRow, _cell_seed, _prefer, bic, scan, write_bic_table,
+)
 
 
 def three_group_batch(rng, n=60, dims=(2, 2), gap=5.0):
@@ -105,9 +107,23 @@ def test_scan_thread_count_does_not_change_results(rng):
     serial = scan(batch, grid, threads=1)
     pooled = scan(batch, grid, threads=2)
     for a, b in zip(serial.rows, pooled.rows):
-        assert (a.g, a.specs, a.loglik, a.bic, a.converged) == (
-            b.g, b.specs, b.loglik, b.bic, b.converged,
+        assert (a.g, a.specs, a.loglik, a.bic, a.converged, a.options) == (
+            b.g, b.specs, b.loglik, b.bic, b.converged, b.options,
         )
+
+
+def test_scan_rows_carry_their_cell_options(rng):
+    batch, _ = three_group_batch(rng, n=30)
+    grid = ScanGrid(
+        groups=(1, 2, 40),  # G = 40 > N fails, and its row still names its options
+        spec_candidates=((ScaleModel.VVV, ScaleModel.MCD_EVI), (ScaleModel.VVV,)),
+        options=FitOptions(seed=(7, 1), max_iterations=20),
+    )
+    rows = scan(batch, grid).rows
+    assert rows[-1].error is not None
+    for row in rows:
+        assert row.options.max_iterations == 20
+        assert row.options.seed == _cell_seed((7, 1), row.g, row.specs)
 
 
 def test_scan_keep_models(rng):

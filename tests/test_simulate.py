@@ -134,7 +134,7 @@ def test_generate_dataset_shapes_and_labels(rng):
 def test_generate_dataset_hits_requested_snr(rng):
     cfg = SimConfig(n_obs=12, dims=(3, 2), n_groups=3, snr=2.5, base_seed=1)
     _, truth, _ = generate_dataset(cfg, rng)
-    means = np.stack([c.mean_array for c in truth.components])
+    means = np.stack([c.mean for c in truth.components])
     grand = means.mean(axis=0)
     signal = float(np.mean((means - grand[None]) ** 2))
     noise = float(
