@@ -13,6 +13,8 @@ rescaling every non-leading scale matrix to a unit leading entry.
 The sweep whitens incrementally in one :class:`~tmclust.mlnd.SweepWorkspace`
 per fit: 3D-2 mode passes per group and iteration instead of D^2, the last
 giving the E-step's quadratic forms, and no allocation the size of the batch.
+The workspace holds observation-last blocks, so the number of matrix
+products per pass does not grow with N.
 """
 
 from __future__ import annotations

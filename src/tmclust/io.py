@@ -28,6 +28,26 @@ from .parsimony import ScaleModel
 _FORMATS = ("csv-long", "bin-f64")
 
 
+def _integer(value) -> int:
+    """``operator.index``, but a JSON ``true`` is not the integer 1."""
+    if isinstance(value, bool):
+        raise TypeError("a boolean is not an integer")
+    return operator.index(value)
+
+
+def _boolean(value) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError("expected a boolean")
+    return value
+
+
+def _items(value, convert) -> tuple:
+    """Convert each entry of a list; a string is not split into characters."""
+    if isinstance(value, str):
+        raise TypeError("a string is not a list")
+    return tuple(convert(v) for v in value)
+
+
 @dataclass(frozen=True)
 class DatasetManifest:
     """Shape and location of one dataset on disk."""
@@ -47,10 +67,10 @@ class DatasetManifest:
                 value = getattr(self, name)
                 raise DataFormatError(f"{name} must be {kind}, got {value!r}") from None
 
-        convert("dims", "a list of integers", lambda v: tuple(operator.index(n) for n in v))
+        convert("dims", "a list of integers", lambda v: _items(v, _integer))
         if len(self.dims) < 2 or any(n < 1 for n in self.dims):
             raise DataFormatError("dims must have order >= 2 with positive extents")
-        convert("n_obs", "an integer", operator.index)
+        convert("n_obs", "an integer", _integer)
         if self.n_obs < 1:
             raise DataFormatError("n_obs must be >= 1")
         if not isinstance(self.data, str):
@@ -60,11 +80,11 @@ class DatasetManifest:
                 f"unknown format tag {self.format!r} (expected one of {_FORMATS})"
             )
         if self.dim_names is not None:
-            convert("dim_names", "a list", lambda v: tuple(str(s) for s in v))
+            convert("dim_names", "a list", lambda v: _items(v, str))
             if len(self.dim_names) != len(self.dims):
                 raise DataFormatError("dim_names must have one entry per dimension")
         if self.temporal is not None:
-            convert("temporal", "a list", lambda v: tuple(bool(b) for b in v))
+            convert("temporal", "a list of booleans", lambda v: _items(v, _boolean))
             if len(self.temporal) != len(self.dims):
                 raise DataFormatError("temporal must have one flag per dimension")
 

@@ -19,6 +19,7 @@ materializes them.
 
 from __future__ import annotations
 
+import math
 from functools import reduce
 from typing import Sequence
 
@@ -161,7 +162,7 @@ def multiply_axis(values: np.ndarray, mat, axis: int, out=None) -> np.ndarray:
     n = shape[axis]
     if out is None:
         out = np.empty(shape[:axis] + (mat.shape[0],) + shape[axis + 1:])
-    lead = int(np.prod(shape[:axis]))
+    lead = math.prod(shape[:axis])
     if axis == len(shape) - 1:
         np.matmul(values.reshape(lead, n), mat.T, out=out.reshape(lead, -1))
     else:

@@ -21,11 +21,15 @@ and :func:`sample` with ``size=n`` draws one (n, n_1, ..., n_D) batch.
 EM whitens incrementally in a :class:`SweepWorkspace` (one per fit), which
 holds each group's centred batch whitened on every mode but the one being
 updated; :func:`_scatter_one` advances it by the new L_d^{-1} and the old
-L_{d+1}.  Every single-mode pass goes through :func:`_solve_mode`.
+L_{d+1}.  The workspace keeps observations last, in (n_1, ..., n_D, b)
+blocks, so the contracted mode of every pass and Gram has the b observations
+in its trailing extent.  Every single-mode pass goes through
+:func:`_solve_mode`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -144,30 +148,40 @@ def _solve_mode(values: np.ndarray, inv_factor: np.ndarray, axis: int, out=None)
 
 
 class SweepWorkspace:
-    """The buffers of one fit's whitening sweep: ``held[k]``, group k's
-    partly whitened batch, and ``buf``, one block of observations (at most
-    ``_BLOCK_BYTES``, at least one observation) that every other pass and
-    the scatter products write into."""
+    """The buffers of one fit's whitening sweep.
+
+    Each group's partly whitened batch is held observation-last, in blocks of
+    shape (n_1, ..., n_D, b) of at most ``_BLOCK_BYTES`` (at least one
+    observation), so a pass on mode d is prod(n_1..n_{d-1}) matrix products
+    whatever N is.  ``blocks`` lists, per block of observations, its rows of
+    the batch, one buffer of the block's shape that every other pass and the
+    scatter products write into, and each group's held block.
+    """
 
     def __init__(self, batch: np.ndarray, n_groups: int):
         self.batch = batch
-        self.held = np.empty((n_groups,) + batch.shape)
-        step = min(len(batch), max(1, _BLOCK_BYTES // batch[0].nbytes))
-        self.buf = np.empty((step,) + batch.shape[1:])
-        # (rows, buffer trimmed to them) per block of observations
-        self.blocks = [
-            (slice(i, i + step), self.buf[: len(batch[i : i + step])])
-            for i in range(0, len(batch), step)
-        ]
+        n, size = len(batch), batch[0].size
+        step = min(n, max(1, _BLOCK_BYTES // batch[0].nbytes))
+        held = np.empty((n_groups, batch.size))
+        buf = np.empty(step * size)
+        self.blocks = []
+        for i in range(0, n, step):
+            b = min(step, n - i)
+            shape = batch.shape[1:] + (b,)
+            self.blocks.append((
+                slice(i, i + b),
+                buf[: b * size].reshape(shape),
+                [h[i * size : (i + b) * size].reshape(shape) for h in held],
+            ))
 
     def quad_forms(self, k: int, inv_last: np.ndarray) -> np.ndarray:
         """Whiten group k's last mode with its new L_D^{-1}: the squared norms
-        are the Mahalanobis quadratic forms."""
+        of the block's columns are the Mahalanobis quadratic forms."""
         quad = np.empty(len(self.batch))
-        for rows, tmp in self.blocks:
-            _solve_mode(self.held[k, rows], inv_last, self.batch.ndim - 1, out=tmp)
-            flat = tmp.reshape(len(tmp), -1)
-            np.einsum("nk,nk->n", flat, flat, out=quad[rows])
+        for rows, tmp, held in self.blocks:
+            _solve_mode(held[k], inv_last, tmp.ndim - 2, out=tmp)
+            cols = tmp.reshape(-1, tmp.shape[-1])
+            np.einsum("kn,kn->n", cols, cols, out=quad[rows])
         return quad
 
 
@@ -178,34 +192,25 @@ def _scatter_one(work: SweepWorkspace, k: int, dim: int, mean, weights, inv_chol
     modes 2..D; a later one applies the new L_{dim-1}^{-1}, then the old L_dim
     to undo that mode.  The factor lists are new below ``dim``, old from it on.
     """
-    held = work.held[k]
-    dims = held.shape[1:]
+    dims = work.batch.shape[1:]
     if dim == 1:
-        passes = [(inv_chols[m], m + 1) for m in range(1, len(dims))]
+        passes = [(inv_chols[m], m) for m in range(1, len(dims))]
     else:
-        passes = [(inv_chols[dim - 2], dim - 1), (chols[dim - 1], dim)]
-    n_d, lead = dims[dim - 1], int(np.prod(dims[: dim - 1]))
-    rest = int(np.prod(dims[dim:]))
+        passes = [(inv_chols[dim - 2], dim - 2), (chols[dim - 1], dim - 1)]
+    n_d, lead = dims[dim - 1], math.prod(dims[: dim - 1])
     s = np.zeros((n_d, n_d))
-    for rows, tmp in work.blocks:
-        block = held[rows]
+    for rows, tmp, held in work.blocks:
+        block = held[k]
         # an odd number of passes starts in the buffer, so the last ends in block
         src, dst = (tmp, block) if len(passes) % 2 else (block, tmp)
         if dim == 1:
-            np.subtract(work.batch[rows], mean, out=src)
+            np.subtract(np.moveaxis(work.batch[rows], 0, -1), mean[..., None], out=src)
         for factor, axis in passes:
             _solve_mode(src, factor, axis, out=dst)
             src, dst = dst, src
-        if rest > 2 * n_d:  # long fibres: one product per (observation, leading index)
-            slices = block.reshape(-1, n_d, rest)
-            prods = tmp.reshape(-1)[: len(slices) * n_d * n_d].reshape(-1, n_d, n_d)
-            np.matmul(slices, slices.transpose(0, 2, 1), out=prods)
-            s += (weights[rows] @ prods.reshape(len(tmp), -1)).reshape(lead, n_d, n_d).sum(axis=0)
-        else:  # short fibres: weighted by sqrt(w_i), as the rows of one matrix
-            fibres = block.reshape(len(tmp), lead, n_d, rest).transpose(0, 1, 3, 2)
-            root = np.sqrt(weights[rows]).reshape(-1, 1, 1, 1)
-            np.multiply(fibres, root, out=tmp.reshape(fibres.shape))
-            s += tmp.reshape(-1, n_d).T @ tmp.reshape(-1, n_d)
+        np.multiply(block, weights[rows], out=tmp)
+        fibres, weighted = block.reshape(lead, n_d, -1), tmp.reshape(lead, n_d, -1)
+        s += np.matmul(fibres, weighted.transpose(0, 2, 1)).sum(axis=0)
     return (s + s.T) / 2.0
 
 

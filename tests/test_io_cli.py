@@ -189,6 +189,27 @@ def test_manifest_validation(tmp_path):
         assert main(["fit", "--manifest", str(path), "--groups", "1", "--out", out]) == 1
 
 
+@pytest.mark.parametrize(
+    "field, value, match",
+    [
+        ("n_obs", True, "n_obs must be an integer, got True"),
+        ("dims", [2, True], "dims must be a list of integers"),
+        ("dim_names", "ab", "dim_names must be a list, got 'ab'"),
+        ("temporal", "ab", "temporal must be a list of booleans, got 'ab'"),
+        ("temporal", [1, 0], "temporal must be a list of booleans"),
+    ],
+)
+def test_manifest_rejects_coercible_values(tmp_path, field, value, match):
+    """Booleans are not counts, and a string is not a list of names or flags."""
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"dims": [2, 2], "n_obs": 1, "data": "x.csv", field: value}))
+    with pytest.raises(DataFormatError, match=match) as info:
+        read_manifest(path)
+    assert str(path) in str(info.value)
+    out = str(tmp_path / "fit.json")
+    assert main(["fit", "--manifest", str(path), "--groups", "1", "--out", out]) == 1
+
+
 def test_manifest_metadata_round_trip(tmp_path):
     manifest = DatasetManifest(
         dims=(4, 7), n_obs=3, data="d.csv", dim_names=("seconds", "channel"),
