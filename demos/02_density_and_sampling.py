@@ -8,9 +8,11 @@ instead of one giant matrix for the whole array.  For a 10x10x10 array
 that is 3 * 55 = 165 covariance parameters instead of 500500.
 """
 
+from functools import reduce
+
 import numpy as np
 
-from tmclust.mda import Mda, kron, vectorize
+from tmclust.mda import vectorize
 from tmclust.mlnd import MlndParams, log_density, log_density_batch, sample
 
 rng = np.random.default_rng(2)
@@ -27,13 +29,13 @@ def spd(n):
 params = MlndParams(mean=mean, scales=tuple(spd(n) for n in dims))
 
 # evaluate the log density of one observation
-x = Mda(rng.standard_normal(dims))
+x = rng.standard_normal(dims)
 print("log density:", log_density(x, params))
 
 # the same number from the dense multivariate normal on vec(X) -- the
 # package never builds this 24x24 matrix, but the answer agrees
-sigma = kron(params.scales)
-resid = vectorize(x) - vectorize(Mda(mean))
+sigma = reduce(np.kron, params.scales)
+resid = vectorize(x) - vectorize(mean)
 _, logdet = np.linalg.slogdet(sigma)
 dense = -0.5 * (resid.size * np.log(2 * np.pi) + logdet
                 + resid @ np.linalg.solve(sigma, resid))

@@ -27,7 +27,7 @@ labels = np.repeat([0, 1], 40)
 batch = np.stack(
     [
         sample(MlndParams(mean=np.full(dims, 3.0 * g),
-                          scales=tuple(np.eye(n) for n in dims)), rng).array
+                          scales=tuple(np.eye(n) for n in dims)), rng)
         for g in labels
     ]
 )

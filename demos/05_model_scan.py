@@ -19,7 +19,7 @@ labels = np.repeat([0, 1, 2], 25)
 batch = np.stack(
     [
         sample(MlndParams(mean=np.full(dims, 4.0 * g),
-                          scales=tuple(np.eye(n) for n in dims)), rng).array
+                          scales=tuple(np.eye(n) for n in dims)), rng)
         for g in labels
     ]
 )

@@ -14,6 +14,7 @@ from .em import (
     FitReport,
     FreeParamCount,
     MixtureModel,
+    bic,
     e_step,
     fit,
     free_params,
@@ -28,7 +29,7 @@ from .errors import (
     TmclustError,
 )
 from .io import DatasetManifest, load_dataset, read_manifest
-from .mda import Mda, matricize_mode1, mode_product, vectorize
+from .mda import matricize_mode1, mode_product, vectorize
 from .metrics import (
     adjusted_rand_index,
     kron_relative_error,
@@ -37,7 +38,7 @@ from .metrics import (
 )
 from .mlnd import MlndParams, log_density, log_density_batch, sample
 from .parsimony import GpcmVviFactors, McdFactors, ScaleModel, SharedMcdFactors
-from .selection import ScanGrid, ScanResult, ScanRow, bic, scan
+from .selection import ScanGrid, ScanResult, ScanRow, scan
 from .simulate import SimConfig, default_study, full_study, generate_dataset, run_study
 
 __all__ = [
@@ -49,7 +50,6 @@ __all__ = [
     "FreeParamCount",
     "GpcmVviFactors",
     "McdFactors",
-    "Mda",
     "MixtureModel",
     "MlndParams",
     "NotPositiveDefiniteError",

@@ -454,6 +454,15 @@ def free_params(specs: Sequence[ScaleModel], n_groups: int, dims: Sequence[int])
     return FreeParamCount(weights=g - 1, means=g * int(np.prod(dims)), per_dim=per_dim)
 
 
+def bic(loglik: float, rho: int, n_obs: int) -> float:
+    """Bayesian information criterion, 2*loglik - rho*log(N); larger is better."""
+    if not np.isfinite(loglik):
+        raise ValueError("loglik must be finite")
+    if n_obs < 1:
+        raise ValueError("n_obs must be >= 1")
+    return 2.0 * float(loglik) - float(rho) * float(np.log(n_obs))
+
+
 # --- identifiability ----------------------------------------------------------
 
 
@@ -511,7 +520,7 @@ def fit(
 
     Parameters
     ----------
-    data : sequence of Mda or ndarray (N, n_1, ..., n_D)
+    data : ndarray (N, n_1, ..., n_D), or a sequence of N arrays of one shape
     n_groups : int
     specs : sequence of ScaleModel or tokens, optional
         One family per dimension; defaults to all-VVV.
@@ -527,8 +536,6 @@ def fit(
         log-likelihood trace, convergence flag, singularity events, MAP
         labels, rho and BIC.
     """
-    from .selection import bic as _bic  # local import: selection sits above em
-
     options = options or FitOptions()
     batch = as_batch(data)
     if not np.all(np.isfinite(batch)):
@@ -620,7 +627,7 @@ def fit(
         n_iterations=iteration,
         singular_events=events,
         rho=rho,
-        bic=_bic(trace[-1], rho, n),
+        bic=bic(trace[-1], rho, n),
         labels=labels,
         responsibilities=z,
     )
@@ -635,6 +642,7 @@ __all__ = [
     "MixtureModel",
     "SingularEvent",
     "aitken_stop",
+    "bic",
     "e_step",
     "fit",
     "free_params",

@@ -14,6 +14,7 @@ import csv
 import json
 import operator
 import os
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,11 +42,20 @@ def _boolean(value) -> bool:
     return value
 
 
-def _items(value, convert) -> tuple:
-    """Convert each entry of a list; a string is not split into characters."""
+def _items(value, convert=_integer) -> tuple:
+    """Convert each entry of a list (to integers by default); a string is not a list."""
     if isinstance(value, str):
         raise TypeError("a string is not a list")
     return tuple(convert(v) for v in value)
+
+
+def _convert_field(obj, name: str, kind: str, convert, error=DataFormatError) -> None:
+    """Set a frozen dataclass field to ``convert(value)``; a TypeError becomes ``error``."""
+    value = getattr(obj, name)
+    try:
+        object.__setattr__(obj, name, convert(value))
+    except TypeError:
+        raise error(f"{name} must be {kind}, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -60,17 +70,10 @@ class DatasetManifest:
     temporal: tuple[bool, ...] | None = None
 
     def __post_init__(self):
-        def convert(name, kind, fn):
-            try:
-                object.__setattr__(self, name, fn(getattr(self, name)))
-            except TypeError:
-                value = getattr(self, name)
-                raise DataFormatError(f"{name} must be {kind}, got {value!r}") from None
-
-        convert("dims", "a list of integers", lambda v: _items(v, _integer))
+        _convert_field(self, "dims", "a list of integers", _items)
         if len(self.dims) < 2 or any(n < 1 for n in self.dims):
             raise DataFormatError("dims must have order >= 2 with positive extents")
-        convert("n_obs", "an integer", _integer)
+        _convert_field(self, "n_obs", "an integer", _integer)
         if self.n_obs < 1:
             raise DataFormatError("n_obs must be >= 1")
         if not isinstance(self.data, str):
@@ -80,11 +83,11 @@ class DatasetManifest:
                 f"unknown format tag {self.format!r} (expected one of {_FORMATS})"
             )
         if self.dim_names is not None:
-            convert("dim_names", "a list", lambda v: _items(v, str))
+            _convert_field(self, "dim_names", "a list", lambda v: _items(v, str))
             if len(self.dim_names) != len(self.dims):
                 raise DataFormatError("dim_names must have one entry per dimension")
         if self.temporal is not None:
-            convert("temporal", "a list of booleans", lambda v: _items(v, _boolean))
+            _convert_field(self, "temporal", "a list of booleans", lambda v: _items(v, _boolean))
             if len(self.temporal) != len(self.dims):
                 raise DataFormatError("temporal must have one flag per dimension")
 
@@ -323,7 +326,10 @@ def read_result(path) -> tuple[MixtureModel, FitReport, dict]:
         except json.JSONDecodeError as exc:
             raise DataFormatError(f"result {path}: invalid JSON ({exc})") from None
     try:
-        dims = tuple(int(n) for n in doc["dims"])
+        try:
+            dims = _items(doc["dims"])
+        except TypeError:
+            raise DataFormatError(f"dims must be a list of integers, got {doc['dims']!r}") from None
         unfolded = (int(np.prod(dims[1:])), dims[0])
         components = []
         for gdoc in doc["groups"]:
@@ -379,7 +385,7 @@ def write_labels_csv(path, labels, responsibilities) -> None:
 
 
 def read_labels_csv(path) -> np.ndarray:
-    """MAP labels (0-based) from a labels CSV written by :func:`write_labels_csv`."""
+    """MAP labels (0-based) from a labels CSV whose obs_ids are 1..N, each once."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -393,6 +399,13 @@ def read_labels_csv(path) -> np.ndarray:
             except (IndexError, ValueError):
                 msg = f"expected an integer obs_id and map_label, got {row!r}"
                 raise DataFormatError(f"{path}: row {lineno}: {msg}") from None
+    ids = Counter(obs for obs, _ in rows)
+    duplicate = next((obs for obs, _ in rows if ids[obs] > 1), None)
+    if duplicate is not None:
+        raise DataFormatError(f"{path}: obs_id {duplicate} appears {ids[duplicate]} times")
+    missing = next((obs for obs in range(1, len(rows) + 1) if obs not in ids), None)
+    if missing is not None:
+        raise DataFormatError(f"{path}: obs_id {missing} is missing (expected 1..{len(rows)})")
     rows.sort()
     return np.asarray([lbl - 1 for _, lbl in rows], dtype=np.int64)
 

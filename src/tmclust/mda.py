@@ -12,74 +12,23 @@ mode-1 matricization is the (n*/n_1) x n_1 matrix whose column i_1 holds the
 C-ordered entries over the remaining indices.  It is a rearrangement of the
 entries, computed when needed (the result JSON stores means in that form);
 means and batches of N observations, shape (N, n_1, ..., n_D), are plain
-float64 arrays everywhere else.  Dense Kronecker products are provided for
-test oracles and small problems only; the statistical code never
-materializes them.
+float64 arrays everywhere else.
 """
 
 from __future__ import annotations
 
 import math
-from functools import reduce
-from typing import Sequence
 
 import numpy as np
 
 
-class Mda:
-    """An immutable order-D (D >= 2) array of float64 values.
-
-    Parameters
-    ----------
-    array : array_like
-        Anything ``np.asarray`` accepts with ``ndim >= 2``.  Values are
-        copied to a read-only C-contiguous float64 array.
-    """
-
-    __slots__ = ("array",)
-
-    def __init__(self, array):
-        arr = np.array(array, dtype=np.float64, order="C", copy=True)
-        if arr.ndim < 2:
-            raise ValueError(f"an Mda must have order >= 2, got order {arr.ndim}")
-        if arr.size == 0:
-            raise ValueError("an Mda must have at least one entry per dimension")
-        arr.flags.writeable = False
-        object.__setattr__(self, "array", arr)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Mda instances are immutable")
-
-    @property
-    def order(self) -> int:
-        """Number of dimensions D."""
-        return self.array.ndim
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        """Extent of each dimension, (n_1, ..., n_D)."""
-        return self.array.shape
-
-    @property
-    def size(self) -> int:
-        """Total number of entries n* = prod(dims)."""
-        return self.array.size
-
-    @property
-    def values(self) -> np.ndarray:
-        """Entries in canonical (C) order, read-only view of length n*."""
-        return self.array.reshape(-1)
-
-    def __repr__(self):
-        return f"Mda(dims={self.dims})"
-
-
 def _as_array(x) -> np.ndarray:
-    if isinstance(x, Mda):
-        return x.array
+    """One observation as a float64 array of order >= 2 with at least one entry."""
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim < 2:
-        raise ValueError("expected an array of order >= 2")
+        raise ValueError(f"expected an array of order >= 2, got order {arr.ndim}")
+    if arr.size == 0:
+        raise ValueError(f"expected at least one entry per dimension, got dims {arr.shape}")
     return arr
 
 
@@ -99,7 +48,7 @@ def matricize_mode1(x) -> np.ndarray:
     return arr.reshape(arr.shape[0], -1).T
 
 
-def mode_product(x, a, mode: int) -> Mda:
+def mode_product(x, a, mode: int) -> np.ndarray:
     """Multiply mode ``mode`` (1-based) of ``x`` by the matrix ``a``.
 
     The result has dims with n_mode replaced by ``a.shape[0]``; on
@@ -115,28 +64,17 @@ def mode_product(x, a, mode: int) -> Mda:
         raise ValueError(
             f"matrix of shape {a.shape} cannot multiply mode {mode} of extent {arr.shape[mode - 1]}"
         )
-    return Mda(multiply_axis(arr, a, mode - 1))
-
-
-def kron(mats: Sequence[np.ndarray]) -> np.ndarray:
-    """Dense Kronecker product of a sequence of matrices, left to right.
-
-    Test oracle / small-problem helper only: quadratic in total size.
-    """
-    mats = [np.asarray(m, dtype=np.float64) for m in mats]
-    if not mats:
-        raise ValueError("kron needs at least one matrix")
-    return reduce(np.kron, mats)
+    return multiply_axis(arr, a, mode - 1)
 
 
 def as_batch(data) -> np.ndarray:
     """Stack observations into one (N, n_1, ..., n_D) float64 array.
 
-    Accepts a sequence of :class:`Mda` (or arrays) with identical dims, or
-    an already-stacked array, which is passed through as float64.
+    Accepts an already-stacked array, which is passed through as float64, or
+    a sequence of arrays with identical dims.
     """
     if not isinstance(data, np.ndarray):
-        arrays = [x.array if isinstance(x, Mda) else np.asarray(x, np.float64) for x in data]
+        arrays = [np.asarray(x, np.float64) for x in data]
         if not arrays:
             raise ValueError("empty dataset")
         dims = arrays[0].shape
@@ -146,6 +84,8 @@ def as_batch(data) -> np.ndarray:
         data = np.stack(arrays)
     if data.ndim < 3:
         raise ValueError("a stacked batch must have ndim >= 3 (N plus order >= 2)")
+    if data.size == 0:
+        raise ValueError(f"a batch needs at least one entry per axis, got shape {data.shape}")
     return np.asarray(data, dtype=np.float64)
 
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotPositiveDefiniteError
-from .mda import Mda, multiply_axis
+from .mda import _as_array, multiply_axis
 
 _SYM_TOL = 1e-12
 _BLOCK_BYTES = 512 * 1024  # largest block of observations one sweep pass touches
@@ -216,8 +216,7 @@ def _scatter_one(work: SweepWorkspace, k: int, dim: int, mean, weights, inv_chol
 
 def log_density(x, params: MlndParams) -> float:
     """Log density of one observation under a multilinear normal law."""
-    arr = x.array if isinstance(x, Mda) else np.asarray(x, dtype=np.float64)
-    return float(log_density_batch(arr[None], params)[0])
+    return float(log_density_batch(_as_array(x)[None], params)[0])
 
 
 def log_density_batch(batch: np.ndarray, params: MlndParams, quad=None) -> np.ndarray:
@@ -244,12 +243,12 @@ def sample(params: MlndParams, rng, size: int | None = None):
     has exactly the Kronecker vec-covariance.  ``rng`` needs only a
     ``standard_normal(shape)`` method.
 
-    Returns a single :class:`~tmclust.mda.Mda` when ``size`` is None, else
-    the stacked (size, n_1, ..., n_D) array of ``size`` draws.
+    Returns one (n_1, ..., n_D) array when ``size`` is None, else the
+    stacked (size, n_1, ..., n_D) array of ``size`` draws.
     """
     n = 1 if size is None else int(size)
     u = np.asarray(rng.standard_normal((n,) + params.dims), dtype=np.float64)
     for d, L in enumerate(params.chol_factors()):
         u = multiply_axis(u, L, axis=d + 1)
     u += params.mean
-    return Mda(u[0]) if size is None else u
+    return u[0] if size is None else u

@@ -1,4 +1,4 @@
-"""BIC computation and grid scans over group counts and scale families."""
+"""Grid scans over group counts and scale families, ranked by BIC."""
 
 from __future__ import annotations
 
@@ -8,23 +8,12 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-import numpy as np
-
-from .em import FitOptions, FitReport, MixtureModel, fit, free_params
+from .em import FitOptions, FitReport, MixtureModel, bic, fit, free_params
 from .mda import as_batch
 from .parsimony import ScaleModel
 
 _TIE_TOL = 1e-9
 _FAMILY_ORDINAL = {m: i for i, m in enumerate(ScaleModel)}
-
-
-def bic(loglik: float, rho: int, n_obs: int) -> float:
-    """Bayesian information criterion, 2*loglik - rho*log(N); larger is better."""
-    if not np.isfinite(loglik):
-        raise ValueError("loglik must be finite")
-    if n_obs < 1:
-        raise ValueError("n_obs must be >= 1")
-    return 2.0 * float(loglik) - float(rho) * float(np.log(n_obs))
 
 
 @dataclass(frozen=True)

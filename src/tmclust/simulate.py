@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .em import FitOptions, MixtureModel, normalize_identifiability
-from .io import _write_json
+from .io import _convert_field, _integer, _items, _write_json
 from .metrics import adjusted_rand_index, kron_relative_error, relative_error
 from .mlnd import MlndParams, sample
 from .parsimony import ScaleModel
@@ -46,16 +46,20 @@ class SimConfig:
     g_scan: tuple[int, ...] = (2, 3, 4, 5)
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(int(n) for n in self.dims))
-        object.__setattr__(self, "g_scan", tuple(int(g) for g in self.g_scan))
+        for name in ("n_obs", "n_groups", "replicates", "base_seed"):
+            _convert_field(self, name, "an integer", _integer, ValueError)
+        for name in ("dims", "g_scan"):
+            _convert_field(self, name, "a list of integers", _items, ValueError)
         if len(self.dims) < 2 or any(n < 1 for n in self.dims):
             raise ValueError("dims must have order >= 2 with positive extents")
         if self.n_groups < 1:
             raise ValueError("n_groups must be >= 1")
-        if self.n_obs % self.n_groups != 0:
-            raise ValueError("n_obs must be divisible by n_groups (equal groups)")
+        if self.n_obs < 1 or self.n_obs % self.n_groups != 0:
+            raise ValueError("n_obs must be a positive multiple of n_groups (equal groups)")
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
+        if self.base_seed < 0:
+            raise ValueError("base_seed must be >= 0")
         if not self.snr > 0:
             raise ValueError("snr must be > 0")
         if not self.condition_cap >= 1:

@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from tmclust.mda import Mda
 from tmclust.mlnd import MlndParams, SweepWorkspace, _scatter_one
 
 
@@ -58,10 +57,6 @@ def sweep_scatters(batch, z, comps, next_comps=None):
             invs[k][d0] = c.inv_chol_factors()[d0]
     quad = np.column_stack([work.quad_forms(k, invs[k][-1]) for k in range(len(comps))])
     return scatters, quad
-
-
-def random_mda(dims, rng: np.random.Generator) -> Mda:
-    return Mda(rng.standard_normal(dims))
 
 
 @pytest.fixture

@@ -12,6 +12,8 @@ to the front.
 * :func:`whiten_slices` / :func:`quadratic_form` — the Mahalanobis quadratic
   form of one array as a sum over matricized two-dimensional slices, with
   optional mode swaps (acceptance criterion 2).
+* :func:`kron` — the dense Kronecker product of per-dimension matrices,
+  the vec-space operator that ``tmclust`` never forms.
 * :func:`kron_relative_error_dense` — ``tmclust.metrics.kron_relative_error``
   through the dense Kronecker products.
 * :func:`eee_oracle` — the shared full scale (EEE) by derivative-free
@@ -21,12 +23,12 @@ to the front.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.optimize import minimize
 
-from tmclust.mda import Mda, kron
 from tmclust.metrics import relative_error
 from tmclust.mlnd import MlndParams
 from tmclust.parsimony import gpcm_eee_update
@@ -85,7 +87,7 @@ def whiten_slices(centered, params: MlndParams, swap_with: int | None = None) ->
 
     Parameters
     ----------
-    centered : Mda or array_like
+    centered : array_like
         The centered observation x - M, of shape ``params.dims``.
     params : MlndParams
     swap_with : int, optional
@@ -100,10 +102,7 @@ def whiten_slices(centered, params: MlndParams, swap_with: int | None = None) ->
         (3..D in the working order) have been whitened with their inverse
         Cholesky factors; the row and column modes are left untouched.
     """
-    if isinstance(centered, Mda):
-        arr = centered.array
-    else:
-        arr = np.asarray(centered, dtype=np.float64)
+    arr = np.asarray(centered, dtype=np.float64)
     if arr.shape != params.dims:
         raise ValueError(f"centered array has dims {arr.shape}, expected {params.dims}")
     d = len(params.dims)
@@ -150,9 +149,17 @@ def quadratic_form(centered, params: MlndParams, swap_with: int | None = None) -
     return float(np.einsum("jab,jab->", block, block))
 
 
+def kron(mats) -> np.ndarray:
+    """Dense Kronecker product of a sequence of matrices, left to right."""
+    mats = [np.asarray(m, dtype=np.float64) for m in mats]
+    if not mats:
+        raise ValueError("kron needs at least one matrix")
+    return reduce(np.kron, mats)
+
+
 def kron_relative_error_dense(estimate_scales, truth_scales) -> float:
     """Relative Frobenius error of two Kronecker products, formed densely."""
-    return relative_error(kron(list(estimate_scales)), kron(list(truth_scales)))
+    return relative_error(kron(estimate_scales), kron(truth_scales))
 
 
 def eee_oracle(lams, counts, n_obs, n_star):

@@ -20,14 +20,14 @@ from tmclust.em import (
     free_params,
     normalize_identifiability,
 )
-from tmclust.mda import Mda, kron, vectorize
+from tmclust.mda import vectorize
 from tmclust.metrics import adjusted_rand_index
 from tmclust.mlnd import MlndParams, log_density, sample
 from tmclust.parsimony import ScaleModel, gpcm_eee_update, mcd_vvi_update
 from tmclust.simulate import SimConfig, run_study
 
 from conftest import random_params, random_spd
-from oracles import eee_oracle, quadratic_form
+from oracles import eee_oracle, kron, quadratic_form
 
 
 def _verdict(criterion: int, ok: bool, detail: str) -> None:
@@ -59,7 +59,7 @@ def test_criterion_1_density_oracle():
         dims = tuple(int(rng.integers(1, 5)) for _ in range(order))
         params = random_params(dims, rng)
         x = rng.standard_normal(dims)
-        got = log_density(Mda(x), params)
+        got = log_density(x, params)
         want = _dense_log_density(x, params)
         worst = max(worst, abs(got - want))
     elapsed = time.perf_counter() - start
@@ -84,7 +84,7 @@ def test_criterion_2_quadratic_form_routes():
         dims = tuple(int(rng.integers(1, 5)) for _ in range(order))
         params = random_params(dims, rng)
         x = rng.standard_normal(dims)
-        centered = Mda(x - params.mean)
+        centered = x - params.mean
 
         sigma = kron(params.scales)
         v = (x - params.mean).reshape(-1)
@@ -131,7 +131,7 @@ def test_criterion_3_em_monotone():
         ]
         batch = np.stack(
             [
-                sample(MlndParams(mean=means[k % 2], scales=scales[k % 2]), rng).array
+                sample(MlndParams(mean=means[k % 2], scales=scales[k % 2]), rng)
                 for k in range(40)
             ]
         )

@@ -22,10 +22,11 @@ from tmclust.em import (
     regularize_and_check,
 )
 from tmclust.errors import EmptyComponentError, SingularScaleError
-from tmclust.mda import kron, mode_product
+from tmclust.mda import mode_product
 from tmclust.metrics import adjusted_rand_index
-from tmclust.mlnd import MlndParams, log_density_batch, sample
+from tmclust.mlnd import MlndParams, log_density, log_density_batch, sample
 from tmclust.parsimony import McdFactors, ScaleModel, SharedMcdFactors
+from tmclust.selection import ScanGrid, scan
 
 import oracles
 from conftest import random_spd, sweep_scatters
@@ -45,7 +46,7 @@ def separated_batch(rng, dims=(3, 2, 2), n=60, g=2, gap=6.0):
     labels = np.repeat(np.arange(g), n // g)
     batch = np.stack(
         [
-            sample(MlndParams(mean=np.full(dims, gap * k), scales=scales), rng).array
+            sample(MlndParams(mean=np.full(dims, gap * k), scales=scales), rng)
             for k in labels
         ]
     )
@@ -261,7 +262,7 @@ def test_m_step_delta_matches_mode_product_oracle(rng):
             y = batch[i] - comp.mean
             for k in (1, 2, 3):
                 if k != dim:
-                    y = mode_product(y, inv_l[k - 1], k).array
+                    y = mode_product(y, inv_l[k - 1], k)
             m = np.moveaxis(y, dim - 1, 0).reshape(dims[dim - 1], -1)
             acc += z[i, 0] * (m @ m.T)
         expected = (dims[dim - 1] / (n_star * z.sum())) * acc
@@ -372,7 +373,7 @@ def test_normalize_preserves_kron_and_loglik(rng):
     assert after == pytest.approx(before, rel=1e-10)
     for c_in, c_out in zip(model.components, out.components):
         assert np.allclose(
-            kron(list(c_in.scales)), kron(list(c_out.scales)), rtol=1e-12, atol=1e-12
+            oracles.kron(c_in.scales), oracles.kron(c_out.scales), rtol=1e-12, atol=1e-12
         )
     for comp in out.components:
         for k in (1, 2):
@@ -531,6 +532,51 @@ def test_fit_rejects_bad_shapes(rng):
         fit(np.full((10, 2, 2), np.nan), 1)
 
 
+def test_zero_extent_arrays_raise_value_error():
+    grid = ScanGrid(groups=(1,), spec_candidates=((ScaleModel.VVV,), (ScaleModel.VVV,)))
+    params = MlndParams(mean=np.zeros((3, 2)), scales=(np.eye(3), np.eye(2)))
+    for empty in (np.zeros((4, 0, 2)), np.zeros((0, 3, 2))):
+        for call in (fit, init_kmeans):
+            with pytest.raises(ValueError, match="at least one entry"):
+                call(empty, 1)
+        with pytest.raises(ValueError, match="at least one entry"):
+            scan(empty, grid)
+    with pytest.raises(ValueError, match="at least one entry"):
+        log_density(np.zeros((3, 0)), params)
+
+
+def _one_constant_cell(rng):
+    batch = rng.normal(size=(30, 4, 3, 2))
+    batch[:, 1, 2, 0] = 3.0
+    return batch
+
+
+@pytest.mark.parametrize(
+    "make_batch, g, singular",
+    [
+        (_one_constant_cell, 1, False),
+        (_one_constant_cell, 2, False),
+        (lambda rng: rng.normal(size=(2, 6, 5, 4)), 1, False),
+        (lambda rng: rng.normal(size=(2, 6, 5, 4)), 2, True),
+        (lambda rng: np.full((10, 3, 3), 1.5), 2, True),
+    ],
+    ids=["constant-cell-g1", "constant-cell-g2", "n2-g1", "n2-g2", "all-constant-g2"],
+)
+def test_degenerate_inputs_fit_with_finite_loglik(rng, make_batch, g, singular):
+    """A constant cell, N = 2 < n_d and an all-constant batch all fit.
+
+    The Kronecker scales pool every cell, so only the cases with one
+    observation per group (or none varying) need the ridge repair, and they
+    record it as singular events.
+    """
+    model, report = fit(make_batch(rng), g, options=FitOptions(seed=0))
+    assert report.converged
+    assert np.isfinite(report.loglik) and np.isfinite(report.bic)
+    assert np.all(np.isfinite(report.responsibilities))
+    assert bool(report.singular_events) == singular
+    assert model.n_groups == g
+
+
 def test_fit_reports_bic_consistent_with_rho(rng):
     batch, _ = separated_batch(rng, n=30, g=2)
     _, report = fit(batch, 2, options=FitOptions(seed=4))
@@ -583,7 +629,7 @@ def test_fit_sweep_matches_from_scratch_oracle(spec, rng, monkeypatch):
             )
             for k in range(2)
         ]
-        batch = np.stack([sample(comps[i % 2], rng).array for i in range(40)])
+        batch = np.stack([sample(comps[i % 2], rng) for i in range(40)])
         _, report = fit(batch, 2, specs=(spec,) * len(dims), options=FitOptions(max_iterations=3))
         assert report.n_iterations == 3
     assert checked == {"scatter": 2 * 3 * (2 + 3 + 4), "quad": 2 * 3 * 3}
@@ -598,7 +644,7 @@ def cell_7x4():
     dims = (7, 7, 7, 7)
     scales = tuple(np.eye(7) for _ in dims)
     comps = [MlndParams(mean=np.full(dims, 2.0 * k), scales=scales) for k in range(3)]
-    return np.stack([sample(comps[i % 3], rng).array for i in range(180)])
+    return np.stack([sample(comps[i % 3], rng) for i in range(180)])
 
 
 def traced_peak(fn, *args, **kwargs):

@@ -227,7 +227,7 @@ def test_result_document_round_trips_exactly(tmp_path, rng):
     scales = tuple(np.eye(m) for m in (2, 3))
     batch = np.stack(
         [
-            sample(MlndParams(mean=np.full((2, 3), 5.0 * (i % 2)), scales=scales), rng).array
+            sample(MlndParams(mean=np.full((2, 3), 5.0 * (i % 2)), scales=scales), rng)
             for i in range(20)
         ]
     )
@@ -277,7 +277,7 @@ def test_result_document_round_trips_every_family(tmp_path, rng, spec):
     batch = np.stack(
         [
             sample(MlndParams(mean=np.full((3, 2), 4.0 * (i % 2)),
-                              scales=(np.eye(3), np.eye(2))), rng).array
+                              scales=(np.eye(3), np.eye(2))), rng)
             for i in range(24)
         ]
     )
@@ -317,9 +317,16 @@ def result_doc(rng):
             {**g, "mean_matricization": np.asarray(g["mean_matricization"]).T.tolist()}
             for g in doc["groups"]]}),
          r"mean_matricization of dims \(2, 3\) must have shape \(3, 2\), got \(2, 3\)"),
+        # dims that int() would coerce to (2, 3) or (1, 3)
+        (lambda doc: json.dumps({**doc, "dims": "23"}),
+         "dims must be a list of integers, got '23'"),
+        (lambda doc: json.dumps({**doc, "dims": [2.7, 3]}),
+         r"dims must be a list of integers, got \[2.7, 3\]"),
+        (lambda doc: json.dumps({**doc, "dims": [True, 3]}),
+         r"dims must be a list of integers, got \[True, 3\]"),
     ],
     ids=["invalid-json", "missing-field", "unknown-family", "family-not-a-string",
-         "transposed-mean"],
+         "transposed-mean", "dims-string", "dims-float", "dims-bool"],
 )
 def test_read_result_names_the_file_on_bad_input(tmp_path, result_doc, corrupt, match):
     path = tmp_path / "result.json"
@@ -352,7 +359,7 @@ def cli_bundle(tmp_path, rng):
     labels = np.repeat([0, 1, 2], 10)
     batch = np.stack(
         [
-            sample(MlndParams(mean=np.full((2, 3), 5.0 * g), scales=scales), rng).array
+            sample(MlndParams(mean=np.full((2, 3), 5.0 * g), scales=scales), rng)
             for g in labels
         ]
     )
@@ -567,6 +574,29 @@ def test_cmd_metrics_input_errors(tmp_path, capsys):
             read_labels_csv(b)
         assert str(b) in str(info.value)
         assert main(["metrics", "--labels-a", str(a), "--labels-b", str(b)]) == 1
+
+
+@pytest.mark.parametrize(
+    "ids, match",
+    [
+        ([1, 1, 5], "obs_id 1 appears 2 times"),
+        ([2, 3, 1, 3], "obs_id 3 appears 2 times"),
+        ([1, 2, 5], r"obs_id 3 is missing \(expected 1..3\)"),
+        ([0, 1, 2], r"obs_id 3 is missing \(expected 1..3\)"),
+    ],
+    ids=["duplicate", "duplicate-out-of-order", "missing", "zero-based"],
+)
+def test_labels_csv_needs_each_obs_id_once(tmp_path, capsys, ids, match):
+    """Labels are aligned by obs_id, so the ids must be exactly 1..N."""
+    a = tmp_path / "a.csv"
+    b = tmp_path / "b.csv"
+    write_labels_csv(a, [0] * len(ids), np.ones((len(ids), 1)))
+    b.write_text("obs_id,map_label\n" + "".join(f"{i},1\n" for i in ids))
+    with pytest.raises(DataFormatError, match=match) as info:
+        read_labels_csv(b)
+    assert str(b) in str(info.value)
+    assert main(["metrics", "--labels-a", str(a), "--labels-b", str(b)]) == 1
+    assert str(b) in capsys.readouterr().err
 
 
 def test_usage_errors_exit_1(capsys):

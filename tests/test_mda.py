@@ -13,13 +13,9 @@ import itertools
 import numpy as np
 import pytest
 
-from tmclust.mda import (
-    Mda,
-    kron,
-    matricize_mode1,
-    mode_product,
-    vectorize,
-)
+from tmclust.mda import as_batch, matricize_mode1, mode_product, vectorize
+
+from oracles import kron
 
 
 def vec_oracle(arr: np.ndarray) -> np.ndarray:
@@ -44,25 +40,25 @@ def matricize_oracle(arr: np.ndarray) -> np.ndarray:
 
 
 def test_vectorize_two_by_two():
-    x = Mda([[1.0, 2.0], [3.0, 4.0]])
+    x = [[1.0, 2.0], [3.0, 4.0]]
     assert vectorize(x).tolist() == [1.0, 2.0, 3.0, 4.0]
 
 
 def test_vectorize_trivial_cube():
-    x = Mda(np.full((1, 1, 1), 5.0))
+    x = np.full((1, 1, 1), 5.0)
     assert vectorize(x).tolist() == [5.0]
 
 
 def test_vectorize_matches_oracle(rng):
     for dims in [(2, 3), (3, 2, 4), (2, 2, 2, 3)]:
         arr = rng.standard_normal(dims)
-        np.testing.assert_array_equal(vectorize(Mda(arr)), vec_oracle(arr))
+        np.testing.assert_array_equal(vectorize(arr), vec_oracle(arr))
 
 
 def test_matricize_small_cube():
     # x[i, j, k] = 4i + 2j + k for 0-based indices over a 2x2x2 array
     arr = np.arange(8, dtype=float).reshape(2, 2, 2)
-    m = matricize_mode1(Mda(arr))
+    m = matricize_mode1(arr)
     assert m.shape == (4, 2)
     # column i lists (x_i00, x_i01, x_i10, x_i11)
     np.testing.assert_array_equal(m[:, 0], [0.0, 1.0, 2.0, 3.0])
@@ -72,20 +68,20 @@ def test_matricize_small_cube():
 def test_matricize_matches_oracle(rng):
     for dims in [(2, 5), (4, 3, 2), (2, 3, 2, 2)]:
         arr = rng.standard_normal(dims)
-        np.testing.assert_array_equal(matricize_mode1(Mda(arr)), matricize_oracle(arr))
+        np.testing.assert_array_equal(matricize_mode1(arr), matricize_oracle(arr))
 
 
 def test_matricize_vec_consistency(rng):
     # column-stacking the matricization reproduces the canonical vec
     for dims in [(3, 2), (2, 3, 4)]:
         arr = rng.standard_normal(dims)
-        m = matricize_mode1(Mda(arr))
-        np.testing.assert_array_equal(m.T.reshape(-1), vectorize(Mda(arr)))
+        m = matricize_mode1(arr)
+        np.testing.assert_array_equal(m.T.reshape(-1), vectorize(arr))
 
 
 def test_matricize_fold_round_trip(rng):
     arr = rng.standard_normal((3, 2, 4))
-    m = matricize_mode1(Mda(arr))
+    m = matricize_mode1(arr)
     np.testing.assert_array_equal(m.T.reshape(arr.shape), arr)
 
 
@@ -105,19 +101,19 @@ def test_kron_single_matrix(rng):
 
 def test_mode_product_identity_and_zero(rng):
     arr = rng.standard_normal((3, 4, 2))
-    x = Mda(arr)
+    x = arr
     for mode, n in [(1, 3), (2, 4), (3, 2)]:
         same = mode_product(x, np.eye(n), mode)
-        np.testing.assert_array_equal(same.array, arr)
+        np.testing.assert_array_equal(same, arr)
         zero = mode_product(x, np.zeros((n, n)), mode)
-        assert np.all(zero.array == 0.0)
+        assert np.all(zero == 0.0)
 
 
 def test_mode_product_changes_extent(rng):
-    x = Mda(rng.standard_normal((3, 4)))
+    x = rng.standard_normal((3, 4))
     a = rng.standard_normal((5, 4))
     y = mode_product(x, a, 2)
-    assert y.dims == (3, 5)
+    assert y.shape == (3, 5)
 
 
 def test_mode_product_matches_dense_kron(rng):
@@ -125,10 +121,10 @@ def test_mode_product_matches_dense_kron(rng):
     for dims in [(2, 3), (2, 3, 2), (2, 2, 3, 2)]:
         arr = rng.standard_normal(dims)
         mats = [rng.standard_normal((n, n)) for n in dims]
-        x = Mda(arr)
+        x = arr
         for mode, a in enumerate(mats, start=1):
             x = mode_product(x, a, mode)
-        dense = kron(mats) @ vectorize(Mda(arr))
+        dense = kron(mats) @ vectorize(arr)
         np.testing.assert_allclose(vectorize(x), dense, rtol=0, atol=1e-10)
 
 
@@ -139,7 +135,7 @@ def test_mode_product_single_mode_matches_dense(rng):
         a = rng.standard_normal((dims[mode - 1], dims[mode - 1]))
         ops = [np.eye(n) for n in dims]
         ops[mode - 1] = a
-        got = vectorize(mode_product(Mda(arr), a, mode))
+        got = vectorize(mode_product(arr, a, mode))
         want = kron(ops) @ vec_oracle(arr)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
 
@@ -148,32 +144,36 @@ def test_mode_product_matricization_relation(rng):
     # on mode-1 unfoldings, a mode-1 product right-multiplies by the transpose
     arr = rng.standard_normal((3, 2, 2))
     a = rng.standard_normal((3, 3))
-    y = mode_product(Mda(arr), a, 1)
+    y = mode_product(arr, a, 1)
     np.testing.assert_allclose(
         matricize_mode1(y),
-        matricize_mode1(Mda(arr)) @ a.T,
+        matricize_mode1(arr) @ a.T,
         rtol=0,
         atol=1e-12,
     )
 
 
 def test_mode_product_shape_mismatch(rng):
-    x = Mda(rng.standard_normal((3, 4)))
+    x = rng.standard_normal((3, 4))
     with pytest.raises(ValueError):
         mode_product(x, np.eye(5), 1)
 
 
-def test_mda_immutability_and_validation(rng):
-    x = Mda(rng.standard_normal((2, 2)))
-    with pytest.raises(ValueError):
-        x.array[0, 0] = 1.0
-    with pytest.raises(ValueError):
-        Mda(np.ones(3))  # order-1 arrays are rejected
+def test_order_one_and_empty_arrays_rejected():
+    for bad in (np.ones(3), np.zeros((3, 0)), np.zeros((0, 2, 2))):
+        with pytest.raises(ValueError):
+            vectorize(bad)
+        with pytest.raises(ValueError):
+            matricize_mode1(bad)
+        with pytest.raises(ValueError):
+            mode_product(bad, np.eye(3), 1)
+    for bad in (np.ones((4, 3)), np.zeros((4, 0, 2)), np.zeros((0, 2, 2)), [], [np.ones(3)]):
+        with pytest.raises(ValueError):
+            as_batch(bad)
 
 
-def test_mda_properties(rng):
-    x = Mda(rng.standard_normal((2, 3, 4)))
-    assert x.order == 3
-    assert x.dims == (2, 3, 4)
-    assert x.size == 24
-    assert x.values.shape == (24,)
+def test_as_batch_stacks_a_sequence(rng):
+    arrays = [rng.standard_normal((2, 3)) for _ in range(4)]
+    np.testing.assert_array_equal(as_batch(arrays), np.stack(arrays))
+    with pytest.raises(ValueError, match="observation 1"):
+        as_batch([arrays[0], np.ones((3, 2))])

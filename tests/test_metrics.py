@@ -5,7 +5,6 @@ import itertools
 import numpy as np
 import pytest
 
-from tmclust.mda import kron
 from tmclust.metrics import (
     adjusted_rand_index,
     kron_relative_error,
@@ -14,7 +13,7 @@ from tmclust.metrics import (
 )
 
 from conftest import random_spd
-from oracles import kron_relative_error_dense
+from oracles import kron, kron_relative_error_dense
 
 
 def pair_oracle(a, b):

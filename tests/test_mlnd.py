@@ -12,7 +12,7 @@ import pytest
 
 from tmclust import mlnd
 from tmclust.errors import NotPositiveDefiniteError
-from tmclust.mda import Mda, kron, matricize_mode1, vectorize
+from tmclust.mda import matricize_mode1, vectorize
 from tmclust.parsimony import ScaleModel
 from tmclust.mlnd import (
     MlndParams,
@@ -26,7 +26,7 @@ from tmclust.mlnd import (
 
 import oracles
 from conftest import random_params, random_spd, spd_with_condition, sweep_scatters
-from oracles import quadratic_form, whiten_slices
+from oracles import kron, quadratic_form, whiten_slices
 
 
 def dense_log_density(x: np.ndarray, params: MlndParams) -> float:
@@ -49,7 +49,7 @@ def dense_quadratic(c: np.ndarray, params: MlndParams) -> float:
 def test_standard_normal_scalar_cell():
     # 1x1 array, zero mean, unit scales: log density at 0 is -log(2*pi)/2
     p = MlndParams(mean=np.zeros((1, 1)), scales=(np.eye(1), np.eye(1)))
-    assert log_density(Mda(np.zeros((1, 1))), p) == pytest.approx(
+    assert log_density(np.zeros((1, 1)), p) == pytest.approx(
         -0.9189385332046727, abs=1e-12
     )
 
@@ -61,14 +61,14 @@ def test_identity_scales_reduce_to_univariate_sum(rng):
     x = rng.standard_normal(dims)
     resid = (x - mean).reshape(-1)
     want = np.sum(-0.5 * np.log(2 * np.pi) - 0.5 * resid**2)
-    assert log_density(Mda(x), p) == pytest.approx(want, abs=1e-10)
+    assert log_density(x, p) == pytest.approx(want, abs=1e-10)
 
 
 def test_log_density_matches_dense_oracle(rng):
     for dims in [(2, 2), (3, 2, 2), (2, 2, 2, 2), (4, 3)]:
         p = random_params(dims, rng)
         x = rng.standard_normal(dims)
-        assert log_density(Mda(x), p) == pytest.approx(
+        assert log_density(x, p) == pytest.approx(
             dense_log_density(x, p), abs=1e-8
         )
 
@@ -78,7 +78,7 @@ def test_log_density_batch_matches_scalar(rng):
     p = random_params(dims, rng)
     batch = rng.standard_normal((6,) + dims)
     got = log_density_batch(batch, p)
-    want = [log_density(Mda(batch[i]), p) for i in range(6)]
+    want = [log_density(batch[i], p) for i in range(6)]
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-10)
 
 
@@ -99,11 +99,11 @@ def test_density_invariant_to_compensating_rescale(rng):
     dims = (2, 2, 3)
     p = random_params(dims, rng)
     x = rng.standard_normal(dims)
-    base = log_density(Mda(x), p)
+    base = log_density(x, p)
     for c in (0.25, 7.0):
         scales = (p.scales[0] / c, p.scales[1] * c, p.scales[2])
         q = MlndParams(mean=p.mean, scales=scales)
-        assert log_density(Mda(x), q) == pytest.approx(base, abs=1e-10)
+        assert log_density(x, q) == pytest.approx(base, abs=1e-10)
 
 
 def test_non_pd_scale_names_dimension(rng):
@@ -111,7 +111,7 @@ def test_non_pd_scale_names_dimension(rng):
     bad = np.array([[1.0, 2.0], [2.0, 1.0]])  # indefinite
     p = MlndParams(mean=np.zeros(dims), scales=(bad, np.eye(3)))
     with pytest.raises(NotPositiveDefiniteError) as err:
-        log_density(Mda(np.zeros(dims)), p)
+        log_density(np.zeros(dims), p)
     assert err.value.dim == 1
 
 
@@ -271,7 +271,7 @@ class _ZeroRng:
 def test_sample_degenerate_rng_returns_mean(rng):
     p = random_params((2, 3, 2), rng)
     x = sample(p, _ZeroRng())
-    np.testing.assert_allclose(x.array, p.mean, atol=1e-14)
+    np.testing.assert_allclose(x, p.mean, atol=1e-14)
 
 
 def test_sample_batch_matches_single_draws():
@@ -282,7 +282,7 @@ def test_sample_batch_matches_single_draws():
         batched = sample(p, np.random.default_rng(i), size=9)
         rng = np.random.default_rng(i)
         assert batched.shape == (9,) + dims
-        assert np.array_equal(batched, np.stack([sample(p, rng).array for _ in range(9)]))
+        assert np.array_equal(batched, np.stack([sample(p, rng) for _ in range(9)]))
 
 
 def test_sample_mean_recovery(rng):

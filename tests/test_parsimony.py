@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from tmclust.mda import Mda, mode_product
+from tmclust.mda import mode_product
 from tmclust.mlnd import MlndParams
 from tmclust.parsimony import (
     GpcmVviFactors,
@@ -180,7 +180,7 @@ def _scatter_oracle(batch, comp, w, dim):
         y = batch[i] - mean
         for k in range(1, d + 1):
             if k != dim:
-                y = mode_product(y, inv_l[k - 1], k).array
+                y = mode_product(y, inv_l[k - 1], k)
         m = np.moveaxis(y, dim - 1, 0).reshape(n_d, -1)
         out += w[i] * (m @ m.T)
     return out / w.sum()
@@ -218,7 +218,7 @@ def test_scatter_trace_equals_weighted_quadratic_forms(rng):
     )
     z = rng.random((8, 1)) + 0.1
     q = np.array(
-        [quadratic_form(Mda(batch[i] - comp.mean), comp) for i in range(8)]
+        [quadratic_form(batch[i] - comp.mean, comp) for i in range(8)]
     )
     expected = float(z[:, 0] @ q)
     for dim in (1, 2, 3):

@@ -18,7 +18,7 @@ def three_group_batch(rng, n=60, dims=(2, 2), gap=5.0):
     labels = np.repeat(np.arange(3), n // 3)
     batch = np.stack(
         [
-            sample(MlndParams(mean=np.full(dims, gap * k), scales=scales), rng).array
+            sample(MlndParams(mean=np.full(dims, gap * k), scales=scales), rng)
             for k in labels
         ]
     )

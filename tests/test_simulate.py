@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from tmclust.cli import main
 from tmclust.em import FitOptions, fit
 from tmclust.metrics import adjusted_rand_index
 from tmclust.mlnd import MlndParams, sample
@@ -35,6 +36,10 @@ def test_config_round_trips_through_json():
 def test_config_validation():
     with pytest.raises(ValueError):
         SimConfig(n_obs=61, n_groups=3)  # not divisible
+    with pytest.raises(ValueError, match="positive multiple"):
+        SimConfig(n_obs=0)  # divisible, but no observations
+    with pytest.raises(ValueError, match="base_seed"):
+        SimConfig(base_seed=-1)  # SeedSequence takes no negative entropy
     with pytest.raises(ValueError):
         SimConfig(replicates=0)
     with pytest.raises(ValueError):
@@ -45,6 +50,27 @@ def test_config_validation():
         SimConfig(dims=(4,))
     with pytest.raises(ValueError):
         SimConfig(g_scan=())
+
+
+@pytest.mark.parametrize(
+    "field, value, match",
+    [
+        ("dims", "44", "dims must be a list of integers, got '44'"),
+        ("dims", [4.7, 4], r"dims must be a list of integers, got \[4.7, 4\]"),
+        ("dims", [True, 4], r"dims must be a list of integers, got \[True, 4\]"),
+        ("g_scan", "23", "g_scan must be a list of integers, got '23'"),
+        ("replicates", True, "replicates must be an integer, got True"),
+    ],
+)
+def test_config_rejects_coercible_values(tmp_path, capsys, field, value, match):
+    """int() would split "44" into (4, 4), truncate 4.7 and read true as 1."""
+    doc = {**TINY.to_dict(), field: value}
+    with pytest.raises(ValueError, match=match):
+        load_study(doc)
+    path = tmp_path / "study.json"
+    path.write_text(json.dumps(doc))
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "r.json")]) == 1
+    assert field in capsys.readouterr().err
 
 
 def test_default_and_full_grids():
@@ -167,7 +193,7 @@ def test_no_signal_fits_score_near_zero_ari(rng):
     values = []
     for rep in range(20):
         gen = np.random.default_rng(100 + rep)
-        batch = np.stack([sample(comp, gen).array for _ in range(24)])
+        batch = np.stack([sample(comp, gen) for _ in range(24)])
         try:
             _, report = fit(batch, 3, options=FitOptions(seed=rep, max_iterations=200))
         except Exception:
