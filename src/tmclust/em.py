@@ -13,8 +13,11 @@ rescaling every non-leading scale matrix to a unit leading entry.
 The sweep whitens incrementally in one :class:`~tmclust.mlnd.SweepWorkspace`
 per fit: 3D-2 mode passes per group and iteration instead of D^2, the last
 giving the E-step's quadratic forms, and no allocation the size of the batch.
-The workspace holds observation-last blocks, so the number of matrix
-products per pass does not grow with N.
+A group sweeps only the observations whose responsibility is not exactly
+zero, since the others add nothing to its means and scatters; the E-step
+whitens those once with the new factors.  The workspace holds
+observation-last blocks, so the number of matrix products per pass does not
+grow with N.
 """
 
 from __future__ import annotations
@@ -202,13 +205,14 @@ def init_kmeans(data, n_groups: int, options: FitOptions | None = None, rng=None
 def loglik_matrix(data, model: MixtureModel, work: SweepWorkspace | None = None):
     """(N, G) matrix of log(pi_g) + per-component log densities.
 
-    In a fit, ``work`` lacks only the last mode's whitening; one pass then
-    gives the quadratic forms, without re-centring or re-whitening the batch.
+    In a fit, ``work`` lacks only the last mode's whitening of each group's
+    support; one pass then gives its quadratic forms, and only the rows of
+    zero responsibility are centred and whitened from scratch.
     """
     batch = as_batch(data)
     cols = []
     for g, comp in enumerate(model.components):
-        quad = None if work is None else work.quad_forms(g, comp.inv_chol_factors()[-1])
+        quad = None if work is None else work.quad_forms(g, comp)
         cols.append(np.log(model.weights[g]) + log_density_batch(batch, comp, quad))
     return np.column_stack(cols)
 

@@ -42,6 +42,13 @@ def _boolean(value) -> bool:
     return value
 
 
+def _number(value) -> float:
+    """A JSON number as a float; a boolean or a string is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError("expected a number")
+    return float(value)
+
+
 def _items(value, convert=_integer) -> tuple:
     """Convert each entry of a list (to integers by default); a string is not a list."""
     if isinstance(value, str):
@@ -317,8 +324,9 @@ def write_result(doc: dict, path) -> None:
 def read_result(path) -> tuple[MixtureModel, FitReport, dict]:
     """Rebuild (model, report, config echo) from a written result document.
 
-    Invalid JSON, a missing field or a value the model rejects (such as an
-    unknown family token) raises :class:`DataFormatError` naming the file.
+    Invalid JSON, a missing field, a report field of the wrong JSON type
+    (such as ``"n_iterations": "5"``) or a value the model rejects (such as
+    an unknown family token) raises :class:`DataFormatError` naming the file.
     """
     with open(path) as fh:
         try:
@@ -364,6 +372,16 @@ def read_result(path) -> tuple[MixtureModel, FitReport, dict]:
             labels=np.asarray(doc["labels"], dtype=np.int64),
             responsibilities=np.asarray(doc["responsibilities"], dtype=np.float64),
         )
+        _convert_field(report, "converged", "a boolean", _boolean)
+        for name in ("n_iterations", "rho"):
+            _convert_field(report, name, "an integer", _integer)
+        _convert_field(report, "bic", "a number", _number)
+        for event in report.singular_events:
+            _convert_field(  # None marks a matrix shared across groups
+                event, "group", "an integer or null", lambda v: None if v is None else _integer(v)
+            )
+            for name in ("dim", "iteration"):
+                _convert_field(event, name, "an integer", _integer)
         return model, report, doc["config"]
     except KeyError as exc:
         raise DataFormatError(f"result {path}: missing field {exc}") from None

@@ -96,12 +96,17 @@ def multiply_axis(values: np.ndarray, mat, axis: int, out=None) -> np.ndarray:
     C-contiguous input is never copied and the result keeps the input's axis
     order; the last axis, where Q = 1, is one (P, n) @ mat.T product.  The
     axis takes the extent ``mat.shape[0]``.  ``out`` (C-contiguous, float64,
-    not overlapping ``values``) receives the result instead of a new array.
+    of the result's shape, not overlapping ``values``) receives the result
+    instead of a new array; any other ``out`` raises ``ValueError``, since
+    reshaping it would copy and drop the product.
     """
     shape = values.shape
     n = shape[axis]
+    result = shape[:axis] + (mat.shape[0],) + shape[axis + 1:]
     if out is None:
-        out = np.empty(shape[:axis] + (mat.shape[0],) + shape[axis + 1:])
+        out = np.empty(result)
+    elif out.shape != result or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous float64 array of shape {result}")
     lead = math.prod(shape[:axis])
     if axis == len(shape) - 1:
         np.matmul(values.reshape(lead, n), mat.T, out=out.reshape(lead, -1))

@@ -19,12 +19,14 @@ resolves by convention after fitting.  Means are dense arrays of shape dims,
 and :func:`sample` with ``size=n`` draws one (n, n_1, ..., n_D) batch.
 
 EM whitens incrementally in a :class:`SweepWorkspace` (one per fit), which
-holds each group's centred batch whitened on every mode but the one being
-updated; :func:`_scatter_one` advances it by the new L_d^{-1} and the old
-L_{d+1}.  The workspace keeps observations last, in (n_1, ..., n_D, b)
-blocks, so the contracted mode of every pass and Gram has the b observations
-in its trailing extent.  Every single-mode pass goes through
-:func:`_solve_mode`.
+holds each group's centred support, the observations whose weight is not
+exactly zero, whitened on every mode but the one being updated;
+:func:`_scatter_one` advances it by the new L_d^{-1} and the old L_{d+1}.
+The other observations contribute nothing to the group's scatters, so they
+are whitened once, from scratch, for the E-step's quadratic forms.  The
+workspace keeps observations last, in (n_1, ..., n_D, b) blocks, so the
+contracted mode of every pass and Gram has the b observations in its
+trailing extent.  Every single-mode pass goes through :func:`_solve_mode`.
 """
 
 from __future__ import annotations
@@ -150,61 +152,117 @@ def _solve_mode(values: np.ndarray, inv_factor: np.ndarray, axis: int, out=None)
 class SweepWorkspace:
     """The buffers of one fit's whitening sweep.
 
-    Each group's partly whitened batch is held observation-last, in blocks of
-    shape (n_1, ..., n_D, b) of at most ``_BLOCK_BYTES`` (at least one
-    observation), so a pass on mode d is prod(n_1..n_{d-1}) matrix products
-    whatever N is.  ``blocks`` lists, per block of observations, its rows of
-    the batch, one buffer of the block's shape that every other pass and the
-    scatter products write into, and each group's held block.
+    A group's sweep touches only its support, the rows whose weight is not
+    exactly zero: the others add nothing to its means and scatters.  The
+    support is held observation-last, in blocks of shape (n_1, ..., n_D, b)
+    of at most ``_BLOCK_BYTES`` (at least one observation), so a pass on mode
+    d is prod(n_1..n_{d-1}) matrix products whatever N is.  ``blocks[k]``
+    lists, per block of group k's support, its rows of the batch, one buffer
+    of the block's shape that every other pass and the scatter products
+    write into, and the held block, carved from the front of the group's
+    held row.  ``rest[k]`` are the group's other rows, which
+    :meth:`quad_forms` whitens from scratch; before any sweep that is every
+    row.
     """
 
     def __init__(self, batch: np.ndarray, n_groups: int):
         self.batch = batch
-        n, size = len(batch), batch[0].size
-        step = min(n, max(1, _BLOCK_BYTES // batch[0].nbytes))
-        held = np.empty((n_groups, batch.size))
-        buf = np.empty(step * size)
-        self.blocks = []
-        for i in range(0, n, step):
-            b = min(step, n - i)
-            shape = batch.shape[1:] + (b,)
-            self.blocks.append((
-                slice(i, i + b),
-                buf[: b * size].reshape(shape),
-                [h[i * size : (i + b) * size].reshape(shape) for h in held],
-            ))
+        n = len(batch)
+        self.step = min(n, max(1, _BLOCK_BYTES // batch[0].nbytes))
+        self.held = np.empty((n_groups, batch.size))
+        self.buf = np.empty(self.step * batch[0].size)
+        self.blocks = [[] for _ in range(n_groups)]
+        self.rest = [np.arange(n)] * n_groups
 
-    def quad_forms(self, k: int, inv_last: np.ndarray) -> np.ndarray:
-        """Whiten group k's last mode with its new L_D^{-1}: the squared norms
-        of the block's columns are the Mahalanobis quadratic forms."""
+    def restrict(self, k: int, weights: np.ndarray) -> None:
+        """Make group k's support the rows where ``weights`` is not zero."""
+        self.blocks[k] = self.carve(k, np.flatnonzero(weights))
+        self.rest[k] = np.flatnonzero(weights == 0)
+
+    def carve(self, k: int, rows: np.ndarray) -> list:
+        """Blocks of the ascending batch rows ``rows``, held from the front of
+        group k's held row; a block of consecutive rows keeps a slice, so it
+        reads the batch without a gather copy."""
+        size = self.batch[0].size
+        blocks = []
+        for i in range(0, len(rows), self.step):
+            sel = rows[i : i + self.step]
+            b = len(sel)
+            if sel[-1] - sel[0] == b - 1:
+                sel = slice(int(sel[0]), int(sel[0]) + b)
+            shape = self.batch.shape[1:] + (b,)
+            blocks.append((
+                sel,
+                self.buf[: b * size].reshape(shape),
+                self.held[k, i * size : (i + b) * size].reshape(shape),
+            ))
+        return blocks
+
+    def centre(self, rows, mean: np.ndarray, out: np.ndarray, spare: np.ndarray) -> None:
+        """The batch's ``rows`` minus ``mean``, observation-last, into ``out``.
+
+        Rows that are not consecutive are gathered into ``spare``, a buffer
+        of the block's size, so nothing is allocated (``take`` buffers its
+        output unless told to clip).
+        """
+        b = out.shape[-1]
+        if isinstance(rows, slice):
+            obs = self.batch[rows]
+        else:
+            obs = np.take(self.batch, rows, axis=0, out=spare.reshape((b,) + mean.shape), mode="clip")
+        np.subtract(obs.reshape(b, -1).T, mean.reshape(-1, 1), out=out.reshape(-1, b))
+
+    def quad_forms(self, k: int, params: MlndParams) -> np.ndarray:
+        """The Mahalanobis quadratic forms of all N rows under group k's
+        ``params``: the squared norms of the whitened blocks' columns.
+
+        The support lacks only the last mode's whitening, one pass with the
+        new L_D^{-1}.  The rest is then centred and whitened on every mode, in
+        blocks carved from the same held row, free once the support's forms
+        are taken.
+        """
+        inv = params.inv_chol_factors()
         quad = np.empty(len(self.batch))
-        for rows, tmp, held in self.blocks:
-            _solve_mode(held[k], inv_last, tmp.ndim - 2, out=tmp)
-            cols = tmp.reshape(-1, tmp.shape[-1])
-            np.einsum("kn,kn->n", cols, cols, out=quad[rows])
+        for rows, tmp, held in self.blocks[k]:
+            _solve_mode(held, inv[-1], len(inv) - 1, out=tmp)
+            quad[rows] = _column_norms(tmp)
+        for rows, tmp, held in self.carve(k, self.rest[k]):
+            src, dst = held, tmp
+            self.centre(rows, params.mean, src, dst)
+            for axis, factor in enumerate(inv):
+                _solve_mode(src, factor, axis, out=dst)
+                src, dst = dst, src
+            quad[rows] = _column_norms(src)
         return quad
+
+
+def _column_norms(block: np.ndarray) -> np.ndarray:
+    """Squared norm of each observation (trailing index) of a block."""
+    cols = block.reshape(-1, block.shape[-1])
+    return np.einsum("kn,kn->n", cols, cols)
 
 
 def _scatter_one(work: SweepWorkspace, k: int, dim: int, mean, weights, inv_chols, chols):
     """Group k's unnormalized weighted scatter sum_i w_i (...) for ``dim``.
 
-    First advances the held tensor: dimension 1 centres the batch and whitens
-    modes 2..D; a later one applies the new L_{dim-1}^{-1}, then the old L_dim
-    to undo that mode.  The factor lists are new below ``dim``, old from it on.
+    First advances the held tensor of the group's support: dimension 1 takes
+    the support from ``weights``, centres it and whitens modes 2..D; a later
+    one applies the new L_{dim-1}^{-1}, then the old L_dim to undo that mode.
+    The factor lists are new below ``dim``, old from it on.
     """
     dims = work.batch.shape[1:]
     if dim == 1:
+        work.restrict(k, weights)
         passes = [(inv_chols[m], m) for m in range(1, len(dims))]
     else:
         passes = [(inv_chols[dim - 2], dim - 2), (chols[dim - 1], dim - 1)]
     n_d, lead = dims[dim - 1], math.prod(dims[: dim - 1])
     s = np.zeros((n_d, n_d))
-    for rows, tmp, held in work.blocks:
-        block = held[k]
+    for rows, tmp, block in work.blocks[k]:
         # an odd number of passes starts in the buffer, so the last ends in block
         src, dst = (tmp, block) if len(passes) % 2 else (block, tmp)
         if dim == 1:
-            np.subtract(np.moveaxis(work.batch[rows], 0, -1), mean[..., None], out=src)
+            work.centre(rows, mean, src, dst)
         for factor, axis in passes:
             _solve_mode(src, factor, axis, out=dst)
             src, dst = dst, src

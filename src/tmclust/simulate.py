@@ -11,7 +11,6 @@ count or scheduling.
 from __future__ import annotations
 
 import csv
-import itertools
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -203,17 +202,33 @@ class ReplicateRecord:
 
 
 def _best_permutation(true_labels, est_labels, g: int) -> tuple[int, ...]:
-    """Bijection est-group = perm[true-group] maximizing contingency overlap."""
+    """Bijection est-group = perm[true-group] maximizing contingency overlap;
+    of several optima, the lexicographically first.
+
+    An exact dynamic programme over subsets of estimated groups, O(2^G G)
+    instead of G! permutations: ``rest[used]`` is the best overlap of the
+    true groups popcount(used)..G-1 with the estimated groups not in ``used``.
+    """
+    true, est = (np.asarray(x, dtype=np.int64) for x in (true_labels, est_labels))
+    keep = (est >= 0) & (est < g)
     table = np.zeros((g, g), dtype=np.int64)
-    for t, e in zip(np.asarray(true_labels), np.asarray(est_labels)):
-        if 0 <= e < g:
-            table[t, e] += 1
-    best, best_score = None, -1
-    for perm in itertools.permutations(range(g)):
-        score = int(sum(table[t, perm[t]] for t in range(g)))
-        if score > best_score:
-            best, best_score = perm, score
-    return best
+    np.add.at(table, (true[keep], est[keep]), 1)
+    table = table.tolist()
+    rest = [0] * (1 << g)
+    for used in range((1 << g) - 2, -1, -1):
+        row = table[used.bit_count()]
+        rest[used] = max(
+            row[e] + rest[used | 1 << e] for e in range(g) if not used >> e & 1
+        )
+    perm, used = [], 0
+    for row in table:
+        e = next(
+            e for e in range(g)
+            if not used >> e & 1 and row[e] + rest[used | 1 << e] == rest[used]
+        )
+        perm.append(e)
+        used |= 1 << e
+    return tuple(perm)
 
 
 def _run_replicate(

@@ -55,7 +55,7 @@ def sweep_scatters(batch, z, comps, next_comps=None):
         for k, c in enumerate(next_comps):
             chols[k][d0] = c.chol_factors()[d0]
             invs[k][d0] = c.inv_chol_factors()[d0]
-    quad = np.column_stack([work.quad_forms(k, invs[k][-1]) for k in range(len(comps))])
+    quad = np.column_stack([work.quad_forms(k, c) for k, c in enumerate(next_comps)])
     return scatters, quad
 
 

@@ -324,9 +324,27 @@ def result_doc(rng):
          r"dims must be a list of integers, got \[2.7, 3\]"),
         (lambda doc: json.dumps({**doc, "dims": [True, 3]}),
          r"dims must be a list of integers, got \[True, 3\]"),
+        # report fields that bool(), int() or float() would coerce
+        (lambda doc: json.dumps({**doc, "n_iterations": "5"}),
+         "n_iterations must be an integer, got '5'"),
+        (lambda doc: json.dumps({**doc, "rho": True}), "rho must be an integer, got True"),
+        (lambda doc: json.dumps({**doc, "converged": "no"}),
+         "converged must be a boolean, got 'no'"),
+        (lambda doc: json.dumps({**doc, "bic": "x"}), "bic must be a number, got 'x'"),
+        (lambda doc: json.dumps({**doc, "singular_events": [
+            {"group": 0.5, "dim": 1, "iteration": 2}]}),
+         "group must be an integer or null, got 0.5"),
+        (lambda doc: json.dumps({**doc, "singular_events": [
+            {"group": None, "dim": "1", "iteration": 2}]}),
+         "dim must be an integer, got '1'"),
+        (lambda doc: json.dumps({**doc, "singular_events": [
+            {"group": 1, "dim": 1, "iteration": 2.0}]}),
+         "iteration must be an integer, got 2.0"),
     ],
     ids=["invalid-json", "missing-field", "unknown-family", "family-not-a-string",
-         "transposed-mean", "dims-string", "dims-float", "dims-bool"],
+         "transposed-mean", "dims-string", "dims-float", "dims-bool",
+         "n-iterations-string", "rho-bool", "converged-string", "bic-string",
+         "event-group-float", "event-dim-string", "event-iteration-float"],
 )
 def test_read_result_names_the_file_on_bad_input(tmp_path, result_doc, corrupt, match):
     path = tmp_path / "result.json"

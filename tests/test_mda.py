@@ -13,7 +13,7 @@ import itertools
 import numpy as np
 import pytest
 
-from tmclust.mda import as_batch, matricize_mode1, mode_product, vectorize
+from tmclust.mda import as_batch, matricize_mode1, mode_product, multiply_axis, vectorize
 
 from oracles import kron
 
@@ -157,6 +157,24 @@ def test_mode_product_shape_mismatch(rng):
     x = rng.standard_normal((3, 4))
     with pytest.raises(ValueError):
         mode_product(x, np.eye(5), 1)
+
+
+def test_multiply_axis_writes_out_or_rejects_it():
+    values = np.arange(120.0).reshape(2, 3, 4, 5)
+    mat = np.arange(16.0).reshape(4, 4)
+    want = multiply_axis(values, mat, 2)
+    out = np.zeros((2, 3, 4, 5))
+    assert multiply_axis(values, mat, 2, out=out) is out
+    np.testing.assert_array_equal(out, want)
+    # reshaping any of these would copy, and the product would be lost
+    for bad in (
+        np.zeros((5, 4, 3, 2)).transpose(3, 2, 1, 0),  # right shape, not C-contiguous
+        np.zeros((2, 3, 5, 4)),
+        np.zeros((2, 3, 4, 5), dtype=np.float32),
+    ):
+        with pytest.raises(ValueError, match="out must be a C-contiguous float64 array"):
+            multiply_axis(values, np.eye(4), 2, out=bad)
+        assert not bad.any()
 
 
 def test_order_one_and_empty_arrays_rejected():

@@ -200,6 +200,46 @@ def test_sweep_matches_from_scratch_scatter(dims, cond, family, block_rows, rng,
         assert_matches_oracle(quad[:, k], (white.reshape(n, -1) ** 2).sum(axis=1))
 
 
+@pytest.mark.parametrize("block_rows", [None, 2])
+@pytest.mark.parametrize("dims", [(4, 3), (2, 3, 4, 3)])
+def test_sweep_skips_zero_weight_rows(dims, block_rows, rng, monkeypatch):
+    """Rows whose weight is exactly zero are left out of a group's sweep but
+    not out of its quadratic forms.  Group 0's support is one observation;
+    group 1's support and its complement each span several blocks, some of
+    consecutive rows and some not; group 2 is dense."""
+    n = 13
+    batch = rng.standard_normal((n,) + dims)
+    if block_rows is not None:
+        monkeypatch.setattr(mlnd, "_BLOCK_BYTES", block_rows * batch[0].nbytes)
+    z = rng.random((n, 3)) + 0.05
+    z[np.arange(n) != 6, 0] = 0.0
+    z[[3, 4, 6, 9, 10, 12], 1] = 0.0
+    support = np.count_nonzero(z)  # rows swept, summed over the groups
+    columns = []  # observations per mode pass of the sweep
+
+    def solve_mode(values, inv_factor, axis, out=None):
+        columns.append(values.shape[-1])
+        return _solve_mode(values, inv_factor, axis, out)
+
+    monkeypatch.setattr(mlnd, "_solve_mode", solve_mode)
+    old, new = ([random_params(dims, rng) for _ in range(3)] for _ in range(2))
+    scatters, quad = sweep_scatters(batch, z, old, new)
+    # 3D-3 passes over each support, then D passes over each complement and
+    # one over each support for the quadratic forms
+    d = len(dims)
+    assert sum(columns) == (3 * d - 2) * support + d * (z.size - support)
+    for k in range(3):
+        for d0 in range(d):
+            chols = new[k].chol_factors()[:d0] + old[k].chol_factors()[d0:]
+            want = oracles.scatter(batch, new[k].mean, z[:, k], chols, d0 + 1)
+            assert_matches_oracle(scatters[d0][k], want)
+        white = oracles.whiten_all_modes(batch - new[k].mean, new[k].chol_factors())
+        assert_matches_oracle(quad[:, k], (white.reshape(n, -1) ** 2).sum(axis=1))
+    # before any sweep, every row is whitened from scratch
+    fresh = mlnd.SweepWorkspace(batch, 1).quad_forms(0, new[2])
+    assert_matches_oracle(fresh, (white.reshape(n, -1) ** 2).sum(axis=1))
+
+
 # --- slicing ---------------------------------------------------------------
 
 

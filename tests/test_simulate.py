@@ -1,6 +1,8 @@
 """Simulation harness: generators, replicate records, aggregation, determinism."""
 
+import itertools
 import json
+import time
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from tmclust.metrics import adjusted_rand_index
 from tmclust.mlnd import MlndParams, sample
 from tmclust.simulate import (
     SimConfig,
+    _best_permutation,
     default_study,
     full_study,
     generate_dataset,
@@ -201,6 +204,45 @@ def test_no_signal_fits_score_near_zero_ari(rng):
         values.append(adjusted_rand_index(report.labels, fake))
     assert values, "every null fit collapsed"
     assert abs(float(np.mean(values))) <= 0.1
+
+
+# --- matching estimated groups to true ones -------------------------------------------
+
+
+def permutation_search(true_labels, est_labels, g):
+    """The first of the G! permutations, in lexicographic order, with the
+    largest overlap: the exhaustive reference for ``_best_permutation``."""
+    table = np.zeros((g, g), dtype=np.int64)
+    for t, e in zip(true_labels, est_labels):
+        if 0 <= e < g:
+            table[t, e] += 1
+    best, best_score = None, -1
+    for perm in itertools.permutations(range(g)):
+        score = int(sum(table[t, perm[t]] for t in range(g)))
+        if score > best_score:
+            best, best_score = perm, score
+    return best
+
+
+@pytest.mark.parametrize("g", range(1, 7))
+def test_best_permutation_matches_exhaustive_search(g, rng):
+    """Few labels per group give tied tables, where the lexicographically
+    first optimum must win; labels outside 0..G-1 are not counted."""
+    for n in (g, 2 * g, 10 * g):
+        for _ in range(20):
+            true = rng.integers(0, g, n)
+            est = rng.integers(-1, g + 1, n)
+            assert _best_permutation(true, est, g) == permutation_search(true, est, g)
+    assert _best_permutation([], [], g) == tuple(range(g))
+
+
+def test_best_permutation_twelve_groups_is_fast(rng):
+    true = rng.integers(0, 12, 600)
+    est = (true * 5 + 3) % 12
+    start = time.perf_counter()
+    perm = _best_permutation(true, est, 12)
+    assert time.perf_counter() - start < 1.0
+    assert perm == tuple((t * 5 + 3) % 12 for t in range(12))
 
 
 # --- the study loop ------------------------------------------------------------------
