@@ -15,9 +15,17 @@ per fit: 3D-2 mode passes per group and iteration instead of D^2, the last
 giving the E-step's quadratic forms, and no allocation the size of the batch.
 A group sweeps only the observations whose responsibility is not exactly
 zero, since the others add nothing to its means and scatters; the E-step
-whitens those once with the new factors.  The workspace holds
+whitens those once with the new factors, except the pairs that a bound
+carried from the previous E-step proves to lie more than 800 nats below
+their row's best entry.  Their exact responsibility would underflow to
+exactly 0.0, so the pruning changes no output bit.  The workspace holds
 observation-last blocks, so the number of matrix products per pass does not
 grow with N.
+
+The loop keeps its parameters as arrays: the weights, the (G, n_1, ..., n_D)
+means and, per dimension, (G, n_d, n_d) stacks of the scales, their Cholesky
+factors and the inverses, each stack checked and factorized in one batched
+call.  :class:`MlndParams` and :class:`MixtureModel` are built once, at exit.
 """
 
 from __future__ import annotations
@@ -187,10 +195,12 @@ def init_kmeans(data, n_groups: int, options: FitOptions | None = None, rng=None
                 sizes[k] = 1
                 new_labels[far] = k
             if labels is not None and np.array_equal(labels, new_labels):
-                break
+                break  # the centres are those d2 was computed from
             labels = new_labels
             centers = (np.eye(g)[labels].T @ v) / sizes[:, None]
-        inertia = float(sq_dists(centers)[np.arange(n), labels].sum())
+        else:
+            d2 = sq_dists(centers)
+        inertia = float(d2[np.arange(n), labels].sum())
         if inertia < best_inertia:
             best_inertia = inertia
             best_labels = labels
@@ -202,24 +212,60 @@ def init_kmeans(data, n_groups: int, options: FitOptions | None = None, rng=None
 # --- E-step ------------------------------------------------------------------
 
 
-def loglik_matrix(data, model: MixtureModel, work: SweepWorkspace | None = None):
+@dataclass
+class _Stacks:
+    """The EM loop's parameters: weights (G,), means (G, n_1, ..., n_D) and,
+    per dimension, (G, n_d, n_d) stacks of the scales, their Cholesky factors
+    L and the inverses L^{-1}."""
+
+    weights: np.ndarray
+    means: np.ndarray
+    scales: list
+    chols: list
+    invs: list
+
+    def log_terms(self) -> tuple[np.ndarray, np.ndarray]:
+        """log pi_k and the density constants c_k, both (G,), each in the
+        order of operations of ``MlndParams.log_det_terms`` and
+        ``log_density_batch``, so the entries match theirs bit for bit."""
+        ldt = 0.0
+        for L in self.chols:
+            ldt = ldt + 2.0 * np.log(np.diagonal(L, axis1=1, axis2=2)).sum(axis=1) / len(L[0])
+        n_star = self.means[0].size
+        return np.log(self.weights), -0.5 * n_star * (np.log(2.0 * np.pi) + ldt)
+
+    def model(self, specs, factors) -> MixtureModel:
+        """The mixture these parameters define, with its symmetry checks."""
+        components = tuple(
+            MlndParams(mean, tuple(scales[k] for scales in self.scales))
+            for k, mean in enumerate(self.means)
+        )
+        return MixtureModel(self.weights, components, specs, dict(factors))
+
+
+def loglik_matrix(data, model, work: SweepWorkspace | None = None):
     """(N, G) matrix of log(pi_g) + per-component log densities.
 
-    In a fit, ``work`` lacks only the last mode's whitening of each group's
-    support; one pass then gives its quadratic forms, and only the rows of
-    zero responsibility are centred and whitened from scratch.
+    Every entry is computed from scratch, unless ``work`` is a fit's
+    workspace and ``model`` the loop's parameter stacks: then each support's
+    quadratic forms take one pass, and of the other pairs only those its
+    bounds cannot prune are whitened; a pruned entry is -inf
+    (:meth:`~tmclust.mlnd.SweepWorkspace.quad_matrix`).
     """
+    if work is not None:
+        log_w, consts = model.log_terms()
+        quad = work.quad_matrix(log_w + consts, model.means, model.chols, model.invs)
+        return log_w + (consts - 0.5 * quad)
     batch = as_batch(data)
     cols = []
     for g, comp in enumerate(model.components):
-        quad = None if work is None else work.quad_forms(g, comp)
-        cols.append(np.log(model.weights[g]) + log_density_batch(batch, comp, quad))
+        cols.append(np.log(model.weights[g]) + log_density_batch(batch, comp))
     return np.column_stack(cols)
 
 
-def e_step(data, model: MixtureModel, work: SweepWorkspace | None = None):
-    """Responsibilities and observed log-likelihood, evaluated in log space;
-    ``work`` as in :func:`loglik_matrix`."""
+def e_step(data, model, work: SweepWorkspace | None = None):
+    """Responsibilities and observed log-likelihood of a :class:`MixtureModel`,
+    evaluated in log space; ``model`` and ``work`` as in :func:`loglik_matrix`."""
     lm = loglik_matrix(data, model, work)
     top = lm.max(axis=1)
     top[~np.isfinite(top)] = 0.0  # a row of -inf then sums to log(0) = -inf
@@ -261,6 +307,7 @@ def aitken_stop(window: Sequence[float], epsilon: float) -> bool:
 
 
 def _positive_definite(mat: np.ndarray) -> bool:
+    """Whether a matrix (every matrix of a stack) has a Cholesky factor."""
     try:
         np.linalg.cholesky(mat)
     except np.linalg.LinAlgError:
@@ -268,24 +315,32 @@ def _positive_definite(mat: np.ndarray) -> bool:
     return True
 
 
-def regularize_and_check(delta: np.ndarray, reg_epsilon: float) -> tuple[np.ndarray, bool]:
-    """Repair a near-singular symmetric scale estimate with a ridge.
+def regularize_and_check(delta: np.ndarray, reg_epsilon: float):
+    """Repair near-singular symmetric scale estimates with a ridge.
 
-    If the inverse condition number (smallest/largest singular value) falls
-    below machine epsilon — or the Cholesky factorization fails outright —
-    ``reg_epsilon * I`` is added and the flag is returned True.  The result
-    must pass a Cholesky check or :class:`SingularScaleError` is raised.
+    ``delta`` is one (n, n) matrix or a (G, n, n) stack, checked with one
+    batched SVD and one batched Cholesky.  A matrix whose inverse condition
+    number (smallest/largest singular value) falls below machine epsilon —
+    or whose Cholesky factorization fails outright — gets ``reg_epsilon * I``
+    added and its flag set.  Returns the matrix and a bool, or the stack and
+    a (G,) bool array.  A repaired matrix must pass a Cholesky check or
+    :class:`SingularScaleError` is raised.
     """
     delta = np.asarray(delta, dtype=np.float64)
-    svals = np.linalg.svd(delta, compute_uv=False)
-    smax = float(svals[0])
-    invcond = float(svals[-1]) / smax if smax > 0 else 0.0
-    if invcond >= np.finfo(np.float64).eps and _positive_definite(delta):
-        return delta, False
-    work = delta + reg_epsilon * np.eye(delta.shape[0])
-    if not _positive_definite(work):
-        raise SingularScaleError("scale matrix is not positive definite after regularization")
-    return work, True
+    stack = delta.reshape((-1,) + delta.shape[-2:])
+    svals = np.linalg.svd(stack, compute_uv=False)
+    smax = svals[:, 0]
+    invcond = np.divide(svals[:, -1], smax, out=np.zeros_like(smax), where=smax > 0)
+    flags = ~(invcond >= np.finfo(np.float64).eps)
+    if flags.any() or not _positive_definite(stack):
+        flags |= [not _positive_definite(mat) for mat in stack]
+        stack = stack.copy()
+        stack[flags] += reg_epsilon * np.eye(stack.shape[-1])
+        if not _positive_definite(stack[flags]):
+            raise SingularScaleError("scale matrix is not positive definite after regularization")
+    if delta.ndim == 2:
+        return stack[0], bool(flags[0])
+    return stack, flags
 
 
 # --- scale families -------------------------------------------------------------
@@ -297,9 +352,9 @@ class _Family:
     ``update(lams, counts, n_obs, n_star, previous, reg_epsilon)`` is the
     M-step of one dimension from the (G, n_d, n_d) scatters Lambda_g, the
     group sizes n_g and the previous sweep's record (None at first).  It
-    returns ``(scales, record, flagged)``: a scale matrix per group, the new
-    record (None if the family keeps none) and the repaired groups (group
-    None for a shared matrix).  ``n_params(n_d, G)`` counts free parameters;
+    returns ``(scales, record, flagged)``: the (G, n_d, n_d) stack of new
+    scale matrices, the new record (None if the family keeps none) and the
+    repaired groups (group None for a shared matrix).  ``n_params(n_d, G)`` counts free parameters;
     families with a record define ``rescale(record, multipliers)`` (group k's
     scale times ``multipliers[k]``) and ``to_json``/``from_json``.  The
     estimators and ``regularize_and_check`` are looked up in this module's
@@ -312,9 +367,8 @@ class _Family:
 
 class _Vvv(_Family):
     def update(self, lams, counts, n_obs, n_star, previous, reg_epsilon):
-        checked = [regularize_and_check((len(lam) / n_star) * lam, reg_epsilon) for lam in lams]
-        flagged = [k for k, (_, repaired) in enumerate(checked) if repaired]
-        return [new for new, _ in checked], None, flagged
+        scales, flags = regularize_and_check((lams.shape[1] / n_star) * lams, reg_epsilon)
+        return scales, None, np.flatnonzero(flags).tolist()
 
     def n_params(self, n_d: int, n_groups: int) -> int:
         return n_groups * n_d * (n_d + 1) // 2
@@ -324,7 +378,7 @@ class _Eee(_Family):
     def update(self, lams, counts, n_obs, n_star, previous, reg_epsilon):
         pooled = gpcm_eee_update(lams, counts, n_obs, n_star)
         new, repaired = regularize_and_check(pooled, reg_epsilon)
-        return [new] * len(lams), None, [None] if repaired else []
+        return np.repeat(new[None], len(lams), axis=0), None, [None] if repaired else []
 
     def n_params(self, n_d: int, n_groups: int) -> int:
         return n_d * (n_d + 1) // 2
@@ -342,7 +396,7 @@ class _McdVvi(_Family):
                 flagged.append(k)
             scales.append(new)
             record.append(fac)
-        return scales, tuple(record), flagged
+        return np.stack(scales), tuple(record), flagged
 
     def n_params(self, n_d: int, n_groups: int) -> int:
         return n_groups * (n_d * (n_d - 1) // 2 + 1)
@@ -373,7 +427,7 @@ class _McdEvi(_Family):
                 deltas[k] = reg_epsilon
                 flagged.append(k)
             scales.append(new)
-        return scales, SharedMcdFactors(t=t, deltas=deltas), flagged
+        return np.stack(scales), SharedMcdFactors(t=t, deltas=deltas), flagged
 
     def n_params(self, n_d: int, n_groups: int) -> int:
         return n_d * (n_d - 1) // 2 + n_groups
@@ -392,9 +446,10 @@ class _GpcmVvi(_Vvv):
     def update(self, lams, counts, n_obs, n_star, previous, reg_epsilon):
         # the VVV update of the diagonal scatters; the record splits each
         # repaired diagonal, taken back to scatter units
-        diagonal = [np.diag(np.diag(lam)) for lam in lams]
-        scales, _, flagged = super().update(diagonal, counts, n_obs, n_star, None, reg_epsilon)
         n_d = lams.shape[1]
+        diagonal = np.zeros_like(lams)
+        diagonal[:, range(n_d), range(n_d)] = lams[:, range(n_d), range(n_d)]
+        scales, _, flagged = super().update(diagonal, counts, n_obs, n_star, None, reg_epsilon)
         record = tuple(
             gpcm_vvi_update(np.diag(np.diag(s)) * (n_star / n_d), n_star) for s in scales
         )
@@ -564,9 +619,8 @@ def fit(
         if z.shape != (n, g):
             raise ValueError(f"init_z must have shape {(n, g)}")
 
-    scales = [[np.eye(n_d) for n_d in dims] for _ in range(g)]
-    chols = [[np.eye(n_d) for n_d in dims] for _ in range(g)]  # L per scale
-    inv_chols = [[np.eye(n_d) for n_d in dims] for _ in range(g)]  # L^{-1} per scale
+    eyes = [np.broadcast_to(np.eye(n_d), (g, n_d, n_d)) for n_d in dims]
+    state = _Stacks(None, None, list(eyes), list(eyes), list(eyes))
     factors: dict[int, object] = {}
     events: list[SingularEvent] = []
     trace: list[float] = []
@@ -584,15 +638,20 @@ def fit(
                 group=worst,
                 iteration=iteration,
             )
-        weights = counts / n
+        state.weights = counts / n
+        if abs(float(state.weights.sum()) - 1.0) > 1e-12:  # an init_z whose rows do not sum to 1
+            raise ValueError("weights must be positive and sum to 1")
         flat = batch.reshape(n, -1)
-        means = ((z.T @ flat) / counts[:, None]).reshape((g,) + dims)
+        state.means = means = ((z.T @ flat) / counts[:, None]).reshape((g,) + dims)
 
         for d0, spec in enumerate(specs):
             dim = d0 + 1
             raws = np.stack(
                 [
-                    _scatter_one(work, k, dim, means[k], z[:, k], inv_chols[k], chols[k])
+                    _scatter_one(
+                        work, k, dim, means[k], z[:, k],
+                        [inv[k] for inv in state.invs], [L[k] for L in state.chols],
+                    )
                     for k in range(g)
                 ]
             )
@@ -603,26 +662,16 @@ def fit(
             events.extend(SingularEvent(k, dim, iteration) for k in flagged)
             if record is not None:
                 factors[dim] = record
-            for k, new in enumerate(news):
-                L = chol_lower(new, dim)
-                scales[k][d0], chols[k][d0], inv_chols[k][d0] = new, L, inv_lower(L)
+            L = chol_lower(news, dim)
+            state.scales[d0], state.chols[d0], state.invs[d0] = news, L, inv_lower(L)
 
-        model = MixtureModel(
-            weights=weights,
-            components=tuple(  # with the factors cached for the E-step
-                MlndParams(means[k], tuple(scales[k]), tuple(chols[k]), tuple(inv_chols[k]))
-                for k in range(g)
-            ),
-            specs=specs,
-            factors=dict(factors),
-        )
-        z, ll = e_step(batch, model, work)
+        z, ll = e_step(batch, state, work)
         trace.append(ll)
         if len(trace) >= 3 and aitken_stop(trace[-3:], options.aitken_epsilon):
             converged = True
             break
 
-    model = normalize_identifiability(model)
+    model = normalize_identifiability(state.model(specs, factors))
     labels = z.argmax(axis=1)
     rho = free_params(specs, g, dims).total
     report = FitReport(

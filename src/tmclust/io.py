@@ -1,9 +1,12 @@
 """Dataset manifests, long-CSV / binary readers and writers, result documents.
 
 The long CSV (header ``obs_id,i1,...,iD,value``, 1-based indices, any row
-order, every cell exactly once) is the canonical interchange format;
-``bin-f64`` (raw little-endian doubles, observations concatenated in
-canonical layout, no header) is the fast path for large inputs.  All floats
+order, every cell exactly once) is the canonical interchange format; it is
+parsed in chunks by ``np.loadtxt`` and re-read row by row only to name the
+first bad row.  ``bin-f64`` (raw little-endian doubles, observations
+concatenated in canonical layout, no header) is the fast path for large
+inputs.  Result documents are checked field by field, arrays included, so
+a value of the wrong JSON type is an error, not a coercion.  All floats
 in JSON documents are written by Python's shortest round-trip repr, so a
 write/read cycle reproduces every double bit for bit.
 """
@@ -11,9 +14,13 @@ write/read cycle reproduces every double bit for bit.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
+import math
 import operator
 import os
+import re
+import warnings
 from collections import Counter
 from dataclasses import dataclass
 
@@ -27,6 +34,8 @@ from .mlnd import MlndParams
 from .parsimony import ScaleModel
 
 _FORMATS = ("csv-long", "bin-f64")
+_CSV_CHUNK_LINES = 512  # lines of a long CSV parsed per np.loadtxt call
+_CSV_OTHER_CHARS = re.compile(r"[^0-9eE.+\- \t,\n]")
 
 
 def _integer(value) -> int:
@@ -54,6 +63,23 @@ def _items(value, convert=_integer) -> tuple:
     if isinstance(value, str):
         raise TypeError("a string is not a list")
     return tuple(convert(v) for v in value)
+
+
+def _entries(doc: dict, name: str, kind: str = "numbers", convert=_number):
+    """``doc[name]``, a JSON array (of arrays or objects) whose every entry
+    ``convert`` accepts; otherwise :class:`DataFormatError` names the first
+    entry it rejects, such as a string or a boolean among numbers."""
+    pending = [doc[name]]
+    while pending:
+        value = pending.pop()
+        if isinstance(value, (list, dict)):
+            pending.extend(reversed(list(value.values() if isinstance(value, dict) else value)))
+            continue
+        try:
+            convert(value)
+        except TypeError:
+            raise DataFormatError(f"{name} must hold only {kind}, got {value!r}") from None
+    return doc[name]
 
 
 def _convert_field(obj, name: str, kind: str, convert, error=DataFormatError) -> None:
@@ -158,6 +184,61 @@ def _resolve(manifest_path, data_path: str) -> str:
 
 
 def _load_csv_long(path, dims: tuple[int, ...], n_obs: int) -> np.ndarray:
+    """The batch of a long CSV: parsed in chunks, or, if that fails, by the
+    row scan, which raises the error that names the first bad row."""
+    values = _parse_csv_long(path, dims, n_obs)
+    return values if values is not None else _scan_csv_long(path, dims, n_obs)
+
+
+def _parse_csv_long(path, dims: tuple[int, ...], n_obs: int) -> np.ndarray | None:
+    """The fast path of :func:`_load_csv_long`: None unless the file is valid.
+
+    The data rows are parsed in chunks of ``_CSV_CHUNK_LINES`` lines by
+    ``np.loadtxt`` into integer indices and float values.  A chunk must hold
+    only ASCII digits, signs, points, exponents, commas, spaces and tabs:
+    ``np.loadtxt`` reads some other characters as digits or whitespace where
+    ``int`` and ``float`` reject them.  On those characters it rejects every
+    token the row scan rejects (``1.0`` as an index, blank fields, lines of
+    whitespace) and reads every value it accepts as ``float`` does, through
+    the same correctly rounded conversion.  N * n* rows that each name a cell
+    in range, with finite values, cover every cell exactly once when no cell
+    is missing, so one mask checks duplicates and missing cells at once.
+    """
+    d = len(dims)
+    shape = (n_obs,) + dims
+    fields = [(f"i{k}", np.int64) for k in range(d + 1)] + [("value", np.float64)]
+    expected = ",".join(["obs_id"] + [f"i{k + 1}" for k in range(d)] + ["value"])
+    values = np.empty(math.prod(shape))
+    seen = np.zeros(values.size, dtype=bool)
+    n_rows = 0
+    with open(path) as fh, warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning is a parse failure here
+        try:
+            if ",".join(h.strip() for h in fh.readline().rstrip("\n").split(",")) != expected:
+                return None
+            while lines := list(itertools.islice(fh, _CSV_CHUNK_LINES)):
+                text = "".join(lines)
+                if _CSV_OTHER_CHARS.search(text):
+                    return None
+                if not text.strip("\n"):
+                    continue  # blank lines only
+                rows = np.loadtxt(lines, dtype=fields, delimiter=",", comments=None, ndmin=1)
+                if not np.all(np.isfinite(rows["value"])):
+                    return None
+                cells = np.ravel_multi_index([rows[f"i{k}"] - 1 for k in range(d + 1)], shape)
+                values[cells] = rows["value"]
+                seen[cells] = True
+                n_rows += len(rows)
+        except (ValueError, Warning):
+            return None
+    if n_rows != values.size or not seen.all():
+        return None
+    return values.reshape(shape)
+
+
+def _scan_csv_long(path, dims: tuple[int, ...], n_obs: int) -> np.ndarray:
+    """Read a long CSV row by row, raising :class:`DataFormatError` at the
+    first bad row."""
     d = len(dims)
     expected_header = ["obs_id"] + [f"i{k + 1}" for k in range(d)] + ["value"]
     values = np.empty((n_obs,) + dims)
@@ -325,8 +406,10 @@ def read_result(path) -> tuple[MixtureModel, FitReport, dict]:
     """Rebuild (model, report, config echo) from a written result document.
 
     Invalid JSON, a missing field, a report field of the wrong JSON type
-    (such as ``"n_iterations": "5"``) or a value the model rejects (such as
-    an unknown family token) raises :class:`DataFormatError` naming the file.
+    (such as ``"n_iterations": "5"``), an array entry that is not a JSON
+    number (labels: not a JSON integer; a boolean is neither) or a value the
+    model rejects (such as an unknown family token) raises
+    :class:`DataFormatError` naming the file.
     """
     with open(path) as fh:
         try:
@@ -341,26 +424,27 @@ def read_result(path) -> tuple[MixtureModel, FitReport, dict]:
         unfolded = (int(np.prod(dims[1:])), dims[0])
         components = []
         for gdoc in doc["groups"]:
-            mat = np.asarray(gdoc["mean_matricization"], dtype=np.float64)
+            mat = np.asarray(_entries(gdoc, "mean_matricization"), dtype=np.float64)
             if mat.shape != unfolded:
                 raise DataFormatError(
                     f"mean_matricization of dims {dims} must have shape {unfolded}, "
                     f"got {mat.shape}"
                 )
-            scales = tuple(np.asarray(s, dtype=np.float64) for s in gdoc["scales"])
+            scales = tuple(np.asarray(s, dtype=np.float64) for s in _entries(gdoc, "scales"))
             components.append(MlndParams(mean=mat.T.reshape(dims), scales=scales))
-        factors = {
-            int(dim): FAMILIES[ScaleModel.from_token(rec["family"])].from_json(rec)
-            for dim, rec in doc["factors"].items()
-        }
+        factors = {}
+        for dim, rec in doc["factors"].items():
+            for name in sorted(rec.keys() - {"family"}):
+                _entries(rec, name)
+            factors[int(dim)] = FAMILIES[ScaleModel.from_token(rec["family"])].from_json(rec)
         model = MixtureModel(
-            weights=np.asarray(doc["weights"], dtype=np.float64),
+            weights=np.asarray(_entries(doc, "weights"), dtype=np.float64),
             components=tuple(components),
             specs=tuple(ScaleModel.from_token(t) for t in doc["scale_models"]),
             factors=factors,
         )
         report = FitReport(
-            loglik_trace=np.asarray(doc["loglik_trace"], dtype=np.float64),
+            loglik_trace=np.asarray(_entries(doc, "loglik_trace"), dtype=np.float64),
             converged=doc["converged"],
             n_iterations=doc["n_iterations"],
             singular_events=[
@@ -369,8 +453,8 @@ def read_result(path) -> tuple[MixtureModel, FitReport, dict]:
             ],
             rho=doc["rho"],
             bic=doc["bic"],
-            labels=np.asarray(doc["labels"], dtype=np.int64),
-            responsibilities=np.asarray(doc["responsibilities"], dtype=np.float64),
+            labels=np.asarray(_entries(doc, "labels", "integers", _integer), dtype=np.int64),
+            responsibilities=np.asarray(_entries(doc, "responsibilities"), dtype=np.float64),
         )
         _convert_field(report, "converged", "a boolean", _boolean)
         for name in ("n_iterations", "rho"):

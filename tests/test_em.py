@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from tmclust import em
+from tmclust import em, mlnd
 from tmclust.em import (
     FAMILIES,
     FitOptions,
@@ -335,6 +335,17 @@ def test_regularize_repairs_zero_matrix():
     assert np.allclose(out, 1e-3 * np.eye(2), rtol=0, atol=0)
 
 
+def test_regularize_stack_repairs_only_the_singular_group(rng):
+    v = rng.standard_normal((3, 1))
+    stack = np.stack([random_spd(3, rng), v @ v.T, random_spd(3, rng), random_spd(3, rng)])
+    out, flags = regularize_and_check(stack, 1e-3)
+    assert flags.tolist() == [False, True, False, False]
+    for got, flag, mat in zip(out, flags, stack):
+        want, want_flag = regularize_and_check(mat, 1e-3)
+        assert flag == want_flag
+        assert np.array_equal(got, want)
+
+
 def test_regularize_gives_up_on_hopeless_input():
     # a large negative eigenvalue a tiny ridge cannot fix
     with pytest.raises(SingularScaleError):
@@ -520,6 +531,12 @@ def test_fit_aborts_on_collapsed_component(rng):
     assert exc_info.value.iteration == 1
 
 
+def test_fit_rejects_init_z_whose_rows_do_not_sum_to_one(rng):
+    batch = rng.standard_normal((20, 3, 2))
+    with pytest.raises(ValueError, match="sum to 1"):
+        fit(batch, 2, init_z=np.full((20, 2), 0.6), options=FitOptions(max_iterations=3))
+
+
 def test_fit_rejects_bad_shapes(rng):
     batch = rng.normal(size=(10, 2, 2))
     with pytest.raises(ValueError):
@@ -596,16 +613,32 @@ def assert_matches_oracle(got, want):
     np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10 * np.abs(want).max())
 
 
+def oracle_quad_matrix(batch, means, chols):
+    """(N, G) quadratic forms by triangular solves, from per-dimension stacks."""
+    return np.column_stack(
+        [
+            (oracles.whiten_all_modes(batch - mean, [L[k] for L in chols]) ** 2)
+            .reshape(len(batch), -1)
+            .sum(axis=1)
+            for k, mean in enumerate(means)
+        ]
+    )
+
+
 @pytest.mark.parametrize("spec", ALL_SPECS)
 def test_fit_sweep_matches_from_scratch_oracle(spec, rng, monkeypatch):
     """In fits of order 2, 3 and 4, every scatter of the sweep and every
     E-step quadratic form equals the from-scratch triangular-solve route
-    under the factors the fit holds at that moment.  Ill-conditioned factors
-    are covered by the sweep test in ``test_mlnd.py``: fitted to such data,
+    under the factors the fit holds at that moment.  Every pair the E-step
+    prunes has an oracle log density more than 745.2 nats below its row's
+    best, so its exact responsibility is exactly zero; the last, well
+    separated cell makes pruning happen.  Ill-conditioned factors are
+    covered by the sweep test in ``test_mlnd.py``: fitted to such data,
     three factors of condition 1e11-1e12 leave even the from-scratch routes
     disagreeing in the second digit."""
     checked = {"scatter": 0, "quad": 0}
-    sweep_step, density = em._scatter_one, em.log_density_batch
+    pruned = []
+    sweep_step, quad_matrix = em._scatter_one, mlnd.SweepWorkspace.quad_matrix
 
     def scatter(work, k, dim, mean, weights, inv_chols, chols):
         got = sweep_step(work, k, dim, mean, weights, inv_chols, chols)
@@ -613,18 +646,25 @@ def test_fit_sweep_matches_from_scratch_oracle(spec, rng, monkeypatch):
         checked["scatter"] += 1
         return got
 
-    def log_density(batch, comp, quad):
-        white = oracles.whiten_all_modes(batch - comp.mean, comp.chol_factors())
-        assert_matches_oracle(quad, (white.reshape(len(batch), -1) ** 2).sum(axis=1))
-        checked["quad"] += 1
-        return density(batch, comp, quad)
+    def quads(work, heads, means, chols, invs):
+        got = quad_matrix(work, heads, means, chols, invs)
+        want = oracle_quad_matrix(work.batch, means, chols)
+        skipped = np.isinf(got)
+        for k in range(len(means)):
+            assert_matches_oracle(got[~skipped[:, k], k], want[~skipped[:, k], k])
+            checked["quad"] += 1
+        density = heads - 0.5 * want
+        best = np.broadcast_to(density.max(axis=1, keepdims=True), density.shape)
+        assert np.all(density[skipped] < best[skipped] - 745.2)
+        pruned.append(int(skipped.sum()))
+        return got
 
     monkeypatch.setattr(em, "_scatter_one", scatter)
-    monkeypatch.setattr(em, "log_density_batch", log_density)
-    for dims in [(3, 2), (2, 3, 2), (2, 2, 3, 2)]:
+    monkeypatch.setattr(mlnd.SweepWorkspace, "quad_matrix", quads)
+    for dims, gap in [((3, 2), 3.0), ((2, 3, 2), 3.0), ((2, 2, 3, 2), 3.0), ((4, 3, 3), 20.0)]:
         comps = [
             MlndParams(
-                mean=np.full(dims, 3.0 * k),
+                mean=np.full(dims, gap * k),
                 scales=tuple(random_spd(n, rng) for n in dims),
             )
             for k in range(2)
@@ -632,7 +672,30 @@ def test_fit_sweep_matches_from_scratch_oracle(spec, rng, monkeypatch):
         batch = np.stack([sample(comps[i % 2], rng) for i in range(40)])
         _, report = fit(batch, 2, specs=(spec,) * len(dims), options=FitOptions(max_iterations=3))
         assert report.n_iterations == 3
-    assert checked == {"scatter": 2 * 3 * (2 + 3 + 4), "quad": 2 * 3 * 3}
+    assert checked == {"scatter": 2 * 3 * (2 + 3 + 4 + 3), "quad": 2 * 3 * 4}
+    assert sum(pruned) > 0
+
+
+def test_first_e_step_and_single_group_prune_nothing(rng, monkeypatch):
+    """The first E-step has no bounds to prune with, and with G = 1 every
+    row is in the group's support; a well separated G = 2 fit prunes later."""
+    pruned = []
+    quad_matrix = mlnd.SweepWorkspace.quad_matrix
+
+    def quads(work, *args):
+        got = quad_matrix(work, *args)
+        pruned.append(int(np.isinf(got).sum()))
+        return got
+
+    monkeypatch.setattr(mlnd.SweepWorkspace, "quad_matrix", quads)
+    dims = (4, 3, 3)
+    comps = [MlndParams(np.full(dims, 12.0 * k), tuple(np.eye(n) for n in dims)) for k in range(2)]
+    batch = np.concatenate([sample(c, rng, size=20) for c in comps])
+    fit(batch, 2, options=FitOptions(max_iterations=4))
+    assert len(pruned) == 4 and pruned[0] == 0 and sum(pruned) > 0
+    pruned.clear()
+    fit(batch, 1, options=FitOptions(max_iterations=4))
+    assert pruned == [0, 0, 0, 0]
 
 
 # --- allocation guards on the benchmark cell (7^4, N=180, G=3) ----------------------

@@ -154,6 +154,35 @@ def test_obs_id_out_of_range_rejected(tmp_path, dataset):
         load_dataset(manifest_path)
 
 
+# (token, field) pairs the row scan accepts, with the first cell's value then
+ACCEPTED = {("1.0", 3): 1.0, ("1_0", 3): 10.0, ("\u0661", 3): 1.0,
+            ("\u0661", 0): None, ("\u0661", 1): None}
+
+
+@pytest.mark.parametrize("field", [0, 1, 3])
+@pytest.mark.parametrize("token", ["1\x1c", "1\u1170", "1.0", "1_0", "\u0661"])
+def test_csv_tokens_read_as_the_row_scan_reads_them(tmp_path, dataset, field, token):
+    """np.loadtxt reads "1\x1c" as 1 and "1\u1170" as 4426, which int() and
+    float() reject; int() reads the Arabic-Indic digit as 1 and "1_0" as 10.
+    The reader accepts and names rows exactly as the row scan does.  The
+    token replaces the obs_id (field 0), i1 (1) or value (3) of the row
+    holding the first cell."""
+    manifest_path, data_path = _write_bundle(tmp_path, dataset)
+    lines = data_path.read_text().splitlines()
+    fields = lines[1].split(",")
+    fields[field] = token
+    lines[1] = ",".join(fields)
+    data_path.write_text("\n".join(lines) + "\n")
+    if (token, field) not in ACCEPTED:
+        with pytest.raises(DataFormatError, match="row 2: "):
+            load_dataset(manifest_path)
+        return
+    want = dataset.copy()
+    if ACCEPTED[token, field] is not None:
+        want[0, 0, 0] = ACCEPTED[token, field]
+    assert np.array_equal(load_dataset(manifest_path), want)
+
+
 def test_bin_size_mismatch_rejected(tmp_path, dataset):
     manifest_path, data_path = _write_bundle(tmp_path, dataset, "bin-f64")
     raw = data_path.read_bytes()
@@ -340,11 +369,39 @@ def result_doc(rng):
         (lambda doc: json.dumps({**doc, "singular_events": [
             {"group": 1, "dim": 1, "iteration": 2.0}]}),
          "iteration must be an integer, got 2.0"),
+        # array entries that numpy would coerce
+        (lambda doc: json.dumps({**doc, "labels": [str(v) for v in doc["labels"]]}),
+         "labels must hold only integers, got '[01]'"),
+        (lambda doc: json.dumps({**doc, "labels": [True] + doc["labels"][1:]}),
+         "labels must hold only integers, got True"),
+        (lambda doc: json.dumps({**doc, "labels": [1.7] + doc["labels"][1:]}),
+         "labels must hold only integers, got 1.7"),
+        (lambda doc: json.dumps({**doc, "loglik_trace": ["1.5"] + doc["loglik_trace"][1:]}),
+         "loglik_trace must hold only numbers, got '1.5'"),
+        (lambda doc: json.dumps({**doc, "responsibilities": [["0.5", 0.5]]
+                                 + doc["responsibilities"][1:]}),
+         "responsibilities must hold only numbers, got '0.5'"),
+        (lambda doc: json.dumps({**doc, "weights": ["0.5", 0.5]}),
+         "weights must hold only numbers, got '0.5'"),
+        (lambda doc: json.dumps({**doc, "groups": [
+            {**g, "mean_matricization": [["1.5", 0.0]] + g["mean_matricization"][1:]}
+            for g in doc["groups"]]}),
+         "mean_matricization must hold only numbers, got '1.5'"),
+        (lambda doc: json.dumps({**doc, "groups": [
+            {**g, "scales": [[[True, 0.0], [0.0, 1.0]]] + g["scales"][1:]}
+            for g in doc["groups"]]}),
+         "scales must hold only numbers, got True"),
+        (lambda doc: json.dumps({**doc, "factors": {"1": {**doc["factors"]["1"], "groups": [
+            {**g, "delta": str(g["delta"])} for g in doc["factors"]["1"]["groups"]]}}}),
+         "groups must hold only numbers, got '[0-9.e-]+'"),
     ],
     ids=["invalid-json", "missing-field", "unknown-family", "family-not-a-string",
          "transposed-mean", "dims-string", "dims-float", "dims-bool",
          "n-iterations-string", "rho-bool", "converged-string", "bic-string",
-         "event-group-float", "event-dim-string", "event-iteration-float"],
+         "event-group-float", "event-dim-string", "event-iteration-float",
+         "labels-string", "labels-bool", "labels-float", "loglik-trace-string",
+         "responsibilities-string", "weights-string", "mean-string", "scales-bool",
+         "factor-string"],
 )
 def test_read_result_names_the_file_on_bad_input(tmp_path, result_doc, corrupt, match):
     path = tmp_path / "result.json"
