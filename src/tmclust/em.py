@@ -15,10 +15,7 @@ per fit: 3D-2 mode passes per group and iteration instead of D^2, the last
 giving the E-step's quadratic forms, and no allocation the size of the batch.
 A group sweeps only the observations whose responsibility is not exactly
 zero, since the others add nothing to its means and scatters; the E-step
-whitens those once with the new factors, except the pairs that a bound
-carried from the previous E-step proves to lie more than 800 nats below
-their row's best entry.  Their exact responsibility would underflow to
-exactly 0.0, so the pruning changes no output bit.  The workspace holds
+whitens those once with the new factors.  The workspace holds
 observation-last blocks, so the number of matrix products per pass does not
 grow with N.
 
@@ -243,19 +240,19 @@ class _Stacks:
         return MixtureModel(self.weights, components, specs, dict(factors))
 
 
-def loglik_matrix(data, model, work: SweepWorkspace | None = None):
+def loglik_matrix(data, model: MixtureModel | _Stacks, work: SweepWorkspace | None = None):
     """(N, G) matrix of log(pi_g) + per-component log densities.
 
-    Every entry is computed from scratch, unless ``work`` is a fit's
-    workspace and ``model`` the loop's parameter stacks: then each support's
-    quadratic forms take one pass, and of the other pairs only those its
-    bounds cannot prune are whitened; a pruned entry is -inf
+    A :class:`MixtureModel`'s entries are computed from scratch.  Inside
+    ``fit``, ``model`` is the loop's parameter stacks and ``work`` the fit's
+    workspace, which lacks only the last mode's whitening of each group's
+    support: one pass gives those quadratic forms, and only the rows of zero
+    responsibility are centred and whitened from scratch
     (:meth:`~tmclust.mlnd.SweepWorkspace.quad_matrix`).
     """
-    if work is not None:
+    if isinstance(model, _Stacks):
         log_w, consts = model.log_terms()
-        quad = work.quad_matrix(log_w + consts, model.means, model.chols, model.invs)
-        return log_w + (consts - 0.5 * quad)
+        return log_w + (consts - 0.5 * work.quad_matrix(model.means, model.invs))
     batch = as_batch(data)
     cols = []
     for g, comp in enumerate(model.components):
@@ -263,9 +260,9 @@ def loglik_matrix(data, model, work: SweepWorkspace | None = None):
     return np.column_stack(cols)
 
 
-def e_step(data, model, work: SweepWorkspace | None = None):
-    """Responsibilities and observed log-likelihood of a :class:`MixtureModel`,
-    evaluated in log space; ``model`` and ``work`` as in :func:`loglik_matrix`."""
+def e_step(data, model: MixtureModel | _Stacks, work: SweepWorkspace | None = None):
+    """Responsibilities and observed log-likelihood, evaluated in log space;
+    ``model`` and ``work`` as in :func:`loglik_matrix`."""
     lm = loglik_matrix(data, model, work)
     top = lm.max(axis=1)
     top[~np.isfinite(top)] = 0.0  # a row of -inf then sums to log(0) = -inf
@@ -315,19 +312,20 @@ def _positive_definite(mat: np.ndarray) -> bool:
     return True
 
 
-def regularize_and_check(delta: np.ndarray, reg_epsilon: float):
+def regularize_and_check(
+    stack: np.ndarray, reg_epsilon: float
+) -> tuple[np.ndarray, np.ndarray]:
     """Repair near-singular symmetric scale estimates with a ridge.
 
-    ``delta`` is one (n, n) matrix or a (G, n, n) stack, checked with one
-    batched SVD and one batched Cholesky.  A matrix whose inverse condition
-    number (smallest/largest singular value) falls below machine epsilon —
-    or whose Cholesky factorization fails outright — gets ``reg_epsilon * I``
-    added and its flag set.  Returns the matrix and a bool, or the stack and
-    a (G,) bool array.  A repaired matrix must pass a Cholesky check or
-    :class:`SingularScaleError` is raised.
+    ``stack`` is a (G, n, n) stack, checked with one batched SVD and one
+    batched Cholesky.  A matrix whose inverse condition number
+    (smallest/largest singular value) falls below machine epsilon — or whose
+    Cholesky factorization fails outright — gets ``reg_epsilon * I`` added
+    and its flag set.  Returns the stack and the (G,) bool flags.  A repaired
+    matrix must pass a Cholesky check or :class:`SingularScaleError` is
+    raised.
     """
-    delta = np.asarray(delta, dtype=np.float64)
-    stack = delta.reshape((-1,) + delta.shape[-2:])
+    stack = np.asarray(stack, dtype=np.float64)
     svals = np.linalg.svd(stack, compute_uv=False)
     smax = svals[:, 0]
     invcond = np.divide(svals[:, -1], smax, out=np.zeros_like(smax), where=smax > 0)
@@ -338,8 +336,6 @@ def regularize_and_check(delta: np.ndarray, reg_epsilon: float):
         stack[flags] += reg_epsilon * np.eye(stack.shape[-1])
         if not _positive_definite(stack[flags]):
             raise SingularScaleError("scale matrix is not positive definite after regularization")
-    if delta.ndim == 2:
-        return stack[0], bool(flags[0])
     return stack, flags
 
 
@@ -377,8 +373,8 @@ class _Vvv(_Family):
 class _Eee(_Family):
     def update(self, lams, counts, n_obs, n_star, previous, reg_epsilon):
         pooled = gpcm_eee_update(lams, counts, n_obs, n_star)
-        new, repaired = regularize_and_check(pooled, reg_epsilon)
-        return np.repeat(new[None], len(lams), axis=0), None, [None] if repaired else []
+        new, repaired = regularize_and_check(pooled[None], reg_epsilon)
+        return np.repeat(new, len(lams), axis=0), None, [None] if repaired[0] else []
 
     def n_params(self, n_d: int, n_groups: int) -> int:
         return n_d * (n_d + 1) // 2

@@ -23,13 +23,11 @@ holds each group's centred support, the observations whose weight is not
 exactly zero, whitened on every mode but the one being updated;
 :func:`_scatter_one` advances it by the new L_d^{-1} and the old L_{d+1}.
 The other observations contribute nothing to the group's scatters, so they
-are whitened once, from scratch, for the E-step's quadratic forms, unless
-:func:`whitening_bounds` proves their log density so far below the row's
-best that its exact value would underflow to a responsibility of exactly
-zero.  The workspace keeps observations last, in (n_1, ..., n_D, b) blocks,
-so the contracted mode of every pass and Gram has the b observations in its
-trailing extent.  Every single-mode pass over observations goes through
-:func:`_solve_mode`.  The functions that take Cholesky factors also take
+are whitened once, from scratch, for the E-step's quadratic forms.  The
+workspace keeps observations last, in (n_1, ..., n_D, b) blocks, so the
+contracted mode of every pass and Gram has the b observations in its
+trailing extent.  Every single-mode pass goes through :func:`_solve_mode`.
+The functions that take Cholesky factors also take
 (G, n, n) stacks of them.
 """
 
@@ -45,10 +43,6 @@ from .mda import _as_array, multiply_axis
 
 _SYM_TOL = 1e-12
 _BLOCK_BYTES = 512 * 1024  # largest block of observations one sweep pass touches
-# exp(x) is exactly 0.0 in float64 for x < -745.14; the other 55 nats cover
-# the rounding of the bounds, so a pruned E-step entry is one whose exact
-# value would add exactly nothing
-_PRUNE_GAP = 800.0
 
 
 def chol_lower(mat: np.ndarray, dim: int | None = None) -> np.ndarray:
@@ -171,10 +165,8 @@ class SweepWorkspace:
     of the block's shape that every other pass and the scatter products
     write into, and the held block, carved from the front of the group's
     held row.  ``rest[k]`` are the group's other rows, which
-    :meth:`quad_forms` whitens from scratch; before any sweep that is every
-    row.  :meth:`quad_matrix` keeps, between a fit's E-steps, a lower bound
-    on every row's whitened norm under each group, and the means and inverse
-    factors it holds for.
+    :meth:`quad_matrix` whitens from scratch; before any sweep that is every
+    row.
     """
 
     def __init__(self, batch: np.ndarray, n_groups: int):
@@ -185,8 +177,6 @@ class SweepWorkspace:
         self.buf = np.empty(self.step * batch[0].size)
         self.blocks = [[] for _ in range(n_groups)]
         self.rest = [np.arange(n)] * n_groups
-        self.bounds = None  # (N, G) lower bounds on the last E-step's whitened norms
-        self.last = None  # that E-step's means and per-dimension L^{-1} stacks, copied
 
     def restrict(self, k: int, weights: np.ndarray) -> None:
         """Make group k's support the rows where ``weights`` is not zero."""
@@ -226,97 +216,31 @@ class SweepWorkspace:
             obs = np.take(self.batch, rows, axis=0, out=spare.reshape((b,) + mean.shape), mode="clip")
         np.subtract(obs.reshape(b, -1).T, mean.reshape(-1, 1), out=out.reshape(-1, b))
 
-    def quad_forms(self, k: int, params: MlndParams) -> np.ndarray:
-        """The Mahalanobis quadratic forms of all N rows under group k's
-        ``params``: the squared norms of the whitened blocks' columns.
+    def quad_matrix(self, means: np.ndarray, invs) -> np.ndarray:
+        """The (N, G) Mahalanobis quadratic forms of a fit's E-step: the
+        squared norms of the whitened blocks' columns.
 
-        The support lacks only the last mode's whitening, one pass with the
-        new L_D^{-1}.  The rest is then centred and whitened on every mode, in
-        blocks carved from the same held row, free once the support's forms
-        are taken.
+        ``means`` is the (G, n_1, ..., n_D) stack of the new means and
+        ``invs`` the per-dimension (G, n_d, n_d) stacks of the new L_d^{-1}.
+        Each group's support lacks only the last mode's whitening, one pass
+        with the new L_D^{-1}.  The group's rest is then centred and whitened
+        on every mode, in blocks carved from the same held row, free once the
+        support's forms are taken.
         """
-        inv = params.inv_chol_factors()
-        quad = np.empty(len(self.batch))
-        self._support_forms(k, inv[-1], quad)
-        self._rest_forms(k, self.rest[k], params.mean, inv, quad)
+        quad = np.empty((len(self.batch), len(means)))
+        for k, mean in enumerate(means):
+            inv, out = [stack[k] for stack in invs], quad[:, k]
+            for rows, tmp, held in self.blocks[k]:
+                _solve_mode(held, inv[-1], len(inv) - 1, out=tmp)
+                out[rows] = _column_norms(tmp)
+            for rows, tmp, held in self.carve(k, self.rest[k]):
+                src, dst = held, tmp
+                self.centre(rows, mean, src, dst)
+                for axis, factor in enumerate(inv):
+                    _solve_mode(src, factor, axis, out=dst)
+                    src, dst = dst, src
+                out[rows] = _column_norms(src)
         return quad
-
-    def quad_matrix(self, heads: np.ndarray, means: np.ndarray, chols, invs) -> np.ndarray:
-        """The (N, G) quadratic forms of a fit's E-step, +inf where pruned.
-
-        ``means`` is the (G, n_1, ..., n_D) stack of the new means, ``chols``
-        and ``invs`` the per-dimension (G, n_d, n_d) stacks of the new L_d
-        and L_d^{-1}, and ``heads`` the (G,) log pi_k + c_k, c_k the density
-        constant.  Each support's forms come from :meth:`quad_forms`' last
-        pass.  From the second call on, a pair (i, k) outside group k's
-        support is pruned when its bound proves log pi_k + c_k - Q_ik / 2
-        more than ``_PRUNE_GAP`` below row i's best support entry; only the
-        rest is whitened from scratch.  Every pruned entry then has exactly
-        zero responsibility and adds exactly 0.0 to its row's sum, as its
-        exact value would.
-        """
-        n, g = len(self.batch), len(means)
-        quad = np.full((n, g), np.inf)
-        for k in range(g):
-            self._support_forms(k, invs[-1][k], quad[:, k])
-        rest = self.rest
-        bounded = self.last is not None and any(len(rows) for rows in rest)
-        if bounded:
-            old_means, old_invs = self.last
-            lower = whitening_bounds(self.bounds, means - old_means, old_invs, chols)
-            top = (heads - 0.5 * quad).max(axis=1)
-            far = heads - 0.5 * lower**2 < top[:, None] - _PRUNE_GAP
-            rest = [rows[~far[rows, k]] for k, rows in enumerate(rest)]
-        for k in range(g):
-            self._rest_forms(k, rest[k], means[k], [inv[k] for inv in invs], quad[:, k])
-        # an overflowed form still bounds its norm from below by sqrt(max float)
-        self.bounds = np.sqrt(np.minimum(quad, np.finfo(np.float64).max))
-        if bounded:
-            pruned = np.isinf(quad)
-            self.bounds[pruned] = lower[pruned]
-        self.last = (means.copy(), tuple(inv.copy() for inv in invs))
-        return quad
-
-    def _support_forms(self, k: int, inv_last: np.ndarray, out: np.ndarray) -> None:
-        """Whiten group k's held support on the last mode; its forms into ``out``."""
-        for rows, tmp, held in self.blocks[k]:
-            _solve_mode(held, inv_last, held.ndim - 2, out=tmp)
-            out[rows] = _column_norms(tmp)
-
-    def _rest_forms(self, k: int, rows: np.ndarray, mean, inv, out: np.ndarray) -> None:
-        """Centre and whiten the batch's ``rows`` from scratch, in blocks held
-        in group k's row; their forms into ``out``."""
-        for sel, tmp, held in self.carve(k, rows):
-            src, dst = held, tmp
-            self.centre(sel, mean, src, dst)
-            for axis, factor in enumerate(inv):
-                _solve_mode(src, factor, axis, out=dst)
-                src, dst = dst, src
-            out[sel] = _column_norms(src)
-
-
-def whitening_bounds(bounds: np.ndarray, shift: np.ndarray, old_invs, chols) -> np.ndarray:
-    """(N, G) lower bounds on ||W_k (x_i - mu_k)|| from bounds on the old norms.
-
-    ``bounds[i, k]`` is at most ||W^_k (x_i - mu^_k)||, with W^_k the old
-    whitening map (the mode-d products by the old L^_kd^{-1}, given as the
-    per-dimension (G, n_d, n_d) stacks ``old_invs``) and ``shift`` the
-    (G, n_1, ..., n_D) stack mu_k - mu^_k.  By the mixed-product rule the new
-    map is W_k = (x_d L_kd^{-1} L^_kd) W^_k, whose smallest singular value is
-    s_k = prod_d 1 / sigma_max(L^_kd^{-1} L_kd); the triangle inequality then
-    gives s_k max(b_ik - m_k, 0) with m_k = ||W^_k shift_k||.  sigma_max is
-    the singular value an SVD gets to full relative accuracy.
-    """
-    s = np.ones(len(shift))
-    for old_inv, chol in zip(old_invs, chols):
-        s /= np.linalg.svd(old_inv @ chol, compute_uv=False)[:, 0]
-    g, dims = len(shift), shift.shape[1:]
-    for axis, old_inv in enumerate(old_invs):
-        lead = math.prod(dims[:axis])
-        blocks = shift.reshape(g, lead, dims[axis], -1)
-        shift = np.matmul(old_inv[:, None], blocks).reshape(shift.shape)
-    m = np.sqrt(np.einsum("kj,kj->k", shift.reshape(g, -1), shift.reshape(g, -1)))
-    return s * np.maximum(bounds - m, 0.0)
 
 
 def _column_norms(block: np.ndarray) -> np.ndarray:

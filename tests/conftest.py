@@ -55,8 +55,9 @@ def sweep_scatters(batch, z, comps, next_comps=None):
         for k, c in enumerate(next_comps):
             chols[k][d0] = c.chol_factors()[d0]
             invs[k][d0] = c.inv_chol_factors()[d0]
-    quad = np.column_stack([work.quad_forms(k, c) for k, c in enumerate(next_comps)])
-    return scatters, quad
+    means = np.stack([c.mean for c in next_comps])
+    invs = [np.stack(mats) for mats in zip(*(c.inv_chol_factors() for c in next_comps))]
+    return scatters, work.quad_matrix(means, invs)
 
 
 @pytest.fixture

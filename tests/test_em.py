@@ -315,24 +315,24 @@ def test_aitken_rejects_non_finite():
 
 def test_regularize_leaves_good_matrix_alone(rng):
     delta = random_spd(3, rng)
-    out, flagged = regularize_and_check(delta, 1e-3)
-    assert flagged is False
-    assert np.array_equal(out, delta)
+    out, flagged = regularize_and_check(delta[None], 1e-3)
+    assert flagged.tolist() == [False]
+    assert np.array_equal(out[0], delta)
 
 
 def test_regularize_repairs_rank_deficiency():
     v = np.array([[1.0], [2.0]])
     delta = v @ v.T
-    out, flagged = regularize_and_check(delta, 1e-3)
-    assert flagged is True
-    assert np.allclose(out, delta + 1e-3 * np.eye(2), rtol=0, atol=0)
-    np.linalg.cholesky(out)
+    out, flagged = regularize_and_check(delta[None], 1e-3)
+    assert flagged.tolist() == [True]
+    assert np.allclose(out[0], delta + 1e-3 * np.eye(2), rtol=0, atol=0)
+    np.linalg.cholesky(out[0])
 
 
 def test_regularize_repairs_zero_matrix():
-    out, flagged = regularize_and_check(np.zeros((2, 2)), 1e-3)
-    assert flagged is True
-    assert np.allclose(out, 1e-3 * np.eye(2), rtol=0, atol=0)
+    out, flagged = regularize_and_check(np.zeros((1, 2, 2)), 1e-3)
+    assert flagged.tolist() == [True]
+    assert np.allclose(out[0], 1e-3 * np.eye(2), rtol=0, atol=0)
 
 
 def test_regularize_stack_repairs_only_the_singular_group(rng):
@@ -341,15 +341,15 @@ def test_regularize_stack_repairs_only_the_singular_group(rng):
     out, flags = regularize_and_check(stack, 1e-3)
     assert flags.tolist() == [False, True, False, False]
     for got, flag, mat in zip(out, flags, stack):
-        want, want_flag = regularize_and_check(mat, 1e-3)
-        assert flag == want_flag
-        assert np.array_equal(got, want)
+        want, want_flag = regularize_and_check(mat[None], 1e-3)
+        assert flag == want_flag[0]
+        assert np.array_equal(got, want[0])
 
 
 def test_regularize_gives_up_on_hopeless_input():
     # a large negative eigenvalue a tiny ridge cannot fix
     with pytest.raises(SingularScaleError):
-        regularize_and_check(np.diag([1.0, -5.0]), 1e-3)
+        regularize_and_check(np.diag([1.0, -5.0])[None], 1e-3)
 
 
 # --- identifiability -----------------------------------------------------------------
@@ -613,32 +613,19 @@ def assert_matches_oracle(got, want):
     np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10 * np.abs(want).max())
 
 
-def oracle_quad_matrix(batch, means, chols):
-    """(N, G) quadratic forms by triangular solves, from per-dimension stacks."""
-    return np.column_stack(
-        [
-            (oracles.whiten_all_modes(batch - mean, [L[k] for L in chols]) ** 2)
-            .reshape(len(batch), -1)
-            .sum(axis=1)
-            for k, mean in enumerate(means)
-        ]
-    )
-
-
 @pytest.mark.parametrize("spec", ALL_SPECS)
 def test_fit_sweep_matches_from_scratch_oracle(spec, rng, monkeypatch):
     """In fits of order 2, 3 and 4, every scatter of the sweep and every
     E-step quadratic form equals the from-scratch triangular-solve route
-    under the factors the fit holds at that moment.  Every pair the E-step
-    prunes has an oracle log density more than 745.2 nats below its row's
-    best, so its exact responsibility is exactly zero; the last, well
-    separated cell makes pruning happen.  Ill-conditioned factors are
-    covered by the sweep test in ``test_mlnd.py``: fitted to such data,
+    under the factors the fit holds at that moment.  Ill-conditioned factors
+    are covered by the sweep test in ``test_mlnd.py``: fitted to such data,
     three factors of condition 1e11-1e12 leave even the from-scratch routes
     disagreeing in the second digit."""
     checked = {"scatter": 0, "quad": 0}
-    pruned = []
-    sweep_step, quad_matrix = em._scatter_one, mlnd.SweepWorkspace.quad_matrix
+    sweep_step, quad_matrix, chol_lower = (
+        em._scatter_one, mlnd.SweepWorkspace.quad_matrix, em.chol_lower
+    )
+    held = {}  # the fit's current L stack of each dimension
 
     def scatter(work, k, dim, mean, weights, inv_chols, chols):
         got = sweep_step(work, k, dim, mean, weights, inv_chols, chols)
@@ -646,25 +633,26 @@ def test_fit_sweep_matches_from_scratch_oracle(spec, rng, monkeypatch):
         checked["scatter"] += 1
         return got
 
-    def quads(work, heads, means, chols, invs):
-        got = quad_matrix(work, heads, means, chols, invs)
-        want = oracle_quad_matrix(work.batch, means, chols)
-        skipped = np.isinf(got)
-        for k in range(len(means)):
-            assert_matches_oracle(got[~skipped[:, k], k], want[~skipped[:, k], k])
+    def chol(mat, dim):
+        held[dim] = chol_lower(mat, dim)
+        return held[dim]
+
+    def quads(work, means, invs):
+        got = quad_matrix(work, means, invs)
+        for k, mean in enumerate(means):
+            white = oracles.whiten_all_modes(work.batch - mean, [held[d][k] for d in sorted(held)])
+            assert_matches_oracle(got[:, k], (white.reshape(len(white), -1) ** 2).sum(axis=1))
             checked["quad"] += 1
-        density = heads - 0.5 * want
-        best = np.broadcast_to(density.max(axis=1, keepdims=True), density.shape)
-        assert np.all(density[skipped] < best[skipped] - 745.2)
-        pruned.append(int(skipped.sum()))
         return got
 
     monkeypatch.setattr(em, "_scatter_one", scatter)
+    monkeypatch.setattr(em, "chol_lower", chol)
     monkeypatch.setattr(mlnd.SweepWorkspace, "quad_matrix", quads)
-    for dims, gap in [((3, 2), 3.0), ((2, 3, 2), 3.0), ((2, 2, 3, 2), 3.0), ((4, 3, 3), 20.0)]:
+    for dims in [(3, 2), (2, 3, 2), (2, 2, 3, 2)]:
+        held.clear()
         comps = [
             MlndParams(
-                mean=np.full(dims, gap * k),
+                mean=np.full(dims, 3.0 * k),
                 scales=tuple(random_spd(n, rng) for n in dims),
             )
             for k in range(2)
@@ -672,30 +660,7 @@ def test_fit_sweep_matches_from_scratch_oracle(spec, rng, monkeypatch):
         batch = np.stack([sample(comps[i % 2], rng) for i in range(40)])
         _, report = fit(batch, 2, specs=(spec,) * len(dims), options=FitOptions(max_iterations=3))
         assert report.n_iterations == 3
-    assert checked == {"scatter": 2 * 3 * (2 + 3 + 4 + 3), "quad": 2 * 3 * 4}
-    assert sum(pruned) > 0
-
-
-def test_first_e_step_and_single_group_prune_nothing(rng, monkeypatch):
-    """The first E-step has no bounds to prune with, and with G = 1 every
-    row is in the group's support; a well separated G = 2 fit prunes later."""
-    pruned = []
-    quad_matrix = mlnd.SweepWorkspace.quad_matrix
-
-    def quads(work, *args):
-        got = quad_matrix(work, *args)
-        pruned.append(int(np.isinf(got).sum()))
-        return got
-
-    monkeypatch.setattr(mlnd.SweepWorkspace, "quad_matrix", quads)
-    dims = (4, 3, 3)
-    comps = [MlndParams(np.full(dims, 12.0 * k), tuple(np.eye(n) for n in dims)) for k in range(2)]
-    batch = np.concatenate([sample(c, rng, size=20) for c in comps])
-    fit(batch, 2, options=FitOptions(max_iterations=4))
-    assert len(pruned) == 4 and pruned[0] == 0 and sum(pruned) > 0
-    pruned.clear()
-    fit(batch, 1, options=FitOptions(max_iterations=4))
-    assert pruned == [0, 0, 0, 0]
+    assert checked == {"scatter": 2 * 3 * (2 + 3 + 4), "quad": 2 * 3 * 3}
 
 
 # --- allocation guards on the benchmark cell (7^4, N=180, G=3) ----------------------

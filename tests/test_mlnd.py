@@ -236,60 +236,9 @@ def test_sweep_skips_zero_weight_rows(dims, block_rows, rng, monkeypatch):
         white = oracles.whiten_all_modes(batch - new[k].mean, new[k].chol_factors())
         assert_matches_oracle(quad[:, k], (white.reshape(n, -1) ** 2).sum(axis=1))
     # before any sweep, every row is whitened from scratch
-    fresh = mlnd.SweepWorkspace(batch, 1).quad_forms(0, new[2])
-    assert_matches_oracle(fresh, (white.reshape(n, -1) ** 2).sum(axis=1))
-
-
-def e_step_quads(work, z, comps, weights):
-    """One sweep of ``work`` under ``comps``' factors, then the pruned
-    quadratic forms and the heads log pi_k + c_k they were pruned with."""
-    d = comps[0].order
-    chols = [np.stack([c.chol_factors()[m] for c in comps]) for m in range(d)]
-    invs = [np.stack([c.inv_chol_factors()[m] for c in comps]) for m in range(d)]
-    for m in range(d):
-        for k, c in enumerate(comps):
-            mlnd._scatter_one(
-                work, k, m + 1, c.mean, z[:, k], [inv[k] for inv in invs], [L[k] for L in chols]
-            )
-    heads = np.log(weights) + np.array(
-        [-0.5 * c.size * (np.log(2.0 * np.pi) + c.log_det_terms()) for c in comps]
-    )
-    means = np.stack([c.mean for c in comps])
-    return heads, work.quad_matrix(heads, means, chols, invs)
-
-
-def test_quad_matrix_prunes_only_what_its_bound_proves(rng):
-    """Two far groups; between the E-steps group 1's scales grow 100-fold.
-    Its whitened norms then shrink 100-fold, so rows of group 0 come within
-    a few nats of group 1 and must be whitened; a bound built from the new
-    factors alone would have pruned them.  Group 0's factors stay, so group
-    1's rows stay thousands of nats away from it and are pruned."""
-    dims = (3, 4)
-    n = 12
-    far = np.where(np.arange(n) < 6, 0.0, 30.0)
-    batch = far[:, None, None] + rng.standard_normal((n,) + dims)
-    z = np.column_stack([far == 0.0, far != 0.0]).astype(float)
-    work = mlnd.SweepWorkspace(batch, 2)
-    unit = tuple(np.eye(m) for m in dims)
-    means = [np.zeros(dims), np.full(dims, 30.0)]
-    first = [MlndParams(mu, unit) for mu in means]
-    second = [first[0], MlndParams(means[1], tuple(100.0 * s for s in unit))]
-    _, quad = e_step_quads(work, z, first, [0.5, 0.5])
-    assert not np.isinf(quad).any()
-    heads, quad = e_step_quads(work, z, second, [0.5, 0.5])
-    pruned = np.isinf(quad)
-    assert pruned[:, 0].tolist() == [False] * 6 + [True] * 6
-    assert not pruned[:, 1].any()
-    want = np.column_stack(
-        [
-            (oracles.whiten_all_modes(batch - c.mean, c.chol_factors()) ** 2).reshape(n, -1).sum(1)
-            for c in second
-        ]
-    )
-    assert_matches_oracle(quad[~pruned], want[~pruned])
-    density = heads - 0.5 * want
-    best = np.broadcast_to(density.max(axis=1, keepdims=True), density.shape)
-    assert np.all(density[pruned] < best[pruned] - 745.2)
+    inv = [m[None] for m in new[2].inv_chol_factors()]
+    fresh = mlnd.SweepWorkspace(batch, 1).quad_matrix(new[2].mean[None], inv)
+    assert_matches_oracle(fresh[:, 0], (white.reshape(n, -1) ** 2).sum(axis=1))
 
 
 # --- slicing ---------------------------------------------------------------

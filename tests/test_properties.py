@@ -15,62 +15,8 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from tmclust.errors import DataFormatError  # noqa: E402
 from tmclust.io import _load_csv_long, _parse_csv_long, _scan_csv_long  # noqa: E402
-from tmclust.mlnd import inv_lower, whitening_bounds  # noqa: E402
 
-import oracles  # noqa: E402
-from conftest import spd_with_condition  # noqa: E402
-
-PROPERTY = settings(derandomize=True, max_examples=60, deadline=None, database=None)
-
-
-# --- the E-step's pruning bound ---------------------------------------------------
-
-
-def whitened_norms(x, means, chols):
-    """(N, G) norms ||W_k (x_i - mu_k)|| by triangular solves."""
-    return np.column_stack(
-        [
-            np.sqrt((oracles.whiten_all_modes(x - mean, [L[k] for L in chols]) ** 2)
-                    .reshape(len(x), -1).sum(axis=1))
-            for k, mean in enumerate(means)
-        ]
-    )
-
-
-@PROPERTY
-@given(
-    dims=st.lists(st.integers(1, 4), min_size=2, max_size=3),
-    n_groups=st.integers(1, 3),
-    n_rows=st.integers(1, 6),
-    log_cond=st.floats(0.0, 6.0),
-    shift=st.floats(0.0, 5.0),
-    slack=st.floats(0.0, 1.0),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_whitening_bounds_never_exceed_the_norm(
-    dims, n_groups, n_rows, log_cond, shift, slack, seed
-):
-    """Old and new factors of condition up to 1e6, a shifted mean and bounds
-    that are exact or loose: every bound is at most the new whitened norm,
-    up to rounding."""
-    rng = np.random.default_rng(seed)
-    dims = tuple(dims)
-
-    def factors():
-        return [
-            np.stack([np.linalg.cholesky(spd_with_condition(n, 10**log_cond, rng))
-                      for _ in range(n_groups)])
-            for n in dims
-        ]
-
-    old, new = factors(), factors()
-    old_means = rng.standard_normal((n_groups,) + dims)
-    means = old_means + shift * rng.standard_normal(old_means.shape)
-    x = 3.0 * rng.standard_normal((n_rows,) + dims)
-    bounds = whitened_norms(x, old_means, old) * (1.0 - slack * rng.random((n_rows, n_groups)))
-    lower = whitening_bounds(bounds, means - old_means, [inv_lower(L) for L in old], new)
-    assert np.all(lower >= 0.0)
-    assert np.all(lower <= whitened_norms(x, means, new) * (1.0 + 1e-9))
+PROPERTY = settings(derandomize=True, max_examples=200, deadline=None, database=None)
 
 
 # --- the long-CSV reader -------------------------------------------------------------
@@ -134,7 +80,7 @@ def outcome(load, path, dims, n_obs):
         return str(exc)
 
 
-@settings(PROPERTY, max_examples=200)
+@PROPERTY
 @given(csv_long_files())
 def test_csv_long_fast_path_agrees_with_the_row_scan(case):
     """The chunked parse gives the row scan's array bit for bit, or the row
