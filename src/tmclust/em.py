@@ -19,10 +19,13 @@ whitens those once with the new factors.  The workspace holds
 observation-last blocks, so the number of matrix products per pass does not
 grow with N.
 
-The loop keeps its parameters as arrays: the weights, the (G, n_1, ..., n_D)
+The loop keeps its state as arrays: the weights, the (G, n_1, ..., n_D)
 means and, per dimension, (G, n_d, n_d) stacks of the scales, their Cholesky
 factors and the inverses, each stack checked and factorized in one batched
-call.  :class:`MlndParams` and :class:`MixtureModel` are built once, at exit.
+call, beside the workspace.  :func:`e_step` takes that state or a
+:class:`MixtureModel`, whose densities come from fresh workspaces, one per
+component.  :class:`MlndParams` and :class:`MixtureModel` are built once, at
+exit.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from .mlnd import (
     chol_lower,
     inv_lower,
     log_density_batch,
+    log_density_consts,
 )
 from .parsimony import (
     GpcmVviFactors,
@@ -211,25 +215,16 @@ def init_kmeans(data, n_groups: int, options: FitOptions | None = None, rng=None
 
 @dataclass
 class _Stacks:
-    """The EM loop's parameters: weights (G,), means (G, n_1, ..., n_D) and,
-    per dimension, (G, n_d, n_d) stacks of the scales, their Cholesky factors
-    L and the inverses L^{-1}."""
+    """The EM loop's state: weights (G,), means (G, n_1, ..., n_D), per
+    dimension (G, n_d, n_d) stacks of the scales, their Cholesky factors L
+    and the inverses L^{-1}, and the fit's sweep workspace."""
 
     weights: np.ndarray
     means: np.ndarray
     scales: list
     chols: list
     invs: list
-
-    def log_terms(self) -> tuple[np.ndarray, np.ndarray]:
-        """log pi_k and the density constants c_k, both (G,), each in the
-        order of operations of ``MlndParams.log_det_terms`` and
-        ``log_density_batch``, so the entries match theirs bit for bit."""
-        ldt = 0.0
-        for L in self.chols:
-            ldt = ldt + 2.0 * np.log(np.diagonal(L, axis1=1, axis2=2)).sum(axis=1) / len(L[0])
-        n_star = self.means[0].size
-        return np.log(self.weights), -0.5 * n_star * (np.log(2.0 * np.pi) + ldt)
+    work: SweepWorkspace
 
     def model(self, specs, factors) -> MixtureModel:
         """The mixture these parameters define, with its symmetry checks."""
@@ -240,30 +235,29 @@ class _Stacks:
         return MixtureModel(self.weights, components, specs, dict(factors))
 
 
-def loglik_matrix(data, model: MixtureModel | _Stacks, work: SweepWorkspace | None = None):
+def loglik_matrix(data, model: MixtureModel | _Stacks):
     """(N, G) matrix of log(pi_g) + per-component log densities.
 
-    A :class:`MixtureModel`'s entries are computed from scratch.  Inside
-    ``fit``, ``model`` is the loop's parameter stacks and ``work`` the fit's
-    workspace, which lacks only the last mode's whitening of each group's
-    support: one pass gives those quadratic forms, and only the rows of zero
-    responsibility are centred and whitened from scratch
+    A :class:`MixtureModel`'s entries come from :func:`log_density_batch`,
+    one fresh workspace per component.  Inside ``fit``, ``model`` is the
+    loop's state, whose workspace lacks only the last mode's whitening of
+    each group's support: one pass gives those quadratic forms, and only the
+    rows of zero responsibility are centred and whitened from scratch
     (:meth:`~tmclust.mlnd.SweepWorkspace.quad_matrix`).
     """
     if isinstance(model, _Stacks):
-        log_w, consts = model.log_terms()
-        return log_w + (consts - 0.5 * work.quad_matrix(model.means, model.invs))
+        quad = model.work.quad_matrix(model.means, model.invs)
+        return np.log(model.weights) + (log_density_consts(model.chols) - 0.5 * quad)
     batch = as_batch(data)
-    cols = []
-    for g, comp in enumerate(model.components):
-        cols.append(np.log(model.weights[g]) + log_density_batch(batch, comp))
-    return np.column_stack(cols)
+    return np.log(model.weights) + np.column_stack(
+        [log_density_batch(batch, comp) for comp in model.components]
+    )
 
 
-def e_step(data, model: MixtureModel | _Stacks, work: SweepWorkspace | None = None):
+def e_step(data, model: MixtureModel | _Stacks):
     """Responsibilities and observed log-likelihood, evaluated in log space;
-    ``model`` and ``work`` as in :func:`loglik_matrix`."""
-    lm = loglik_matrix(data, model, work)
+    ``model`` as in :func:`loglik_matrix`."""
+    lm = loglik_matrix(data, model)
     top = lm.max(axis=1)
     top[~np.isfinite(top)] = 0.0  # a row of -inf then sums to log(0) = -inf
     with np.errstate(divide="ignore"):
@@ -412,9 +406,7 @@ class _McdEvi(_Family):
     def update(self, lams, counts, n_obs, n_star, previous, reg_epsilon):
         prev = np.ones(len(lams)) if previous is None else previous.deltas
         t, deltas = mcd_evi_update(lams, counts, prev, n_star)
-        tinv = np.linalg.inv(t)
-        base = tinv @ tinv.T
-        base = (base + base.T) / 2.0
+        base = McdFactors(t, 1.0).scale()
         scales, flagged = [], []
         for k in range(len(lams)):
             new = deltas[k] * base
@@ -616,11 +608,10 @@ def fit(
             raise ValueError(f"init_z must have shape {(n, g)}")
 
     eyes = [np.broadcast_to(np.eye(n_d), (g, n_d, n_d)) for n_d in dims]
-    state = _Stacks(None, None, list(eyes), list(eyes), list(eyes))
+    state = _Stacks(None, None, list(eyes), list(eyes), list(eyes), SweepWorkspace(batch, g))
     factors: dict[int, object] = {}
     events: list[SingularEvent] = []
     trace: list[float] = []
-    work = SweepWorkspace(batch, g)
     converged = False
     iteration = 0
 
@@ -645,7 +636,7 @@ def fit(
             raws = np.stack(
                 [
                     _scatter_one(
-                        work, k, dim, means[k], z[:, k],
+                        state.work, k, dim, means[k], z[:, k],
                         [inv[k] for inv in state.invs], [L[k] for L in state.chols],
                     )
                     for k in range(g)
@@ -661,7 +652,7 @@ def fit(
             L = chol_lower(news, dim)
             state.scales[d0], state.chols[d0], state.invs[d0] = news, L, inv_lower(L)
 
-        z, ll = e_step(batch, state, work)
+        z, ll = e_step(batch, state)
         trace.append(ll)
         if len(trace) >= 3 and aitken_stop(trace[-3:], options.aitken_epsilon):
             converged = True

@@ -11,35 +11,36 @@ density at x is
     -(n*/2) log(2 pi) - (n*/2) sum_d (1/n_d) log|Delta_d| - Q/2,
 
 with n* = prod(n_d) and Q the squared Mahalanobis norm of the centered array.
-Q is always evaluated by whitening the centered array mode by mode with the
-inverse lower Cholesky factor L_d^{-1} of each Delta_d — the dense Kronecker
+Q is evaluated by whitening the centered array mode by mode with the inverse
+lower Cholesky factor L_d^{-1} of each Delta_d — the dense Kronecker
 covariance is never formed.  The Kronecker factorization is only unique up to
 per-dimension rescalings that preserve the product, which downstream code
 resolves by convention after fitting.  Means are dense arrays of shape dims,
 and :func:`sample` with ``size=n`` draws one (n, n_1, ..., n_D) batch.
 
-EM whitens incrementally in a :class:`SweepWorkspace` (one per fit), which
-holds each group's centred support, the observations whose weight is not
-exactly zero, whitened on every mode but the one being updated;
-:func:`_scatter_one` advances it by the new L_d^{-1} and the old L_{d+1}.
-The other observations contribute nothing to the group's scatters, so they
-are whitened once, from scratch, for the E-step's quadratic forms.  The
+Every Q comes from :meth:`SweepWorkspace.quad_matrix` and every constant
+from :func:`log_density_consts`: :func:`log_density_batch` uses a fresh
+one-group workspace, which whitens each row from scratch, and EM the one
+workspace of its fit.  That holds each group's centred support, the
+observations whose weight is not exactly zero, whitened on every mode but
+the one being updated; :func:`_scatter_one` advances it by the new L_d^{-1}
+and the old L_{d+1}.  The other observations add nothing to the group's
+scatters, so they are whitened once, from scratch, for the E-step.  The
 workspace keeps observations last, in (n_1, ..., n_D, b) blocks, so the
 contracted mode of every pass and Gram has the b observations in its
 trailing extent.  Every single-mode pass goes through :func:`_solve_mode`.
-The functions that take Cholesky factors also take
-(G, n, n) stacks of them.
+:func:`chol_lower` and :func:`inv_lower` also take (G, n, n) stacks.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NotPositiveDefiniteError
-from .mda import _as_array, multiply_axis
+from .mda import _as_array, as_batch, multiply_axis
 
 _SYM_TOL = 1e-12
 _BLOCK_BYTES = 512 * 1024  # largest block of observations one sweep pass touches
@@ -96,8 +97,6 @@ class MlndParams:
 
     mean: np.ndarray
     scales: tuple[np.ndarray, ...]
-    _chols: tuple[np.ndarray, ...] | None = field(default=None, repr=False, compare=False)
-    _inv_chols: tuple[np.ndarray, ...] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.mean = np.ascontiguousarray(self.mean, dtype=np.float64)
@@ -121,30 +120,19 @@ class MlndParams:
     def order(self) -> int:
         return self.mean.ndim
 
-    @property
-    def size(self) -> int:
-        return self.mean.size
-
     def chol_factors(self) -> tuple[np.ndarray, ...]:
-        """Lower Cholesky factors L_d of every scale matrix (cached)."""
-        if self._chols is None:
-            self._chols = tuple(
-                chol_lower(s, dim=d + 1) for d, s in enumerate(self.scales)
-            )
-        return self._chols
+        """Lower Cholesky factors L_d of every scale matrix."""
+        return tuple(chol_lower(s, dim=d + 1) for d, s in enumerate(self.scales))
 
-    def inv_chol_factors(self) -> tuple[np.ndarray, ...]:
-        """Inverse factors L_d^{-1}, the whitening matrices (cached)."""
-        if self._inv_chols is None:
-            self._inv_chols = tuple(inv_lower(L) for L in self.chol_factors())
-        return self._inv_chols
 
-    def log_det_terms(self) -> float:
-        """sum_d (1/n_d) log|Delta_d|, the per-entry log determinant."""
-        total = 0.0
-        for n_d, L in zip(self.dims, self.chol_factors()):
-            total += 2.0 * float(np.log(np.diag(L)).sum()) / n_d
-        return total
+def log_density_consts(chols) -> np.ndarray:
+    """The (G,) density constants -(n*/2)(log 2 pi + sum_d (1/n_d) log|Delta_d|)
+    from the per-dimension (G, n_d, n_d) stacks of L_d."""
+    ldt = 0.0
+    for L in chols:
+        ldt = ldt + 2.0 * np.log(np.diagonal(L, axis1=1, axis2=2)).sum(axis=1) / len(L[0])
+    n_star = math.prod(len(L[0]) for L in chols)
+    return -0.5 * n_star * (np.log(2.0 * np.pi) + ldt)
 
 
 def _solve_mode(values: np.ndarray, inv_factor: np.ndarray, axis: int, out=None) -> np.ndarray:
@@ -285,17 +273,15 @@ def log_density(x, params: MlndParams) -> float:
 
 
 def log_density_batch(batch: np.ndarray, params: MlndParams) -> np.ndarray:
-    """Log densities for a stacked batch of shape (N, n_1, ..., n_D)."""
-    batch = np.asarray(batch, dtype=np.float64)
+    """Log densities for a stacked batch of shape (N, n_1, ..., n_D), whose
+    quadratic forms a fresh one-group workspace whitens from scratch."""
+    batch = as_batch(batch)
     if batch.shape[1:] != params.dims:
         raise ValueError(f"batch has dims {batch.shape[1:]}, expected {params.dims}")
-    n_star = params.size
-    white = batch - params.mean[None]  # whitened on every mode, the squared norms are Q
-    for d, inv_factor in enumerate(params.inv_chol_factors()):
-        white = _solve_mode(white, inv_factor, axis=d + 1)
-    quad = np.einsum("nk,nk->n", white.reshape(len(white), -1), white.reshape(len(white), -1))
-    const = -0.5 * n_star * (np.log(2.0 * np.pi) + params.log_det_terms())
-    return const - 0.5 * quad
+    chols = [L[None] for L in params.chol_factors()]
+    invs = [inv_lower(L) for L in chols]
+    quad = SweepWorkspace(batch, 1).quad_matrix(params.mean[None], invs)[:, 0]
+    return log_density_consts(chols)[0] - 0.5 * quad
 
 
 def sample(params: MlndParams, rng, size: int | None = None):

@@ -87,7 +87,9 @@ def default_study(base_seed: int = 0, replicates: int = 25) -> tuple[SimConfig, 
 
 
 def full_study(base_seed: int = 0, replicates: int = 250) -> tuple[SimConfig, ...]:
-    """The complete grid (hours of compute): four sample sizes x four array sizes."""
+    """The complete grid: four sample sizes x four array sizes.  One replicate
+    of its 16 cells took 2.7-4.4 s on a 2-vCPU VM (numpy 2.4.6, OpenBLAS
+    0.3.31), so the default 250 take about 15 minutes on one worker."""
     return tuple(
         SimConfig(n_obs=n, dims=(m, m, m, m), replicates=replicates, base_seed=base_seed)
         for n in (60, 90, 120, 180)

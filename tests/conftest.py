@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from tmclust.mlnd import MlndParams, SweepWorkspace, _scatter_one
+from tmclust.mlnd import MlndParams, SweepWorkspace, _scatter_one, inv_lower
 
 
 def random_spd(n: int, rng: np.random.Generator, jitter: float = 0.5) -> np.ndarray:
@@ -41,7 +41,7 @@ def sweep_scatters(batch, z, comps, next_comps=None):
     next_comps = comps if next_comps is None else next_comps
     work = SweepWorkspace(batch, len(comps))
     chols = [list(c.chol_factors()) for c in comps]
-    invs = [list(c.inv_chol_factors()) for c in comps]
+    invs = [[inv_lower(L) for L in c.chol_factors()] for c in comps]
     scatters = []
     for d0 in range(batch.ndim - 1):
         scatters.append(
@@ -54,9 +54,9 @@ def sweep_scatters(batch, z, comps, next_comps=None):
         )
         for k, c in enumerate(next_comps):
             chols[k][d0] = c.chol_factors()[d0]
-            invs[k][d0] = c.inv_chol_factors()[d0]
+            invs[k][d0] = inv_lower(chols[k][d0])
     means = np.stack([c.mean for c in next_comps])
-    invs = [np.stack(mats) for mats in zip(*(c.inv_chol_factors() for c in next_comps))]
+    invs = [np.stack(mats) for mats in zip(*invs)]
     return scatters, work.quad_matrix(means, invs)
 
 

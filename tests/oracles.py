@@ -14,6 +14,9 @@ to the front.
   optional mode swaps (acceptance criterion 2).
 * :func:`kron` — the dense Kronecker product of per-dimension matrices,
   the vec-space operator that ``tmclust`` never forms.
+* :func:`dense_log_density` — the log density of one observation as a
+  multivariate normal on its vectorization, under the dense Kronecker
+  covariance (slogdet + solve), the oracle for ``tmclust.mlnd``'s densities.
 * :func:`kron_relative_error_dense` — ``tmclust.metrics.kron_relative_error``
   through the dense Kronecker products.
 * :func:`eee_oracle` — the shared full scale (EEE) by derivative-free
@@ -29,6 +32,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.optimize import minimize
 
+from tmclust.mda import vectorize
 from tmclust.metrics import relative_error
 from tmclust.mlnd import MlndParams
 from tmclust.parsimony import gpcm_eee_update
@@ -155,6 +159,16 @@ def kron(mats) -> np.ndarray:
     if not mats:
         raise ValueError("kron needs at least one matrix")
     return reduce(np.kron, mats)
+
+
+def dense_log_density(x: np.ndarray, params: MlndParams) -> float:
+    """Dense multivariate-normal oracle on the vectorized problem."""
+    sigma = kron(params.scales)
+    resid = x.reshape(-1) - vectorize(params.mean)
+    sign, logdet = np.linalg.slogdet(sigma)
+    assert sign > 0
+    quad = float(resid @ np.linalg.solve(sigma, resid))
+    return -0.5 * (resid.size * np.log(2 * np.pi) + logdet + quad)
 
 
 def kron_relative_error_dense(estimate_scales, truth_scales) -> float:

@@ -20,14 +20,13 @@ from tmclust.em import (
     free_params,
     normalize_identifiability,
 )
-from tmclust.mda import vectorize
 from tmclust.metrics import adjusted_rand_index
 from tmclust.mlnd import MlndParams, log_density, sample
 from tmclust.parsimony import ScaleModel, gpcm_eee_update, mcd_vvi_update
 from tmclust.simulate import SimConfig, run_study
 
 from conftest import random_params, random_spd
-from oracles import eee_oracle, kron, quadratic_form
+from oracles import dense_log_density, eee_oracle, kron, quadratic_form
 
 
 def _verdict(criterion: int, ok: bool, detail: str) -> None:
@@ -41,15 +40,6 @@ def _verdict(criterion: int, ok: bool, detail: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _dense_log_density(x: np.ndarray, params: MlndParams) -> float:
-    sigma = kron(params.scales)
-    resid = x.reshape(-1) - vectorize(params.mean)
-    sign, logdet = np.linalg.slogdet(sigma)
-    assert sign > 0
-    quad = float(resid @ np.linalg.solve(sigma, resid))
-    return -0.5 * (resid.size * np.log(2 * np.pi) + logdet + quad)
-
-
 def test_criterion_1_density_oracle():
     rng = np.random.default_rng(101)
     worst = 0.0
@@ -60,7 +50,7 @@ def test_criterion_1_density_oracle():
         params = random_params(dims, rng)
         x = rng.standard_normal(dims)
         got = log_density(x, params)
-        want = _dense_log_density(x, params)
+        want = dense_log_density(x, params)
         worst = max(worst, abs(got - want))
     elapsed = time.perf_counter() - start
     _verdict(

@@ -695,3 +695,12 @@ def test_fit_peak_is_the_workspace(cell_7x4):
     z = init_kmeans(cell_7x4, 3, rng=np.random.default_rng(0))
     peak = traced_peak(fit, cell_7x4, 3, init_z=z, options=FitOptions(max_iterations=3))
     assert peak <= 4 * cell_7x4.nbytes + 2**20
+
+
+def test_public_loglik_peak_is_one_workspace(cell_7x4):
+    """A model's log-likelihood matrix whitens each component in a fresh
+    one-group workspace: one held batch plus one block buffer at a time."""
+    z = init_kmeans(cell_7x4, 3, rng=np.random.default_rng(0))
+    model, _ = fit(cell_7x4, 3, init_z=z, options=FitOptions(max_iterations=1))
+    peak = traced_peak(loglik_matrix, cell_7x4, model)
+    assert peak <= cell_7x4.nbytes + 2**20

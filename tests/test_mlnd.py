@@ -12,7 +12,7 @@ import pytest
 
 from tmclust import mlnd
 from tmclust.errors import NotPositiveDefiniteError
-from tmclust.mda import matricize_mode1, vectorize
+from tmclust.mda import matricize_mode1
 from tmclust.parsimony import ScaleModel
 from tmclust.mlnd import (
     MlndParams,
@@ -21,22 +21,13 @@ from tmclust.mlnd import (
     inv_lower,
     log_density,
     log_density_batch,
+    log_density_consts,
     sample,
 )
 
 import oracles
 from conftest import random_params, random_spd, spd_with_condition, sweep_scatters
-from oracles import kron, quadratic_form, whiten_slices
-
-
-def dense_log_density(x: np.ndarray, params: MlndParams) -> float:
-    """Dense multivariate-normal oracle on the vectorized problem."""
-    sigma = kron(params.scales)
-    resid = x.reshape(-1) - vectorize(params.mean)
-    sign, logdet = np.linalg.slogdet(sigma)
-    assert sign > 0
-    quad = float(resid @ np.linalg.solve(sigma, resid))
-    return -0.5 * (resid.size * np.log(2 * np.pi) + logdet + quad)
+from oracles import dense_log_density, kron, quadratic_form, whiten_slices
 
 
 def dense_quadratic(c: np.ndarray, params: MlndParams) -> float:
@@ -84,13 +75,14 @@ def test_log_density_batch_matches_scalar(rng):
 
 def test_determinant_factorization(rng):
     # |kron(scales)| == prod_d |Delta_d|^(n*/n_d), checked through the
-    # log-det term used by the density
+    # density constant
     dims = (2, 3)
     p = random_params(dims, rng)
     sigma = kron(p.scales)
     _, logdet = np.linalg.slogdet(sigma)
     n_star = int(np.prod(dims))
-    assert n_star * p.log_det_terms() == pytest.approx(logdet, rel=1e-12)
+    const = log_density_consts([L[None] for L in p.chol_factors()])[0]
+    assert const == pytest.approx(-0.5 * (n_star * np.log(2 * np.pi) + logdet), rel=1e-12)
 
 
 def test_density_invariant_to_compensating_rescale(rng):
@@ -139,13 +131,13 @@ def test_whitening_matches_triangular_solve(dims, cond, rng):
         L = chol_lower(spd_with_condition(n, cond, rng))
         got = _solve_mode(batch, inv_lower(L), axis)
         assert_matches_oracle(got, oracles.solve_mode(batch, L, axis))
-    # all modes, with the factors the parameters cache
+    # all modes, with the factors of the parameters
     p = MlndParams(
         mean=np.zeros(dims), scales=tuple(spd_with_condition(n, cond, rng) for n in dims)
     )
     got = batch
-    for d, inv_factor in enumerate(p.inv_chol_factors()):
-        got = _solve_mode(got, inv_factor, d + 1)
+    for d, L in enumerate(p.chol_factors()):
+        got = _solve_mode(got, inv_lower(L), d + 1)
     assert_matches_oracle(got, oracles.whiten_all_modes(batch, p.chol_factors()))
 
 
@@ -236,7 +228,7 @@ def test_sweep_skips_zero_weight_rows(dims, block_rows, rng, monkeypatch):
         white = oracles.whiten_all_modes(batch - new[k].mean, new[k].chol_factors())
         assert_matches_oracle(quad[:, k], (white.reshape(n, -1) ** 2).sum(axis=1))
     # before any sweep, every row is whitened from scratch
-    inv = [m[None] for m in new[2].inv_chol_factors()]
+    inv = [inv_lower(L)[None] for L in new[2].chol_factors()]
     fresh = mlnd.SweepWorkspace(batch, 1).quad_matrix(new[2].mean[None], inv)
     assert_matches_oracle(fresh[:, 0], (white.reshape(n, -1) ** 2).sum(axis=1))
 

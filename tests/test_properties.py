@@ -13,8 +13,14 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from tmclust import mlnd  # noqa: E402
+from tmclust.em import MixtureModel, loglik_matrix  # noqa: E402
 from tmclust.errors import DataFormatError  # noqa: E402
 from tmclust.io import _load_csv_long, _parse_csv_long, _scan_csv_long  # noqa: E402
+from tmclust.mlnd import MlndParams  # noqa: E402
+
+from conftest import spd_with_condition  # noqa: E402
+from oracles import dense_log_density  # noqa: E402
 
 PROPERTY = settings(derandomize=True, max_examples=200, deadline=None, database=None)
 
@@ -99,3 +105,53 @@ def test_csv_long_fast_path_agrees_with_the_row_scan(case):
     else:
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
         assert fast is None or np.array_equal(fast.view(np.int64), want.view(np.int64))
+
+
+# --- the density's one whitening route --------------------------------------------------
+
+
+@st.composite
+def density_cases(draw):
+    """Components of a mixture and a batch to evaluate them on.
+
+    Each scale matrix has condition number 10**e_d, the exponents summing to
+    at most 6: the dense oracle solves with the Kronecker covariance, whose
+    condition number is their product, so its own error grows with it.  The
+    batch repeats rows and comes C-ordered, Fortran-ordered or strided.
+    """
+    dims = tuple(draw(st.lists(st.integers(1, 4), min_size=2, max_size=4)))
+    exps = np.array(draw(st.lists(st.floats(0, 6), min_size=len(dims), max_size=len(dims))))
+    exps *= min(1.0, 6.0 / max(exps.sum(), 1e-300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    comps = [
+        MlndParams(
+            rng.standard_normal(dims),
+            tuple(spd_with_condition(n, 10.0**e, rng) for n, e in zip(dims, exps)),
+        )
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    rows = rng.standard_normal((draw(st.integers(1, 6)),) + dims)
+    batch = rows[draw(st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=12))]
+    layout = draw(st.sampled_from(["C", "F", "strided"]))
+    if layout == "F":
+        batch = np.asfortranarray(batch)
+    elif layout == "strided":
+        batch = np.repeat(batch, 2, axis=0)[::2]
+    return comps, batch, draw(st.sampled_from([None, 1, 2, 3]))
+
+
+@PROPERTY
+@given(density_cases())
+def test_densities_match_the_dense_oracle(case):
+    """``log_density_batch`` and the columns of a model's ``loglik_matrix``
+    equal the dense oracle, also when the workspace carves several blocks."""
+    comps, batch, block_rows = case
+    weights = np.arange(1.0, len(comps) + 1) / sum(range(1, len(comps) + 1))
+    with pytest.MonkeyPatch.context() as mp:
+        if block_rows is not None:
+            mp.setattr(mlnd, "_BLOCK_BYTES", block_rows * batch[0].nbytes)
+        matrix = loglik_matrix(batch, MixtureModel(weights, comps))
+        for k, comp in enumerate(comps):
+            want = [dense_log_density(x, comp) for x in batch]
+            np.testing.assert_allclose(mlnd.log_density_batch(batch, comp), want, rtol=1e-9)
+            np.testing.assert_allclose(matrix[:, k], np.log(weights[k]) + want, rtol=1e-9)
