@@ -26,6 +26,11 @@ call, beside the workspace.  :func:`e_step` takes that state or a
 :class:`MixtureModel`, whose densities come from fresh workspaces, one per
 component.  :class:`MlndParams` and :class:`MixtureModel` are built once, at
 exit.
+
+A fit runs numpy's OpenBLAS on one thread (restoring the caller's count on
+exit): its products are small, and a second BLAS thread only spins.  Its
+k-means init steps on the N x N Gram matrix when N <= n*, so no product
+of a Lloyd step reads the batch.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._blas import one_blas_thread
 from .errors import DataFormatError, EmptyComponentError, SingularScaleError
 from .mda import as_batch
 from .mlnd import (
@@ -162,8 +168,12 @@ def init_kmeans(data, n_groups: int, options: FitOptions | None = None, rng=None
     Runs ``options.kmeans_restarts`` restarts from random distinct
     observations and keeps the assignment with the lowest within-cluster sum
     of squares.  Deterministic given the generator state; ties keep the
-    first-found solution.  Distances (|v|^2 - 2 v.c + |c|^2) and centres
-    come from GEMMs, so no temporary is as large as the batch.
+    first-found solution.  Distances are |v|^2 - 2 v.c + |c|^2.  When
+    N <= n*, the steps run on the N x N Gram matrix, computed once and no
+    larger than the batch: a centre is a mean of rows, so its products with
+    the rows are the same mean of Gram columns (kernel k-means with a linear
+    kernel).  Otherwise the centres and the products come from GEMMs on the
+    batch.  Either way no temporary is larger than the batch.
     """
     options = options or FitOptions()
     batch = as_batch(data)
@@ -173,18 +183,39 @@ def init_kmeans(data, n_groups: int, options: FitOptions | None = None, rng=None
         raise ValueError(f"need 1 <= G <= N, got G={g}, N={n}")
     rng = rng if rng is not None else options.rng()
     v = batch.reshape(n, -1)
-    v_sq = np.einsum("ij,ij->i", v, v)
+    # seed(rows) and step(one_hot, sizes) give the centres' products with
+    # every row (N, G) and their squared norms (G,)
+    if n <= v.shape[1]:
+        gram = v @ v.T
+        v_sq = gram.diagonal()
 
-    def sq_dists(centers):
-        return v_sq[:, None] - 2.0 * (v @ centers.T) + np.einsum("kj,kj->k", centers, centers)
+        def seed(rows):
+            return gram[:, rows], v_sq[rows]
+
+        def step(one_hot, sizes):
+            member = one_hot / sizes
+            cross = gram @ member
+            return cross, np.einsum("ik,ik->k", member, cross)
+
+    else:
+        v_sq = np.einsum("ij,ij->i", v, v)
+
+        def products(centers):
+            return v @ centers.T, np.einsum("kj,kj->k", centers, centers)
+
+        def seed(rows):
+            return products(v[rows])
+
+        def step(one_hot, sizes):
+            return products((one_hot.T @ v) / sizes[:, None])
 
     best_inertia = np.inf
     best_labels = None
     for _ in range(options.kmeans_restarts):
-        centers = v[rng.choice(n, size=g, replace=False)]
+        cross, c_sq = seed(rng.choice(n, size=g, replace=False))
         labels = None
         for _ in range(100):
-            d2 = sq_dists(centers)
+            d2 = v_sq[:, None] - 2.0 * cross + c_sq
             new_labels = d2.argmin(axis=1)
             sizes = np.bincount(new_labels, minlength=g)
             for k in np.flatnonzero(sizes == 0):
@@ -198,9 +229,9 @@ def init_kmeans(data, n_groups: int, options: FitOptions | None = None, rng=None
             if labels is not None and np.array_equal(labels, new_labels):
                 break  # the centres are those d2 was computed from
             labels = new_labels
-            centers = (np.eye(g)[labels].T @ v) / sizes[:, None]
+            cross, c_sq = step(np.eye(g)[labels], sizes)
         else:
-            d2 = sq_dists(centers)
+            d2 = v_sq[:, None] - 2.0 * cross + c_sq
         inertia = float(d2[np.arange(n), labels].sum())
         if inertia < best_inertia:
             best_inertia = inertia
@@ -556,6 +587,7 @@ def normalize_identifiability(model: MixtureModel) -> MixtureModel:
 # --- the full loop ------------------------------------------------------------
 
 
+@one_blas_thread()
 def fit(
     data,
     n_groups: int,

@@ -171,10 +171,11 @@ class SweepWorkspace:
         self.blocks[k] = self.carve(k, np.flatnonzero(weights))
         self.rest[k] = np.flatnonzero(weights == 0)
 
-    def carve(self, k: int, rows: np.ndarray) -> list:
+    def carve(self, k: int, rows: np.ndarray, one_at_a_time: bool = False) -> list:
         """Blocks of the ascending batch rows ``rows``, held from the front of
-        group k's held row; a block of consecutive rows keeps a slice, so it
-        reads the batch without a gather copy."""
+        group k's held row, one after another, or all at its first element
+        for blocks that are ``one_at_a_time``; a block of consecutive rows
+        keeps a slice, so it reads the batch without a gather copy."""
         size = self.batch[0].size
         blocks = []
         for i in range(0, len(rows), self.step):
@@ -183,10 +184,11 @@ class SweepWorkspace:
             if sel[-1] - sel[0] == b - 1:
                 sel = slice(int(sel[0]), int(sel[0]) + b)
             shape = self.batch.shape[1:] + (b,)
+            start = 0 if one_at_a_time else i * size
             blocks.append((
                 sel,
                 self.buf[: b * size].reshape(shape),
-                self.held[k, i * size : (i + b) * size].reshape(shape),
+                self.held[k, start : start + b * size].reshape(shape),
             ))
         return blocks
 
@@ -212,8 +214,9 @@ class SweepWorkspace:
         ``invs`` the per-dimension (G, n_d, n_d) stacks of the new L_d^{-1}.
         Each group's support lacks only the last mode's whitening, one pass
         with the new L_D^{-1}.  The group's rest is then centred and whitened
-        on every mode, in blocks carved from the same held row, free once the
-        support's forms are taken.
+        on every mode, one block at a time, at the front of the same held
+        row, free once the support's forms are taken: a rest block is dead
+        once its norms are taken, so a fit keeps only its supports resident.
         """
         quad = np.empty((len(self.batch), len(means)))
         for k, mean in enumerate(means):
@@ -221,7 +224,7 @@ class SweepWorkspace:
             for rows, tmp, held in self.blocks[k]:
                 _solve_mode(held, inv[-1], len(inv) - 1, out=tmp)
                 out[rows] = _column_norms(tmp)
-            for rows, tmp, held in self.carve(k, self.rest[k]):
+            for rows, tmp, held in self.carve(k, self.rest[k], one_at_a_time=True):
                 src, dst = held, tmp
                 self.centre(rows, mean, src, dst)
                 for axis, factor in enumerate(inv):

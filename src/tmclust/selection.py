@@ -8,6 +8,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Sequence
 
+from ._blas import one_blas_thread
 from .em import FitOptions, FitReport, MixtureModel, bic, fit, free_params
 from .mda import as_batch
 from .parsimony import ScaleModel
@@ -137,7 +138,10 @@ def scan(data, grid: ScanGrid, threads: int = 1, keep_models: bool = False) -> S
         for g, specs in grid.cells()
     ]
     if threads > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(threads, initializer=_set_worker_batch, initargs=(batch,)) as pool:
+        # workers forked inside the scope inherit one BLAS thread
+        with one_blas_thread(), ProcessPoolExecutor(
+            threads, initializer=_set_worker_batch, initargs=(batch,)
+        ) as pool:
             rows = list(pool.map(_run_cell, tasks))
     else:
         rows = [_run_cell(t, batch) for t in tasks]

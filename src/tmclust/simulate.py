@@ -19,6 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._blas import one_blas_thread
 from .em import FitOptions, MixtureModel, normalize_identifiability
 from .io import _convert_field, _integer, _items, _write_json
 from .metrics import adjusted_rand_index, kron_relative_error, relative_error
@@ -374,7 +375,8 @@ def run_study(configs, options: FitOptions | None = None, workers: int = 1) -> S
         (cfg, i, rep, options) for i, cfg in enumerate(configs) for rep in range(cfg.replicates)
     ]
     if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # workers forked inside the scope inherit one BLAS thread
+        with one_blas_thread(), ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_run_replicate, *zip(*tasks)))
     else:
         records = [_run_replicate(*t) for t in tasks]

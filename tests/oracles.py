@@ -19,6 +19,9 @@ to the front.
   covariance (slogdet + solve), the oracle for ``tmclust.mlnd``'s densities.
 * :func:`kron_relative_error_dense` — ``tmclust.metrics.kron_relative_error``
   through the dense Kronecker products.
+* :func:`kmeans_direct` — k-means with distances and centres from GEMMs on
+  the batch, the oracle for the partitions of ``tmclust.em.init_kmeans``'s
+  Gram-matrix route.
 * :func:`eee_oracle` — the shared full scale (EEE) by derivative-free
   minimization of its objective (acceptance criterion 9).
 """
@@ -32,7 +35,8 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.optimize import minimize
 
-from tmclust.mda import vectorize
+from tmclust.em import FitOptions
+from tmclust.mda import as_batch, vectorize
 from tmclust.metrics import relative_error
 from tmclust.mlnd import MlndParams
 from tmclust.parsimony import gpcm_eee_update
@@ -209,3 +213,57 @@ def eee_oracle(lams, counts, n_obs, n_star):
         options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 20000, "maxfev": 20000},
     )
     return unpack(res.x)
+
+
+def kmeans_direct(data, n_groups: int, options: FitOptions | None = None, rng=None) -> np.ndarray:
+    """Hard (0/1) responsibilities from Lloyd's k-means on vectorizations.
+
+    Runs ``options.kmeans_restarts`` restarts from random distinct
+    observations and keeps the assignment with the lowest within-cluster sum
+    of squares.  Deterministic given the generator state; ties keep the
+    first-found solution.  Distances (|v|^2 - 2 v.c + |c|^2) and centres
+    come from GEMMs, so no temporary is as large as the batch.
+    """
+    options = options or FitOptions()
+    batch = as_batch(data)
+    n = batch.shape[0]
+    g = int(n_groups)
+    if not 1 <= g <= n:
+        raise ValueError(f"need 1 <= G <= N, got G={g}, N={n}")
+    rng = rng if rng is not None else options.rng()
+    v = batch.reshape(n, -1)
+    v_sq = np.einsum("ij,ij->i", v, v)
+
+    def sq_dists(centers):
+        return v_sq[:, None] - 2.0 * (v @ centers.T) + np.einsum("kj,kj->k", centers, centers)
+
+    best_inertia = np.inf
+    best_labels = None
+    for _ in range(options.kmeans_restarts):
+        centers = v[rng.choice(n, size=g, replace=False)]
+        labels = None
+        for _ in range(100):
+            d2 = sq_dists(centers)
+            new_labels = d2.argmin(axis=1)
+            sizes = np.bincount(new_labels, minlength=g)
+            for k in np.flatnonzero(sizes == 0):
+                # revive at the worst-fit point of a cluster that keeps a member
+                dist = d2[np.arange(n), new_labels]
+                dist[sizes[new_labels] < 2] = -np.inf
+                far = int(dist.argmax())
+                sizes[new_labels[far]] -= 1
+                sizes[k] = 1
+                new_labels[far] = k
+            if labels is not None and np.array_equal(labels, new_labels):
+                break  # the centres are those d2 was computed from
+            labels = new_labels
+            centers = (np.eye(g)[labels].T @ v) / sizes[:, None]
+        else:
+            d2 = sq_dists(centers)
+        inertia = float(d2[np.arange(n), labels].sum())
+        if inertia < best_inertia:
+            best_inertia = inertia
+            best_labels = labels
+    z = np.zeros((n, g))
+    z[np.arange(n), best_labels] = 1.0
+    return z

@@ -27,6 +27,7 @@ from tmclust.metrics import adjusted_rand_index
 from tmclust.mlnd import MlndParams, log_density, log_density_batch, sample
 from tmclust.parsimony import McdFactors, ScaleModel, SharedMcdFactors
 from tmclust.selection import ScanGrid, scan
+from tmclust.simulate import SimConfig, generate_dataset
 
 import oracles
 from conftest import random_spd, sweep_scatters
@@ -75,16 +76,16 @@ def test_kmeans_one_cluster_per_point(rng):
     assert np.array_equal(z.sum(axis=1), np.ones(4))
 
 
-@pytest.mark.parametrize(
-    "batch, g",
-    [
-        # one array of ones, seven of zeros: the revival used to empty a
-        # cluster it had already checked
-        (np.concatenate([np.ones((1, 2, 2)), np.zeros((7, 2, 2))]), 6),
-        (np.repeat(np.eye(3)[:, None, :] * np.arange(1, 4)[:, None, None], 5, axis=0), 5),
-        (np.concatenate([np.zeros((9, 2, 3)), np.full((2, 2, 3), 2.0)]), 4),
-    ],
-)
+DUPLICATE_BATCHES = [
+    # one array of ones, seven of zeros: the revival used to empty a
+    # cluster it had already checked
+    (np.concatenate([np.ones((1, 2, 2)), np.zeros((7, 2, 2))]), 6),
+    (np.repeat(np.eye(3)[:, None, :] * np.arange(1, 4)[:, None, None], 5, axis=0), 5),
+    (np.concatenate([np.zeros((9, 2, 3)), np.full((2, 2, 3), 2.0)]), 4),
+]
+
+
+@pytest.mark.parametrize("batch, g", DUPLICATE_BATCHES)
 def test_kmeans_duplicates_leave_no_cluster_empty(batch, g):
     for seed in range(40):
         with warnings.catch_warnings():
@@ -92,6 +93,33 @@ def test_kmeans_duplicates_leave_no_cluster_empty(batch, g):
             z = init_kmeans(batch, g, rng=np.random.default_rng(seed))
         assert np.all(z.sum(axis=0) >= 1)
         assert np.array_equal(z.sum(axis=1), np.ones(len(batch)))
+
+
+# the paper's study dims at one sample size each, and the 8x6x5 scan cell;
+# every one has N <= n*, so init_kmeans takes its Gram-matrix route
+GRAM_CELLS = [((4, 4, 4, 4), 60), ((5, 5, 5, 5), 120), ((6, 6, 6, 6), 90),
+              ((7, 7, 7, 7), 180), ((8, 6, 5), 150)]
+
+
+@pytest.mark.parametrize("dims, n", GRAM_CELLS)
+def test_kmeans_gram_route_matches_direct_partitions(dims, n):
+    config = SimConfig(n_obs=n, dims=dims, n_groups=3)
+    batch, _, _ = generate_dataset(config, np.random.default_rng(n))
+    for g in range(1, 6):
+        for seed in range(8):
+            want = oracles.kmeans_direct(batch, g, rng=np.random.default_rng(seed))
+            got = init_kmeans(batch, g, rng=np.random.default_rng(seed))
+            assert np.array_equal(got, want), (g, seed)
+
+
+@pytest.mark.parametrize("batch, g", DUPLICATE_BATCHES)
+def test_kmeans_gram_route_matches_direct_on_duplicates(batch, g):
+    # zero columns keep every distance and tie, and make N <= n*
+    padded = np.concatenate([batch, np.zeros(batch.shape[:-1] + (len(batch),))], axis=-1)
+    for data in (batch, padded):
+        for seed in range(40):
+            want = oracles.kmeans_direct(data, g, rng=np.random.default_rng(seed))
+            assert np.array_equal(init_kmeans(data, g, rng=np.random.default_rng(seed)), want)
 
 
 def test_kmeans_rejects_too_many_groups(rng):

@@ -233,6 +233,31 @@ def test_sweep_skips_zero_weight_rows(dims, block_rows, rng, monkeypatch):
     assert_matches_oracle(fresh[:, 0], (white.reshape(n, -1) ** 2).sum(axis=1))
 
 
+def test_rest_blocks_reuse_the_front_of_the_held_row(rng, monkeypatch):
+    """quad_matrix centres and whitens each block of a group's rest at the
+    held row's first element, so only the support stays resident."""
+    n, dims = 13, (2, 3, 4)
+    batch = rng.standard_normal((n,) + dims)
+    monkeypatch.setattr(mlnd, "_BLOCK_BYTES", 2 * batch[0].nbytes)
+    z = rng.random((n, 2)) + 0.05
+    z[[0, 1, 2, 5, 7, 8, 11, 12], 0] = 0.0  # 8 rest rows: 4 blocks
+    comps = [random_params(dims, rng) for _ in range(2)]
+    work = mlnd.SweepWorkspace(batch, 2)
+    for k, comp in enumerate(comps):
+        invs = [inv_lower(L) for L in comp.chol_factors()]
+        mlnd._scatter_one(work, k, 1, comp.mean, z[:, k], invs, comp.chol_factors())
+    starts = []  # (group, the first element of each rest block)
+    centre = work.centre
+
+    def recording(rows, mean, out, spare):
+        group = next(k for k in range(2) if np.shares_memory(out, work.held[k]))
+        starts.append((group, out.ctypes.data - work.held[group].ctypes.data))
+        centre(rows, mean, out, spare)
+
+    monkeypatch.setattr(work, "centre", recording)
+    work.quad_matrix(np.stack([c.mean for c in comps]),
+                     [np.stack([inv_lower(c.chol_factors()[d]) for c in comps]) for d in range(3)])
+    assert starts == [(0, 0)] * 4
 # --- slicing ---------------------------------------------------------------
 
 
