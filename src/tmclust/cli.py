@@ -116,13 +116,10 @@ def _parse_grid_spec(value: str | None, order: int) -> tuple[tuple[ScaleModel, .
 
 
 def _parse_seed(text: str):
-    parts = [p for p in text.split(",") if p.strip()]
     try:
-        values = [int(p) for p in parts]
+        values = [int(p) for p in text.split(",") if p.strip()]
     except ValueError:
         raise _UsageError(f"--seed must be an integer or comma list, got {text!r}")
-    if not values:
-        raise _UsageError("--seed must not be empty")
     return values[0] if len(values) == 1 else tuple(values)
 
 

@@ -21,8 +21,8 @@ grow with N.
 
 The loop keeps its state as arrays: the weights, the (G, n_1, ..., n_D)
 means and, per dimension, (G, n_d, n_d) stacks of the scales, their Cholesky
-factors and the inverses, each stack checked and factorized in one batched
-call, beside the workspace.  :func:`e_step` takes that state or a
+factors L — from the one batched Cholesky that checks each new stack — and
+the inverses, beside the workspace.  :func:`e_step` takes that state or a
 :class:`MixtureModel`, whose densities come from fresh workspaces, one per
 component.  :class:`MlndParams` and :class:`MixtureModel` are built once, at
 exit.
@@ -41,7 +41,7 @@ from typing import Sequence
 import numpy as np
 
 from ._blas import one_blas_thread
-from .errors import DataFormatError, EmptyComponentError, SingularScaleError
+from .errors import DataFormatError, EmptyComponentError, NotPositiveDefiniteError, SingularScaleError
 from .mda import as_batch
 from .mlnd import (
     MlndParams,
@@ -70,9 +70,9 @@ _EMPTY_FIT_TOL = 1e-6  # fit-level abort threshold on n_g / N
 class FitOptions:
     """Knobs for one EM run.
 
-    ``seed`` feeds a ``numpy.random.SeedSequence`` (an int or a tuple of
-    ints), so derived seeds for scans and simulation replicates stay
-    counter-based and reproducible.
+    ``seed`` feeds a ``numpy.random.SeedSequence`` (an int >= 0 or a
+    non-empty tuple of them, a list read as a tuple), so derived seeds
+    for scans and simulation replicates stay counter-based and reproducible.
     """
 
     max_iterations: int = 500
@@ -90,10 +90,14 @@ class FitOptions:
             raise ValueError("reg_epsilon must lie in (0, 0.1]")
         if self.kmeans_restarts < 1:
             raise ValueError("kmeans_restarts must be >= 1")
+        listed = isinstance(self.seed, (list, tuple))
+        parts = tuple(self.seed) if listed else (self.seed,)
+        if not parts or any(type(p) is not int or p < 0 for p in parts):
+            raise ValueError(f"seed must be one or more integers >= 0, got {self.seed!r}")
+        object.__setattr__(self, "seed", parts if listed else self.seed)
 
     def rng(self) -> np.random.Generator:
-        seed = self.seed if isinstance(self.seed, int) else list(self.seed)
-        return np.random.default_rng(np.random.SeedSequence(seed))
+        return np.random.default_rng(np.random.SeedSequence(self.seed))
 
 
 @dataclass(frozen=True)
@@ -328,40 +332,47 @@ def aitken_stop(window: Sequence[float], epsilon: float) -> bool:
     return 0.0 <= gap < epsilon
 
 
-def _positive_definite(mat: np.ndarray) -> bool:
-    """Whether a matrix (every matrix of a stack) has a Cholesky factor."""
-    try:
-        np.linalg.cholesky(mat)
-    except np.linalg.LinAlgError:
-        return False
-    return True
+def _factor(stack: np.ndarray, flags: np.ndarray, reg_epsilon: float, reset: bool = False):
+    """``(stack, L, flags)``, L the stack's lower Cholesky factors from one
+    batched call.  If a matrix is flagged or the call fails, every matrix
+    without a factor of its own is flagged too; the flagged ones get
+    ``reg_epsilon * I`` added (or become it, if ``reset``) in a copy, which is factored."""
+    if not flags.any():
+        try:
+            return stack, chol_lower(stack), flags
+        except NotPositiveDefiniteError:
+            pass
+    for k, mat in enumerate(stack):
+        try:
+            np.linalg.cholesky(mat)
+        except np.linalg.LinAlgError:
+            flags[k] = True
+    stack = stack.copy()
+    stack[flags] = (0.0 if reset else stack[flags]) + reg_epsilon * np.eye(stack.shape[-1])
+    return stack, chol_lower(stack), flags
 
 
 def regularize_and_check(
     stack: np.ndarray, reg_epsilon: float
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Repair near-singular symmetric scale estimates with a ridge.
 
     ``stack`` is a (G, n, n) stack, checked with one batched SVD and one
     batched Cholesky.  A matrix whose inverse condition number
     (smallest/largest singular value) falls below machine epsilon — or whose
     Cholesky factorization fails outright — gets ``reg_epsilon * I`` added
-    and its flag set.  Returns the stack and the (G,) bool flags.  A repaired
-    matrix must pass a Cholesky check or :class:`SingularScaleError` is
-    raised.
+    and its flag set.  Returns the stack, its Cholesky factors L and the (G,)
+    bool flags; a repaired stack without factors raises :class:`SingularScaleError`.
     """
     stack = np.asarray(stack, dtype=np.float64)
     svals = np.linalg.svd(stack, compute_uv=False)
     smax = svals[:, 0]
     invcond = np.divide(svals[:, -1], smax, out=np.zeros_like(smax), where=smax > 0)
     flags = ~(invcond >= np.finfo(np.float64).eps)
-    if flags.any() or not _positive_definite(stack):
-        flags |= [not _positive_definite(mat) for mat in stack]
-        stack = stack.copy()
-        stack[flags] += reg_epsilon * np.eye(stack.shape[-1])
-        if not _positive_definite(stack[flags]):
-            raise SingularScaleError("scale matrix is not positive definite after regularization")
-    return stack, flags
+    try:
+        return _factor(stack, flags, reg_epsilon)
+    except NotPositiveDefiniteError:
+        raise SingularScaleError("scale matrix is not positive definite after regularization")
 
 
 # --- scale families -------------------------------------------------------------
@@ -373,13 +384,14 @@ class _Family:
     ``update(lams, counts, n_obs, n_star, previous, reg_epsilon)`` is the
     M-step of one dimension from the (G, n_d, n_d) scatters Lambda_g, the
     group sizes n_g and the previous sweep's record (None at first).  It
-    returns ``(scales, record, flagged)``: the (G, n_d, n_d) stack of new
-    scale matrices, the new record (None if the family keeps none) and the
-    repaired groups (group None for a shared matrix).  ``n_params(n_d, G)`` counts free parameters;
-    families with a record define ``rescale(record, multipliers)`` (group k's
-    scale times ``multipliers[k]``) and ``to_json``/``from_json``.  The
-    estimators and ``regularize_and_check`` are looked up in this module's
-    globals at call time, so wrappers set on them see every call.
+    returns ``(scales, chols, record, flagged)``: the (G, n_d, n_d) stacks of
+    new scales and of their Cholesky factors L from one batched call, the
+    new record (None if the family keeps none) and the repaired groups
+    (group None for a shared matrix).  ``n_params(n_d, G)`` counts free
+    parameters; families with a record define ``rescale(record, multipliers)``
+    (group k's scale times ``multipliers[k]``) and ``to_json``/``from_json``.
+    The estimators and ``regularize_and_check`` are looked up in this
+    module's globals at call time, so wrappers set on them see every call.
     """
 
     def from_json(self, doc: dict):
@@ -388,8 +400,8 @@ class _Family:
 
 class _Vvv(_Family):
     def update(self, lams, counts, n_obs, n_star, previous, reg_epsilon):
-        scales, flags = regularize_and_check((lams.shape[1] / n_star) * lams, reg_epsilon)
-        return scales, None, np.flatnonzero(flags).tolist()
+        scales, chols, flags = regularize_and_check((lams.shape[1] / n_star) * lams, reg_epsilon)
+        return scales, chols, None, np.flatnonzero(flags).tolist()
 
     def n_params(self, n_d: int, n_groups: int) -> int:
         return n_groups * n_d * (n_d + 1) // 2
@@ -398,8 +410,9 @@ class _Vvv(_Family):
 class _Eee(_Family):
     def update(self, lams, counts, n_obs, n_star, previous, reg_epsilon):
         pooled = gpcm_eee_update(lams, counts, n_obs, n_star)
-        new, repaired = regularize_and_check(pooled[None], reg_epsilon)
-        return np.repeat(new, len(lams), axis=0), None, [None] if repaired[0] else []
+        new, chol, repaired = regularize_and_check(pooled[None], reg_epsilon)
+        new, chol = (np.repeat(a, len(lams), axis=0) for a in (new, chol))
+        return new, chol, None, [None] if repaired[0] else []
 
     def n_params(self, n_d: int, n_groups: int) -> int:
         return n_d * (n_d + 1) // 2
@@ -407,17 +420,14 @@ class _Eee(_Family):
 
 class _McdVvi(_Family):
     def update(self, lams, counts, n_obs, n_star, previous, reg_epsilon):
-        scales, record, flagged = [], [], []
-        for k, lam in enumerate(lams):
-            fac = mcd_vvi_update(lam, n_star)
-            new = fac.scale()
-            if not (fac.delta > 0 and _positive_definite(new)):
-                new = reg_epsilon * np.eye(len(lam))
-                fac = McdFactors(t=np.eye(len(lam)), delta=reg_epsilon)
-                flagged.append(k)
-            scales.append(new)
-            record.append(fac)
-        return np.stack(scales), tuple(record), flagged
+        record = [mcd_vvi_update(lam, n_star) for lam in lams]
+        scales = np.stack([f.scale() for f in record])
+        deltas = np.array([f.delta for f in record])
+        scales, chols, flags = _factor(scales, ~(deltas > 0), reg_epsilon, reset=True)
+        flagged = np.flatnonzero(flags).tolist()
+        for k in flagged:
+            record[k] = McdFactors(t=np.eye(lams.shape[1]), delta=reg_epsilon)
+        return scales, chols, tuple(record), flagged
 
     def n_params(self, n_d: int, n_groups: int) -> int:
         return n_groups * (n_d * (n_d - 1) // 2 + 1)
@@ -437,16 +447,10 @@ class _McdEvi(_Family):
     def update(self, lams, counts, n_obs, n_star, previous, reg_epsilon):
         prev = np.ones(len(lams)) if previous is None else previous.deltas
         t, deltas = mcd_evi_update(lams, counts, prev, n_star)
-        base = McdFactors(t, 1.0).scale()
-        scales, flagged = [], []
-        for k in range(len(lams)):
-            new = deltas[k] * base
-            if not (deltas[k] > 0 and _positive_definite(new)):
-                new = reg_epsilon * np.eye(len(t))
-                deltas[k] = reg_epsilon
-                flagged.append(k)
-            scales.append(new)
-        return np.stack(scales), SharedMcdFactors(t=t, deltas=deltas), flagged
+        scales = deltas[:, None, None] * McdFactors(t, 1.0).scale()
+        scales, chols, flags = _factor(scales, ~(deltas > 0), reg_epsilon, reset=True)
+        deltas[flags] = reg_epsilon
+        return scales, chols, SharedMcdFactors(t=t, deltas=deltas), np.flatnonzero(flags).tolist()
 
     def n_params(self, n_d: int, n_groups: int) -> int:
         return n_d * (n_d - 1) // 2 + n_groups
@@ -466,13 +470,13 @@ class _GpcmVvi(_Vvv):
         # the VVV update of the diagonal scatters; the record splits each
         # repaired diagonal, taken back to scatter units
         n_d = lams.shape[1]
-        diagonal = np.zeros_like(lams)
-        diagonal[:, range(n_d), range(n_d)] = lams[:, range(n_d), range(n_d)]
-        scales, _, flagged = super().update(diagonal, counts, n_obs, n_star, None, reg_epsilon)
+        diag = np.zeros_like(lams)
+        diag[:, range(n_d), range(n_d)] = lams[:, range(n_d), range(n_d)]
+        scales, chols, _, flagged = super().update(diag, counts, n_obs, n_star, None, reg_epsilon)
         record = tuple(
             gpcm_vvi_update(np.diag(np.diag(s)) * (n_star / n_d), n_star) for s in scales
         )
-        return scales, record, flagged
+        return scales, chols, record, flagged
 
     def n_params(self, n_d: int, n_groups: int) -> int:
         return n_groups * n_d
@@ -674,14 +678,13 @@ def fit(
                     for k in range(g)
                 ]
             )
-            news, record, flagged = FAMILIES[spec].update(
+            news, L, record, flagged = FAMILIES[spec].update(
                 raws / counts[:, None, None], counts, n, n_star, factors.get(dim),
                 options.reg_epsilon,
             )
             events.extend(SingularEvent(k, dim, iteration) for k in flagged)
             if record is not None:
                 factors[dim] = record
-            L = chol_lower(news, dim)
             state.scales[d0], state.chols[d0], state.invs[d0] = news, L, inv_lower(L)
 
         z, ll = e_step(batch, state)

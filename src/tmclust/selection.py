@@ -124,6 +124,7 @@ def _prefer(candidate: ScanRow, incumbent: ScanRow | None) -> bool:
     return candidate.g < incumbent.g
 
 
+@one_blas_thread()
 def scan(data, grid: ScanGrid, threads: int = 1, keep_models: bool = False) -> ScanResult:
     """Fit every (G, specs) cell of the grid and pick the BIC winner.
 
@@ -138,10 +139,7 @@ def scan(data, grid: ScanGrid, threads: int = 1, keep_models: bool = False) -> S
         for g, specs in grid.cells()
     ]
     if threads > 1 and len(tasks) > 1:
-        # workers forked inside the scope inherit one BLAS thread
-        with one_blas_thread(), ProcessPoolExecutor(
-            threads, initializer=_set_worker_batch, initargs=(batch,)
-        ) as pool:
+        with ProcessPoolExecutor(threads, initializer=_set_worker_batch, initargs=(batch,)) as pool:
             rows = list(pool.map(_run_cell, tasks))
     else:
         rows = [_run_cell(t, batch) for t in tasks]

@@ -358,6 +358,7 @@ def _summarize_cell(index: int, cfg: SimConfig, records: list[ReplicateRecord]) 
     )
 
 
+@one_blas_thread()
 def run_study(configs, options: FitOptions | None = None, workers: int = 1) -> StudyReport:
     """Run every replicate of every cell and aggregate a stratified report.
 
@@ -375,8 +376,7 @@ def run_study(configs, options: FitOptions | None = None, workers: int = 1) -> S
         (cfg, i, rep, options) for i, cfg in enumerate(configs) for rep in range(cfg.replicates)
     ]
     if workers > 1 and len(tasks) > 1:
-        # workers forked inside the scope inherit one BLAS thread
-        with one_blas_thread(), ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_run_replicate, *zip(*tasks)))
     else:
         records = [_run_replicate(*t) for t in tasks]

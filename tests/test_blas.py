@@ -7,7 +7,7 @@ import threading
 import numpy as np
 import pytest
 
-from tmclust import _blas, em, selection
+from tmclust import _blas, em, selection, simulate
 from tmclust.em import FitOptions, fit
 from tmclust.errors import EmptyComponentError
 from tmclust.parsimony import ScaleModel
@@ -111,4 +111,21 @@ def test_scan_workers_inherit_one_thread(rng, caller_count, monkeypatch):
     grid = ScanGrid(groups=(1, 2), spec_candidates=((ScaleModel.VVV,),) * 2, options=OPTIONS)
     result = scan(rng.normal(size=(30, 3, 2)), grid, threads=2)
     assert [row.error for row in result.rows] == [None, None]
+    assert CONTROL[0]() == caller_count
+
+
+def test_serial_study_draws_on_one_thread(caller_count, monkeypatch):
+    # data generation runs outside fit, so its count is the study's scope's
+    counts = []
+    inner = simulate.sample
+
+    def sample(*args, **kwargs):
+        counts.append(CONTROL[0]())
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(simulate, "sample", sample)
+    cfg = simulate.SimConfig(n_obs=12, dims=(3, 2), n_groups=2, replicates=2, g_scan=(1, 2))
+    report = simulate.run_study(cfg, options=OPTIONS, workers=1)
+    assert len(report.records) == 2
+    assert counts and set(counts) == {1}
     assert CONTROL[0]() == caller_count

@@ -341,37 +341,64 @@ def test_aitken_rejects_non_finite():
         aitken_stop((np.nan, 0.0, 0.0), epsilon=1e-5)
 
 
+def assert_factors(chols, scales):
+    """The factors a check returns are numpy's Cholesky of its scales, bit for bit."""
+    assert np.array_equal(chols, np.linalg.cholesky(scales))
+
+
 def test_regularize_leaves_good_matrix_alone(rng):
     delta = random_spd(3, rng)
-    out, flagged = regularize_and_check(delta[None], 1e-3)
+    out, chols, flagged = regularize_and_check(delta[None], 1e-3)
     assert flagged.tolist() == [False]
     assert np.array_equal(out[0], delta)
+    assert_factors(chols, out)
 
 
 def test_regularize_repairs_rank_deficiency():
     v = np.array([[1.0], [2.0]])
     delta = v @ v.T
-    out, flagged = regularize_and_check(delta[None], 1e-3)
+    out, chols, flagged = regularize_and_check(delta[None], 1e-3)
     assert flagged.tolist() == [True]
     assert np.allclose(out[0], delta + 1e-3 * np.eye(2), rtol=0, atol=0)
-    np.linalg.cholesky(out[0])
+    assert_factors(chols, out)
 
 
 def test_regularize_repairs_zero_matrix():
-    out, flagged = regularize_and_check(np.zeros((1, 2, 2)), 1e-3)
+    out, chols, flagged = regularize_and_check(np.zeros((1, 2, 2)), 1e-3)
     assert flagged.tolist() == [True]
     assert np.allclose(out[0], 1e-3 * np.eye(2), rtol=0, atol=0)
+    assert_factors(chols, out)
 
 
 def test_regularize_stack_repairs_only_the_singular_group(rng):
     v = rng.standard_normal((3, 1))
     stack = np.stack([random_spd(3, rng), v @ v.T, random_spd(3, rng), random_spd(3, rng)])
-    out, flags = regularize_and_check(stack, 1e-3)
+    out, chols, flags = regularize_and_check(stack, 1e-3)
     assert flags.tolist() == [False, True, False, False]
-    for got, flag, mat in zip(out, flags, stack):
-        want, want_flag = regularize_and_check(mat[None], 1e-3)
+    assert_factors(chols, out)
+    for got, got_chol, flag, mat in zip(out, chols, flags, stack):
+        want, want_chol, want_flag = regularize_and_check(mat[None], 1e-3)
         assert flag == want_flag[0]
         assert np.array_equal(got, want[0])
+        assert np.array_equal(got_chol, want_chol[0])
+
+
+def test_check_flags_a_well_conditioned_indefinite_matrix(rng):
+    """A matrix the SVD passes but the batched Cholesky rejects is found
+    matrix by matrix and repaired, by a ridge or, as the MCD families do, by
+    a reset; its neighbour keeps its own factor."""
+    good = random_spd(2, rng)
+    bad = np.array([[1.0, 0.0], [0.0, -1e-4]])  # condition 1e4, indefinite
+    out, chols, flags = regularize_and_check(np.stack([good, bad]), 1e-3)
+    assert flags.tolist() == [False, True]
+    assert np.array_equal(out[0], good)
+    assert np.array_equal(out[1], bad + 1e-3 * np.eye(2))
+    assert_factors(chols, out)
+    out, chols, flags = em._factor(np.stack([good, bad]), np.zeros(2, bool), 1e-3, reset=True)
+    assert flags.tolist() == [False, True]
+    assert np.array_equal(out[0], good)
+    assert np.array_equal(out[1], 1e-3 * np.eye(2))
+    assert_factors(chols, out)
 
 
 def test_regularize_gives_up_on_hopeless_input():
@@ -474,12 +501,13 @@ def test_family_update_repairs_zero_scatter(spec):
     """An all-zero scatter leaves every group at reg_epsilon * I, flagged
     one by one, or once with group None for the shared matrix."""
     g, n_d, reg = 3, 4, 1e-3
-    scales, record, flagged = FAMILIES[spec].update(
+    scales, chols, record, flagged = FAMILIES[spec].update(
         np.zeros((g, n_d, n_d)), np.array([5.0, 7.0, 8.0]), 20, 12, None, reg
     )
     assert len(scales) == g
     for new in scales:
         assert np.array_equal(new, reg * np.eye(n_d))
+    assert_factors(chols, scales)
     assert flagged == ([None] if spec is ScaleModel.GPCM_EEE else [0, 1, 2])
     if record is not None:
         for k in range(g):
@@ -487,6 +515,25 @@ def test_family_update_repairs_zero_scatter(spec):
 
 
 # --- full fits ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS)
+def test_fit_factors_each_new_stack_once(rng, spec, monkeypatch):
+    """Without repairs, each dimension update of a fit makes one batched
+    Cholesky call: the check's factors are the L the fit keeps."""
+    batch, _ = separated_batch(rng, n=40, g=2)
+    shapes = []
+    cholesky = np.linalg.cholesky
+
+    def counted(mat):
+        shapes.append(np.shape(mat))
+        return cholesky(mat)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    _, report = fit(batch, 2, specs=[spec] * 3, options=FitOptions(seed=2, max_iterations=4))
+    assert not report.singular_events
+    assert len(shapes) == 3 * report.n_iterations
+    assert all(len(shape) == 3 for shape in shapes)
 
 
 def test_fit_single_group_matches_sample_moments(rng):
@@ -563,6 +610,18 @@ def test_fit_rejects_init_z_whose_rows_do_not_sum_to_one(rng):
     batch = rng.standard_normal((20, 3, 2))
     with pytest.raises(ValueError, match="sum to 1"):
         fit(batch, 2, init_z=np.full((20, 2), 0.6), options=FitOptions(max_iterations=3))
+
+
+@pytest.mark.parametrize("seed", [-1, True, (1, "a"), (2, -3), (), [], 1.0, "7", np.int64(3)])
+def test_fit_options_reject_a_bad_seed(seed):
+    with pytest.raises(ValueError, match="seed must be"):
+        FitOptions(seed=seed)
+
+
+def test_fit_options_keep_a_seed_list_as_a_tuple():
+    assert FitOptions(seed=[2, 0, 5]).seed == (2, 0, 5)
+    assert FitOptions(seed=(7,)).seed == (7,)
+    assert FitOptions(seed=0).seed == 0
 
 
 def test_fit_rejects_bad_shapes(rng):
@@ -650,10 +709,10 @@ def test_fit_sweep_matches_from_scratch_oracle(spec, rng, monkeypatch):
     three factors of condition 1e11-1e12 leave even the from-scratch routes
     disagreeing in the second digit."""
     checked = {"scatter": 0, "quad": 0}
-    sweep_step, quad_matrix, chol_lower = (
-        em._scatter_one, mlnd.SweepWorkspace.quad_matrix, em.chol_lower
+    sweep_step, quad_matrix, inv_lower = (
+        em._scatter_one, mlnd.SweepWorkspace.quad_matrix, em.inv_lower
     )
-    held = {}  # the fit's current L stack of each dimension
+    held = []  # every L stack the fit keeps, in update order: dimension 1 to D
 
     def scatter(work, k, dim, mean, weights, inv_chols, chols):
         got = sweep_step(work, k, dim, mean, weights, inv_chols, chols)
@@ -661,20 +720,21 @@ def test_fit_sweep_matches_from_scratch_oracle(spec, rng, monkeypatch):
         checked["scatter"] += 1
         return got
 
-    def chol(mat, dim):
-        held[dim] = chol_lower(mat, dim)
-        return held[dim]
+    def inv(L):
+        held.append(L)
+        return inv_lower(L)
 
     def quads(work, means, invs):
         got = quad_matrix(work, means, invs)
+        chols = held[-(means.ndim - 1):]  # the last sweep's D stacks
         for k, mean in enumerate(means):
-            white = oracles.whiten_all_modes(work.batch - mean, [held[d][k] for d in sorted(held)])
+            white = oracles.whiten_all_modes(work.batch - mean, [L[k] for L in chols])
             assert_matches_oracle(got[:, k], (white.reshape(len(white), -1) ** 2).sum(axis=1))
             checked["quad"] += 1
         return got
 
     monkeypatch.setattr(em, "_scatter_one", scatter)
-    monkeypatch.setattr(em, "chol_lower", chol)
+    monkeypatch.setattr(em, "inv_lower", inv)
     monkeypatch.setattr(mlnd.SweepWorkspace, "quad_matrix", quads)
     for dims in [(3, 2), (2, 3, 2), (2, 2, 3, 2)]:
         held.clear()

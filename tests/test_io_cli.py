@@ -520,6 +520,18 @@ def test_cmd_fit_input_errors(cli_bundle, capsys, tmp_path):
     assert "unknown scale-model token" in err
 
 
+@pytest.mark.parametrize("seed", ["-1", "2,-3", ","])
+def test_cmd_fit_and_scan_reject_a_bad_seed(cli_bundle, capsys, tmp_path, seed):
+    _, manifest_path, _ = cli_bundle
+    common = ["--manifest", str(manifest_path), "--seed", seed]
+    assert main(["fit", *common, "--groups", "1", "--out", str(tmp_path / "r.json")]) == 1
+    assert "seed must be" in capsys.readouterr().err
+    table = tmp_path / "t.csv"
+    assert main(["scan", *common, "--groups", "1..2", "--out", str(table)]) == 1
+    assert "seed must be" in capsys.readouterr().err
+    assert not table.exists()
+
+
 def test_cmd_scan_table_and_best(cli_bundle, capsys):
     tmp_path, manifest_path, truth_path = cli_bundle
     table = tmp_path / "table.csv"
