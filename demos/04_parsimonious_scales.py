@@ -44,13 +44,14 @@ print("free parameters, all-VVV:    ", full.total)
 print("free parameters, constrained:", thin.total)
 print("per-dimension scale counts:  ", thin.per_dim)
 
-# the factor records behind the constrained dimensions are exposed:
-# dimension 1 stores a unit-lower T and an innovation variance per group
+# the factor records behind the constrained dimensions are exposed, derived
+# from the fitted scales: dimension 1 has a unit-lower T and an innovation
+# variance per group
 for g, rec in enumerate(model.factors[1]):
     print("dim 1 group %d: delta = %.4f, T lower entry = %.4f"
           % (g, rec.delta, rec.t[1, 0]))
 
-# dimension 3 stores a diagonal shape with unit geometric mean per group
+# dimension 3 has a diagonal shape with unit geometric mean per group
 for g, rec in enumerate(model.factors[3]):
     print("dim 3 group %d: scale = %.4f, shape = %s"
           % (g, rec.scale, np.round(rec.shape, 3)))

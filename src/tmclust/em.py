@@ -5,10 +5,13 @@ cyclic conditional M-step sweep — weights, then means, then the scale matrix
 of each dimension in order by its family's update in :data:`FAMILIES`, every
 update using the freshest estimates — so the observed log-likelihood is
 monotone.  :data:`FAMILIES` is the one place a scale family is defined: its
-update and singularity repair, parameter count, rescaling and JSON form.
-Stopping uses the Aitken estimate of the asymptotic log-likelihood.  The
-Kronecker rescaling indeterminacy is resolved once after convergence by
-rescaling every non-leading scale matrix to a unit leading entry.
+update and singularity repair, parameter count and factor record.  A scale
+stack is the only state of a fitted scale: a family's record (such as the
+MCD families' T and delta) is derived from it, in one place, whenever a
+:class:`MixtureModel` is built.  Stopping uses the Aitken estimate of the
+asymptotic log-likelihood.  The Kronecker rescaling indeterminacy is
+resolved once after convergence by rescaling every non-leading scale
+matrix to a unit leading entry.
 
 The sweep whitens incrementally in one :class:`~tmclust.mlnd.SweepWorkspace`
 per fit: 3D-2 mode passes per group and iteration instead of D^2, the last
@@ -35,13 +38,14 @@ of a Lloyd step reads the batch.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from ._blas import one_blas_thread
-from .errors import DataFormatError, EmptyComponentError, NotPositiveDefiniteError, SingularScaleError
+from .errors import EmptyComponentError, NotPositiveDefiniteError, SingularScaleError
 from .mda import as_batch
 from .mlnd import (
     MlndParams,
@@ -53,7 +57,6 @@ from .mlnd import (
     log_density_consts,
 )
 from .parsimony import (
-    GpcmVviFactors,
     McdFactors,
     ScaleModel,
     SharedMcdFactors,
@@ -70,8 +73,9 @@ _EMPTY_FIT_TOL = 1e-6  # fit-level abort threshold on n_g / N
 class FitOptions:
     """Knobs for one EM run.
 
-    ``seed`` feeds a ``numpy.random.SeedSequence`` (an int >= 0 or a
-    non-empty tuple of them, a list read as a tuple), so derived seeds
+    The two counts are ints >= 1 and the two epsilons real numbers (a bool
+    is neither).  ``seed`` feeds a ``numpy.random.SeedSequence`` (an int >= 0
+    or a non-empty tuple of them, a list read as a tuple), so derived seeds
     for scans and simulation replicates stay counter-based and reproducible.
     """
 
@@ -82,14 +86,18 @@ class FitOptions:
     seed: int | tuple[int, ...] = 0
 
     def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+        for name in ("max_iterations", "kmeans_restarts"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        for name in ("aitken_epsilon", "reg_epsilon"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a number, got {value!r}")
         if not self.aitken_epsilon > 0:
             raise ValueError("aitken_epsilon must be > 0")
         if not 0 < self.reg_epsilon <= 0.1:
             raise ValueError("reg_epsilon must lie in (0, 0.1]")
-        if self.kmeans_restarts < 1:
-            raise ValueError("kmeans_restarts must be >= 1")
         listed = isinstance(self.seed, (list, tuple))
         parts = tuple(self.seed) if listed else (self.seed,)
         if not parts or any(type(p) is not int or p < 0 for p in parts):
@@ -112,12 +120,17 @@ class SingularEvent:
 
 @dataclass(eq=False)
 class MixtureModel:
-    """A fitted (or constructed) mixture of multilinear normal components."""
+    """A fitted (or constructed) mixture of multilinear normal components.
+
+    ``factors`` maps each dimension (1-based) whose family keeps a factor
+    record to the record of its scale stack, derived from the scales by
+    ``FAMILIES[spec].record`` on construction; the scales are the only state.
+    """
 
     weights: np.ndarray
     components: tuple[MlndParams, ...]
     specs: tuple[ScaleModel, ...] = ()
-    factors: dict[int, object] = field(default_factory=dict)
+    factors: dict[int, object] = field(init=False)
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=np.float64)
@@ -135,6 +148,11 @@ class MixtureModel:
         self.specs = tuple(ScaleModel(s) for s in self.specs)
         if len(self.specs) != len(dims):
             raise ValueError(f"got {len(self.specs)} specs for {len(dims)} dimensions")
+        records = {
+            d0 + 1: FAMILIES[spec].record(np.stack([c.scales[d0] for c in self.components]))
+            for d0, spec in enumerate(self.specs)
+        }
+        self.factors = {dim: rec for dim, rec in records.items() if rec is not None}
 
     @property
     def n_groups(self) -> int:
@@ -261,13 +279,13 @@ class _Stacks:
     invs: list
     work: SweepWorkspace
 
-    def model(self, specs, factors) -> MixtureModel:
+    def model(self, specs) -> MixtureModel:
         """The mixture these parameters define, with its symmetry checks."""
         components = tuple(
             MlndParams(mean, tuple(scales[k] for scales in self.scales))
             for k, mean in enumerate(self.means)
         )
-        return MixtureModel(self.weights, components, specs, dict(factors))
+        return MixtureModel(self.weights, components, specs)
 
 
 def loglik_matrix(data, model: MixtureModel | _Stacks):
@@ -332,11 +350,14 @@ def aitken_stop(window: Sequence[float], epsilon: float) -> bool:
     return 0.0 <= gap < epsilon
 
 
-def _factor(stack: np.ndarray, flags: np.ndarray, reg_epsilon: float, reset: bool = False):
+def _factor(
+    stack: np.ndarray, flags: np.ndarray, reg_epsilon: float, reset: np.ndarray | None = None
+):
     """``(stack, L, flags)``, L the stack's lower Cholesky factors from one
     batched call.  If a matrix is flagged or the call fails, every matrix
     without a factor of its own is flagged too; the flagged ones get
-    ``reg_epsilon * I`` added (or become it, if ``reset``) in a copy, which is factored."""
+    ``reg_epsilon * I`` added (or become ``reg_epsilon * reset``, if a
+    ``reset`` matrix is given) in a copy, which is factored."""
     if not flags.any():
         try:
             return stack, chol_lower(stack), flags
@@ -348,7 +369,8 @@ def _factor(stack: np.ndarray, flags: np.ndarray, reg_epsilon: float, reset: boo
         except np.linalg.LinAlgError:
             flags[k] = True
     stack = stack.copy()
-    stack[flags] = (0.0 if reset else stack[flags]) + reg_epsilon * np.eye(stack.shape[-1])
+    ridge = reg_epsilon * np.eye(stack.shape[-1])
+    stack[flags] = reg_epsilon * reset if reset is not None else stack[flags] + ridge
     return stack, chol_lower(stack), flags
 
 
@@ -379,29 +401,30 @@ def regularize_and_check(
 
 
 class _Family:
-    """One scale family's M-step, parameter count, rescaling and JSON form.
+    """One scale family's M-step, parameter count and factor record.
 
     ``update(lams, counts, n_obs, n_star, previous, reg_epsilon)`` is the
     M-step of one dimension from the (G, n_d, n_d) scatters Lambda_g, the
-    group sizes n_g and the previous sweep's record (None at first).  It
-    returns ``(scales, chols, record, flagged)``: the (G, n_d, n_d) stacks of
-    new scales and of their Cholesky factors L from one batched call, the
-    new record (None if the family keeps none) and the repaired groups
-    (group None for a shared matrix).  ``n_params(n_d, G)`` counts free
-    parameters; families with a record define ``rescale(record, multipliers)``
-    (group k's scale times ``multipliers[k]``) and ``to_json``/``from_json``.
-    The estimators and ``regularize_and_check`` are looked up in this
-    module's globals at call time, so wrappers set on them see every call.
+    group sizes n_g and the dimension's previous (G, n_d, n_d) scale stack
+    (the identity at first).  It returns ``(scales, chols, flagged)``: the
+    stacks of new scales and of their Cholesky factors L from one batched
+    call, and the repaired groups (group None for a shared matrix).
+    ``n_params(n_d, G)`` counts free parameters.  ``record(scales)`` is the
+    factor record of a scale stack, or None if the family keeps none: the
+    family's own estimator run on the scales at n* = n_d, which returns a
+    family member's own parameters, up to round-off.  The estimators and
+    ``regularize_and_check`` are looked up in this module's globals at call
+    time, so wrappers set on them see every call.
     """
 
-    def from_json(self, doc: dict):
-        raise DataFormatError(f"family {doc['family']} stores no factor record")
+    def record(self, scales):
+        return None
 
 
 class _Vvv(_Family):
     def update(self, lams, counts, n_obs, n_star, previous, reg_epsilon):
         scales, chols, flags = regularize_and_check((lams.shape[1] / n_star) * lams, reg_epsilon)
-        return scales, chols, None, np.flatnonzero(flags).tolist()
+        return scales, chols, np.flatnonzero(flags).tolist()
 
     def n_params(self, n_d: int, n_groups: int) -> int:
         return n_groups * n_d * (n_d + 1) // 2
@@ -412,7 +435,7 @@ class _Eee(_Family):
         pooled = gpcm_eee_update(lams, counts, n_obs, n_star)
         new, chol, repaired = regularize_and_check(pooled[None], reg_epsilon)
         new, chol = (np.repeat(a, len(lams), axis=0) for a in (new, chol))
-        return new, chol, None, [None] if repaired[0] else []
+        return new, chol, [None] if repaired[0] else []
 
     def n_params(self, n_d: int, n_groups: int) -> int:
         return n_d * (n_d + 1) // 2
@@ -420,82 +443,50 @@ class _Eee(_Family):
 
 class _McdVvi(_Family):
     def update(self, lams, counts, n_obs, n_star, previous, reg_epsilon):
-        record = [mcd_vvi_update(lam, n_star) for lam in lams]
-        scales = np.stack([f.scale() for f in record])
-        deltas = np.array([f.delta for f in record])
-        scales, chols, flags = _factor(scales, ~(deltas > 0), reg_epsilon, reset=True)
-        flagged = np.flatnonzero(flags).tolist()
-        for k in flagged:
-            record[k] = McdFactors(t=np.eye(lams.shape[1]), delta=reg_epsilon)
-        return scales, chols, tuple(record), flagged
+        factors = [mcd_vvi_update(lam, n_star) for lam in lams]
+        scales = np.stack([f.scale() for f in factors])
+        deltas = np.array([f.delta for f in factors])
+        scales, chols, flags = _factor(scales, ~(deltas > 0), reg_epsilon, np.eye(lams.shape[1]))
+        return scales, chols, np.flatnonzero(flags).tolist()
 
     def n_params(self, n_d: int, n_groups: int) -> int:
         return n_groups * (n_d * (n_d - 1) // 2 + 1)
 
-    def rescale(self, record, multipliers):
-        return tuple(McdFactors(f.t, f.delta * m) for f, m in zip(record, multipliers))
-
-    def to_json(self, record) -> dict:
-        return {"groups": [{"t": _mat(f.t), "delta": float(f.delta)} for f in record]}
-
-    def from_json(self, doc: dict):
-        groups = doc["groups"]
-        return tuple(McdFactors(np.asarray(g["t"], float), float(g["delta"])) for g in groups)
+    def record(self, scales):
+        return tuple(mcd_vvi_update(s, len(s)) for s in scales)
 
 
 class _McdEvi(_Family):
     def update(self, lams, counts, n_obs, n_star, previous, reg_epsilon):
-        prev = np.ones(len(lams)) if previous is None else previous.deltas
-        t, deltas = mcd_evi_update(lams, counts, prev, n_star)
-        scales = deltas[:, None, None] * McdFactors(t, 1.0).scale()
-        scales, chols, flags = _factor(scales, ~(deltas > 0), reg_epsilon, reset=True)
-        deltas[flags] = reg_epsilon
-        return scales, chols, SharedMcdFactors(t=t, deltas=deltas), np.flatnonzero(flags).tolist()
+        # a repaired group keeps the shared T, with delta_g = reg_epsilon
+        t, deltas = mcd_evi_update(lams, counts, previous[:, 0, 0], n_star)
+        shared = McdFactors(t, 1.0).scale()
+        scales, chols, flags = _factor(
+            deltas[:, None, None] * shared, ~(deltas > 0), reg_epsilon, shared
+        )
+        return scales, chols, np.flatnonzero(flags).tolist()
 
     def n_params(self, n_d: int, n_groups: int) -> int:
         return n_d * (n_d - 1) // 2 + n_groups
 
-    def rescale(self, record, multipliers):
-        return SharedMcdFactors(t=record.t, deltas=record.deltas * multipliers)
-
-    def to_json(self, record) -> dict:
-        return {"t": _mat(record.t), "deltas": _mat(record.deltas)}
-
-    def from_json(self, doc: dict):
-        return SharedMcdFactors(np.asarray(doc["t"], float), np.asarray(doc["deltas"], float))
+    def record(self, scales):
+        t, deltas = mcd_evi_update(scales, np.ones(len(scales)), scales[:, 0, 0], scales.shape[1])
+        return SharedMcdFactors(t=t, deltas=deltas)
 
 
 class _GpcmVvi(_Vvv):
     def update(self, lams, counts, n_obs, n_star, previous, reg_epsilon):
-        # the VVV update of the diagonal scatters; the record splits each
-        # repaired diagonal, taken back to scatter units
+        # the VVV update of the diagonal scatters
         n_d = lams.shape[1]
         diag = np.zeros_like(lams)
         diag[:, range(n_d), range(n_d)] = lams[:, range(n_d), range(n_d)]
-        scales, chols, _, flagged = super().update(diag, counts, n_obs, n_star, None, reg_epsilon)
-        record = tuple(
-            gpcm_vvi_update(np.diag(np.diag(s)) * (n_star / n_d), n_star) for s in scales
-        )
-        return scales, chols, record, flagged
+        return super().update(diag, counts, n_obs, n_star, previous, reg_epsilon)
 
     def n_params(self, n_d: int, n_groups: int) -> int:
         return n_groups * n_d
 
-    def rescale(self, record, multipliers):
-        return tuple(GpcmVviFactors(f.scale * m, f.shape) for f, m in zip(record, multipliers))
-
-    def to_json(self, record) -> dict:
-        return {"groups": [{"scale": float(f.scale), "shape": _mat(f.shape)} for f in record]}
-
-    def from_json(self, doc: dict):
-        return tuple(
-            GpcmVviFactors(float(g["scale"]), np.asarray(g["shape"], float)) for g in doc["groups"]
-        )
-
-
-def _mat(a) -> list:
-    """An array as nested lists of Python floats, the JSON form of every matrix."""
-    return np.asarray(a, dtype=np.float64).tolist()
+    def record(self, scales):
+        return tuple(gpcm_vvi_update(s, len(s)) for s in scales)
 
 
 FAMILIES = {
@@ -554,11 +545,10 @@ def normalize_identifiability(model: MixtureModel) -> MixtureModel:
     For every group and every dimension k >= 2, the scale matrix is divided
     by its leading entry (pinned to exactly 1.0) and the first dimension's
     matrix absorbs the product of those entries, leaving the Kronecker
-    product — and therefore every density value — unchanged.  Idempotent.
+    product — and therefore every density value — unchanged.  The factor
+    records are derived from the new scales, as for any model.  Idempotent.
     """
-    g_count = model.n_groups
     d_count = len(model.dims)
-    multipliers = np.ones((g_count, d_count))
     new_components = []
     for g, comp in enumerate(model.components):
         scales = [s.copy() for s in comp.scales]
@@ -571,20 +561,11 @@ def normalize_identifiability(model: MixtureModel) -> MixtureModel:
                 )
             scales[k] /= lead
             scales[k][0, 0] = 1.0
-            multipliers[g, k] = 1.0 / lead
             prod *= lead
         scales[0] *= prod
-        multipliers[g, 0] = prod
         new_components.append(MlndParams(mean=comp.mean, scales=tuple(scales)))
-    new_factors = {
-        dim: FAMILIES[model.specs[dim - 1]].rescale(record, multipliers[:, dim - 1])
-        for dim, record in model.factors.items()
-    }
     return MixtureModel(
-        weights=model.weights.copy(),
-        components=tuple(new_components),
-        specs=model.specs,
-        factors=new_factors,
+        weights=model.weights.copy(), components=tuple(new_components), specs=model.specs
     )
 
 
@@ -645,7 +626,6 @@ def fit(
 
     eyes = [np.broadcast_to(np.eye(n_d), (g, n_d, n_d)) for n_d in dims]
     state = _Stacks(None, None, list(eyes), list(eyes), list(eyes), SweepWorkspace(batch, g))
-    factors: dict[int, object] = {}
     events: list[SingularEvent] = []
     trace: list[float] = []
     converged = False
@@ -678,13 +658,11 @@ def fit(
                     for k in range(g)
                 ]
             )
-            news, L, record, flagged = FAMILIES[spec].update(
-                raws / counts[:, None, None], counts, n, n_star, factors.get(dim),
+            news, L, flagged = FAMILIES[spec].update(
+                raws / counts[:, None, None], counts, n, n_star, state.scales[d0],
                 options.reg_epsilon,
             )
             events.extend(SingularEvent(k, dim, iteration) for k in flagged)
-            if record is not None:
-                factors[dim] = record
             state.scales[d0], state.chols[d0], state.invs[d0] = news, L, inv_lower(L)
 
         z, ll = e_step(batch, state)
@@ -693,7 +671,7 @@ def fit(
             converged = True
             break
 
-    model = normalize_identifiability(state.model(specs, factors))
+    model = normalize_identifiability(state.model(specs))
     labels = z.argmax(axis=1)
     rho = free_params(specs, g, dims).total
     report = FitReport(

@@ -22,12 +22,12 @@ import os
 import re
 import warnings
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from ._version import __version__
-from .em import FAMILIES, FitOptions, FitReport, MixtureModel, SingularEvent, _mat
+from .em import FitOptions, FitReport, MixtureModel, SingularEvent
 from .errors import DataFormatError
 from .mda import as_batch, matricize_mode1
 from .mlnd import MlndParams
@@ -344,6 +344,19 @@ def write_bin_f64(path, data) -> None:
 # --- fit result documents ---------------------------------------------------------
 
 
+def _mat(a) -> list:
+    """An array as nested lists of Python floats, the JSON form of every matrix."""
+    return np.asarray(a, dtype=np.float64).tolist()
+
+
+def _record_json(record) -> dict:
+    """A factor record's JSON block: its dataclass fields, or for a tuple of
+    per-group records, their blocks under ``groups``."""
+    if isinstance(record, tuple):
+        return {"groups": [_record_json(r) for r in record]}
+    return {f.name: _mat(getattr(record, f.name)) for f in fields(record)}
+
+
 def result_document(
     model: MixtureModel,
     report: FitReport,
@@ -367,10 +380,7 @@ def result_document(
             for comp in model.components
         ],
         "factors": {
-            str(dim): {
-                "family": model.specs[dim - 1].value,
-                **FAMILIES[model.specs[dim - 1]].to_json(rec),
-            }
+            str(dim): {"family": model.specs[dim - 1].value, **_record_json(rec)}
             for dim, rec in sorted(model.factors.items())
         },
         "labels": [int(v) for v in report.labels],
@@ -405,10 +415,12 @@ def write_result(doc: dict, path) -> None:
 def read_result(path) -> tuple[MixtureModel, FitReport, dict]:
     """Rebuild (model, report, config echo) from a written result document.
 
-    Invalid JSON, a missing field, a report field of the wrong JSON type
-    (such as ``"n_iterations": "5"``), an array entry that is not a JSON
-    number (labels: not a JSON integer; a boolean is neither) or a value the
-    model rejects (such as an unknown family token) raises
+    The model derives its factor records from the stored scales, as every
+    model does; the stored ``factors`` block is only type-checked.  Invalid
+    JSON, a missing field, a report field of the wrong JSON type (such as
+    ``"n_iterations": "5"``), an array entry that is not a JSON number
+    (labels: not a JSON integer; a boolean is neither) or a value the model
+    rejects (such as an unknown family token in ``scale_models``) raises
     :class:`DataFormatError` naming the file.
     """
     with open(path) as fh:
@@ -432,16 +444,13 @@ def read_result(path) -> tuple[MixtureModel, FitReport, dict]:
                 )
             scales = tuple(np.asarray(s, dtype=np.float64) for s in _entries(gdoc, "scales"))
             components.append(MlndParams(mean=mat.T.reshape(dims), scales=scales))
-        factors = {}
-        for dim, rec in doc["factors"].items():
+        for rec in doc["factors"].values():  # checked only: the model derives its records
             for name in sorted(rec.keys() - {"family"}):
                 _entries(rec, name)
-            factors[int(dim)] = FAMILIES[ScaleModel.from_token(rec["family"])].from_json(rec)
         model = MixtureModel(
             weights=np.asarray(_entries(doc, "weights"), dtype=np.float64),
             components=tuple(components),
             specs=tuple(ScaleModel.from_token(t) for t in doc["scale_models"]),
-            factors=factors,
         )
         report = FitReport(
             loglik_trace=np.asarray(_entries(doc, "loglik_trace"), dtype=np.float64),

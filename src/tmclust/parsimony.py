@@ -20,8 +20,9 @@ ordered (e.g. temporal) dimensions: row r of T holds negated autoregressive
 coefficients of index r on indices 1..r-1.  The updates below are the exact
 conditional maximizers of the expected complete-data log-likelihood given
 the per-group scatters Lambda_{g,d}, so a cyclic sweep keeps EM monotone.
-Each family's M-step with its repair, parameter count, rescaling and JSON
-form are defined in one place, ``tmclust.em.FAMILIES``, which calls these.
+Each family's M-step with its repair, parameter count and factor record are
+defined in one place, ``tmclust.em.FAMILIES``, which calls these: a record
+is the family's estimator run on a scale stack at n* = n_d.
 """
 
 from __future__ import annotations

@@ -403,6 +403,21 @@ def write_report_json(report: StudyReport, path) -> None:
     _write_json(report.to_dict(), path)
 
 
+def _csv_cell(value):
+    """One CSV cell: empty for None, ``true``/``false`` for a bool, the
+    shortest round-trip repr for a float, semicolon-joined reprs for a
+    vector, and anything else as the csv module writes it."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, (tuple, list)):
+        return ";".join(repr(v) for v in value)
+    return value
+
+
 def write_report_csvs(report: StudyReport, directory) -> None:
     """Emit replicates.csv and cells.csv for spreadsheet or plotting use.
 
@@ -411,56 +426,46 @@ def write_report_csvs(report: StudyReport, directory) -> None:
     """
     os.makedirs(directory, exist_ok=True)
 
-    def join(vals):
-        return "" if vals is None else ";".join(repr(v) for v in vals)
+    def write(name, header, rows):
+        with open(os.path.join(directory, name), "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(header)
+            w.writerows([_csv_cell(v) for v in row] for row in rows)
 
-    with open(os.path.join(directory, "replicates.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(
+    write(
+        "replicates.csv",
+        [
+            "cell_index", "n_obs", "dims", "replicate", "error", "selected_g",
+            "true_g_selected", "ari", "singular", "n_singular_events",
+            "rel_err_mean", "rel_err_scale",
+        ],
+        (
             [
-                "cell_index", "n_obs", "dims", "replicate", "error", "selected_g",
-                "true_g_selected", "ari", "singular", "n_singular_events",
-                "rel_err_mean", "rel_err_scale",
+                r.cell_index, r.n_obs, "x".join(map(str, r.dims)), r.replicate, r.error,
+                r.selected_g, r.true_g_selected, r.ari, r.singular, r.n_singular_events,
+                r.rel_err_mean, r.rel_err_scale,
             ]
-        )
-        for r in report.records:
-            w.writerow(
-                [
-                    r.cell_index, r.n_obs, "x".join(map(str, r.dims)), r.replicate,
-                    r.error or "",
-                    "" if r.selected_g is None else r.selected_g,
-                    "" if r.true_g_selected is None else str(r.true_g_selected).lower(),
-                    "" if r.ari is None else repr(r.ari),
-                    "" if r.singular is None else str(r.singular).lower(),
-                    "" if r.n_singular_events is None else r.n_singular_events,
-                    join(r.rel_err_mean), join(r.rel_err_scale),
-                ]
-            )
-
-    with open(os.path.join(directory, "cells.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(
+            for r in report.records
+        ),
+    )
+    write(
+        "cells.csv",
+        [
+            "cell_index", "n_obs", "dims", "n_star", "n_replicates", "n_failed",
+            "share_true_g", "ari_mean", "ari_sd", "n_singular",
+            "ari_mean_singular", "ari_mean_non_singular",
+            "rel_err_mean_by_group", "rel_err_scale_by_group",
+        ],
+        (
             [
-                "cell_index", "n_obs", "dims", "n_star", "n_replicates", "n_failed",
-                "share_true_g", "ari_mean", "ari_sd", "n_singular",
-                "ari_mean_singular", "ari_mean_non_singular",
-                "rel_err_mean_by_group", "rel_err_scale_by_group",
+                c.cell_index, c.n_obs, "x".join(map(str, c.dims)), c.n_star,
+                c.n_replicates, c.n_failed, c.share_true_g, c.ari_all["mean"],
+                c.ari_all["sd"], c.ari_singular["n"], c.ari_singular["mean"],
+                c.ari_non_singular["mean"], c.rel_err_mean_by_group, c.rel_err_scale_by_group,
             ]
-        )
-        for c in report.cells:
-            w.writerow(
-                [
-                    c.cell_index, c.n_obs, "x".join(map(str, c.dims)), c.n_star,
-                    c.n_replicates, c.n_failed,
-                    "" if c.share_true_g is None else repr(c.share_true_g),
-                    "" if c.ari_all["mean"] is None else repr(c.ari_all["mean"]),
-                    "" if c.ari_all["sd"] is None else repr(c.ari_all["sd"]),
-                    c.ari_singular["n"],
-                    "" if c.ari_singular["mean"] is None else repr(c.ari_singular["mean"]),
-                    "" if c.ari_non_singular["mean"] is None else repr(c.ari_non_singular["mean"]),
-                    join(c.rel_err_mean_by_group), join(c.rel_err_scale_by_group),
-                ]
-            )
+            for c in report.cells
+        ),
+    )
 
 
 __all__ = [

@@ -1,5 +1,6 @@
 """EM loop pieces (init, E-step, M-steps, stopping, repair) and full fits."""
 
+import dataclasses
 import tracemalloc
 import warnings
 
@@ -25,7 +26,7 @@ from tmclust.errors import EmptyComponentError, SingularScaleError
 from tmclust.mda import mode_product
 from tmclust.metrics import adjusted_rand_index
 from tmclust.mlnd import MlndParams, log_density, log_density_batch, sample
-from tmclust.parsimony import McdFactors, ScaleModel, SharedMcdFactors
+from tmclust.parsimony import GpcmVviFactors, McdFactors, ScaleModel, SharedMcdFactors
 from tmclust.selection import ScanGrid, scan
 from tmclust.simulate import SimConfig, generate_dataset
 
@@ -394,7 +395,7 @@ def test_check_flags_a_well_conditioned_indefinite_matrix(rng):
     assert np.array_equal(out[0], good)
     assert np.array_equal(out[1], bad + 1e-3 * np.eye(2))
     assert_factors(chols, out)
-    out, chols, flags = em._factor(np.stack([good, bad]), np.zeros(2, bool), 1e-3, reset=True)
+    out, chols, flags = em._factor(np.stack([good, bad]), np.zeros(2, bool), 1e-3, reset=np.eye(2))
     assert flags.tolist() == [False, True]
     assert np.array_equal(out[0], good)
     assert np.array_equal(out[1], 1e-3 * np.eye(2))
@@ -462,10 +463,7 @@ def test_normalize_rescales_factor_records(rng):
     fac = mcd_vvi_update(lam, n_star=6)
     comp = MlndParams(mean=np.zeros(dims), scales=(random_spd(2, rng), fac.scale()))
     model = MixtureModel(
-        weights=[1.0],
-        components=(comp,),
-        specs=(ScaleModel.VVV, ScaleModel.MCD_VVI),
-        factors={2: (fac,)},
+        weights=[1.0], components=(comp,), specs=(ScaleModel.VVV, ScaleModel.MCD_VVI)
     )
     out = normalize_identifiability(model)
     new_fac = out.factors[2][0]
@@ -481,19 +479,32 @@ def record_scale(record, k):
     return fac.scale() if isinstance(fac, McdFactors) else fac.matrix()
 
 
-@pytest.mark.parametrize("spec", ALL_SPECS)
-def test_normalize_keeps_every_record_consistent(rng, spec):
+def assert_records_reconstruct(record, scales):
+    """Group k's scale is the one its factor record reconstructs."""
+    for k, scale in enumerate(scales):
+        np.testing.assert_allclose(record_scale(record, k), scale, rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "spec, singular",
+    [(spec, False) for spec in ALL_SPECS] + [(ScaleModel.MCD_EVI, True)],
+    ids=[spec.value for spec in ALL_SPECS] + ["MCD-EVI-singular"],
+)
+def test_normalize_keeps_every_record_consistent(rng, spec, singular):
     """After the fit's normalization each stored record still gives its
-    group's (rescaled) scale matrix, on every dimension."""
-    batch, _ = separated_batch(rng, n=40, g=2)
-    model, _ = fit(batch, 2, specs=[spec] * 3, options=FitOptions(seed=3))
+    group's (rescaled) scale matrix, on every dimension, also where the
+    last iteration repaired a group (a 4x3x5, N=36, G=5 fit of noise)."""
+    if singular:
+        batch = np.random.default_rng(3).standard_normal((36, 4, 3, 5))
+        model, report = fit(batch, 5, specs=[spec] * 3, options=FitOptions(seed=3))
+        assert any(e.iteration == report.n_iterations for e in report.singular_events)
+    else:
+        batch, _ = separated_batch(rng, n=40, g=2)
+        model, _ = fit(batch, 2, specs=[spec] * 3, options=FitOptions(seed=3))
     has_record = spec in (ScaleModel.MCD_VVI, ScaleModel.MCD_EVI, ScaleModel.GPCM_VVI)
     assert sorted(model.factors) == ([1, 2, 3] if has_record else [])
     for dim, record in model.factors.items():
-        for k, comp in enumerate(model.components):
-            np.testing.assert_allclose(
-                record_scale(record, k), comp.scales[dim - 1], rtol=1e-12, atol=1e-15
-            )
+        assert_records_reconstruct(record, [comp.scales[dim - 1] for comp in model.components])
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS)
@@ -501,17 +512,66 @@ def test_family_update_repairs_zero_scatter(spec):
     """An all-zero scatter leaves every group at reg_epsilon * I, flagged
     one by one, or once with group None for the shared matrix."""
     g, n_d, reg = 3, 4, 1e-3
-    scales, chols, record, flagged = FAMILIES[spec].update(
-        np.zeros((g, n_d, n_d)), np.array([5.0, 7.0, 8.0]), 20, 12, None, reg
+    scales, chols, flagged = FAMILIES[spec].update(
+        np.zeros((g, n_d, n_d)), np.array([5.0, 7.0, 8.0]), 20, 12,
+        np.broadcast_to(np.eye(n_d), (g, n_d, n_d)), reg,
     )
     assert len(scales) == g
     for new in scales:
         assert np.array_equal(new, reg * np.eye(n_d))
     assert_factors(chols, scales)
     assert flagged == ([None] if spec is ScaleModel.GPCM_EEE else [0, 1, 2])
+    record = FAMILIES[spec].record(scales)
     if record is not None:
         for k in range(g):
             np.testing.assert_allclose(record_scale(record, k), reg * np.eye(n_d), rtol=1e-12)
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS)
+def test_family_update_records_describe_a_partial_collapse(rng, spec):
+    """With one of three scatters zero, the repaired group's new scale is,
+    like its neighbours', the one its record reconstructs: an MCD-EVI group
+    keeps the shared T, with delta = reg_epsilon."""
+    g, n_d, reg = 3, 4, 1e-3
+    lams = np.stack([random_spd(n_d, rng), np.zeros((n_d, n_d)), random_spd(n_d, rng)])
+    eye = np.broadcast_to(np.eye(n_d), (g, n_d, n_d))
+    counts = np.array([5.0, 7.0, 8.0])
+    scales, chols, flagged = FAMILIES[spec].update(lams, counts, 20, 12, eye, reg)
+    assert_factors(chols, scales)
+    assert flagged == ([] if spec is ScaleModel.GPCM_EEE else [1])
+    record = FAMILIES[spec].record(scales)
+    assert (record is None) == (spec in (ScaleModel.VVV, ScaleModel.GPCM_EEE))
+    if record is not None:
+        assert_records_reconstruct(record, scales)
+    if spec is ScaleModel.MCD_EVI:
+        assert record.deltas[1] == pytest.approx(reg, rel=1e-12)
+
+
+@pytest.mark.parametrize("spec", [ScaleModel.MCD_VVI, ScaleModel.MCD_EVI, ScaleModel.GPCM_VVI])
+def test_record_of_a_family_member_is_its_parameters(rng, spec):
+    """A scale stack built from random parameters of the family gives those
+    parameters back as its record."""
+    g, n_d = 3, 4
+    deltas = rng.uniform(0.5, 2.0, g)
+    ts = np.eye(n_d) + np.tril(0.5 * rng.standard_normal((g, n_d, n_d)), -1)
+    if spec is ScaleModel.MCD_VVI:
+        want = tuple(McdFactors(t, d) for t, d in zip(ts, deltas))
+        scales = np.stack([f.scale() for f in want])
+    elif spec is ScaleModel.MCD_EVI:
+        want = SharedMcdFactors(ts[0], deltas)
+        scales = deltas[:, None, None] * McdFactors(ts[0], 1.0).scale()
+    else:
+        shapes = rng.uniform(0.5, 2.0, (g, n_d))
+        shapes /= np.exp(np.log(shapes).mean(axis=1, keepdims=True))
+        want = tuple(GpcmVviFactors(d, shape) for d, shape in zip(deltas, shapes))
+        scales = np.stack([f.matrix() for f in want])
+    got = FAMILIES[spec].record(scales)
+    assert type(got) is type(want)
+    for a, b in zip(want, got) if isinstance(want, tuple) else [(want, got)]:
+        for f in dataclasses.fields(a):
+            np.testing.assert_allclose(
+                getattr(b, f.name), getattr(a, f.name), rtol=1e-12, atol=1e-12
+            )
 
 
 # --- full fits ----------------------------------------------------------------------
@@ -616,6 +676,40 @@ def test_fit_rejects_init_z_whose_rows_do_not_sum_to_one(rng):
 def test_fit_options_reject_a_bad_seed(seed):
     with pytest.raises(ValueError, match="seed must be"):
         FitOptions(seed=seed)
+
+
+@pytest.mark.parametrize(
+    "kwargs, match",
+    [
+        ({"max_iterations": 2.5}, "max_iterations must be an integer >= 1, got 2.5"),
+        ({"max_iterations": True}, "max_iterations must be an integer >= 1, got True"),
+        ({"max_iterations": 0}, "max_iterations must be an integer >= 1, got 0"),
+        ({"max_iterations": "5"}, "max_iterations must be an integer >= 1, got '5'"),
+        ({"kmeans_restarts": 1.5}, "kmeans_restarts must be an integer >= 1, got 1.5"),
+        ({"kmeans_restarts": False}, "kmeans_restarts must be an integer >= 1, got False"),
+        ({"kmeans_restarts": 0}, "kmeans_restarts must be an integer >= 1, got 0"),
+        ({"aitken_epsilon": True}, "aitken_epsilon must be a number, got True"),
+        ({"aitken_epsilon": "1"}, "aitken_epsilon must be a number, got '1'"),
+        ({"aitken_epsilon": 0.0}, "aitken_epsilon must be > 0"),
+        ({"aitken_epsilon": float("nan")}, "aitken_epsilon must be > 0"),
+        ({"reg_epsilon": True}, "reg_epsilon must be a number, got True"),
+        ({"reg_epsilon": "0.01"}, "reg_epsilon must be a number, got '0.01'"),
+        ({"reg_epsilon": 0.5}, r"reg_epsilon must lie in \(0, 0.1\]"),
+    ],
+)
+def test_fit_options_reject_bad_counts_and_epsilons(kwargs, match):
+    """Counts are ints >= 1 and epsilons real numbers; a bool is neither,
+    so nothing reaches ``range`` or a comparison as the wrong type."""
+    with pytest.raises(ValueError, match=match):
+        FitOptions(**kwargs)
+
+
+def test_fit_options_accept_ints_and_reals():
+    options = FitOptions(
+        max_iterations=3, kmeans_restarts=1, aitken_epsilon=1, reg_epsilon=np.float64(0.01)
+    )
+    assert (options.max_iterations, options.kmeans_restarts) == (3, 1)
+    assert (options.aitken_epsilon, options.reg_epsilon) == (1, 0.01)
 
 
 def test_fit_options_keep_a_seed_list_as_a_tuple():

@@ -338,7 +338,7 @@ def result_doc(rng):
         (lambda doc: "{ nope", "invalid JSON"),
         (lambda doc: json.dumps({k: v for k, v in doc.items() if k != "weights"}),
          "missing field 'weights'"),
-        (lambda doc: json.dumps({**doc, "factors": {"1": {**doc["factors"]["1"], "family": "VII"}}}),
+        (lambda doc: json.dumps({**doc, "scale_models": ["VII", "VVV"]}),
          "unknown scale-model token 'VII'"),
         (lambda doc: json.dumps({**doc, "scale_models": [3, "VVV"]}), "has no attribute 'strip'"),
         # the transposed (n_1, n*/n_1) matrix has the right size but not the right shape

@@ -12,8 +12,11 @@ from tmclust.em import FitOptions, fit
 from tmclust.metrics import adjusted_rand_index
 from tmclust.mlnd import MlndParams, sample
 from tmclust.simulate import (
+    ReplicateRecord,
     SimConfig,
+    StudyReport,
     _best_permutation,
+    _summarize_cell,
     default_study,
     full_study,
     generate_dataset,
@@ -302,6 +305,39 @@ def test_report_csvs_written(tmp_path, tiny_report):
     assert len(replicates) == 1 + 3
     assert len(cells) == 1 + 1
     assert replicates[0].startswith("cell_index,n_obs,dims,replicate")
+
+
+def test_report_csvs_pin_every_cell_format(tmp_path):
+    """Exact bytes of both CSVs: a failed replicate (its error quoted), a
+    singular one without error vectors, a clean one, and a cell whose
+    every replicate failed, so each summary is empty."""
+    cfg = SimConfig(n_obs=12, dims=(2, 3), n_groups=2, replicates=3, g_scan=(2, 3))
+    records = [
+        ReplicateRecord(0, 12, (2, 3), 0, error='SingularScaleError: "dim 2", group 1'),
+        ReplicateRecord(0, 12, (2, 3), 1, selected_g=3, true_g_selected=False, ari=0.75,
+                        singular=True, n_singular_events=4),
+        ReplicateRecord(0, 12, (2, 3), 2, selected_g=2, true_g_selected=True, ari=1.0,
+                        singular=False, n_singular_events=0, rel_err_mean=(0.125, 0.1),
+                        rel_err_scale=(0.5, 1e-17)),
+    ]
+    failed = [ReplicateRecord(1, 12, (2, 3), 0, error="EmptyComponentError: x")]
+    cells = [_summarize_cell(0, cfg, records), _summarize_cell(1, cfg, failed)]
+    write_report_csvs(StudyReport((cfg, cfg), records + failed, cells, {}), tmp_path)
+    assert (tmp_path / "replicates.csv").read_bytes() == (
+        b"cell_index,n_obs,dims,replicate,error,selected_g,true_g_selected,ari,singular,"
+        b"n_singular_events,rel_err_mean,rel_err_scale\r\n"
+        b'0,12,2x3,0,"SingularScaleError: ""dim 2"", group 1",,,,,,,\r\n'
+        b"0,12,2x3,1,,3,false,0.75,true,4,,\r\n"
+        b"0,12,2x3,2,,2,true,1.0,false,0,0.125;0.1,0.5;1e-17\r\n"
+        b"1,12,2x3,0,EmptyComponentError: x,,,,,,,\r\n"
+    )
+    assert (tmp_path / "cells.csv").read_bytes() == (
+        b"cell_index,n_obs,dims,n_star,n_replicates,n_failed,share_true_g,ari_mean,ari_sd,"
+        b"n_singular,ari_mean_singular,ari_mean_non_singular,rel_err_mean_by_group,"
+        b"rel_err_scale_by_group\r\n"
+        b"0,12,2x3,6,3,1,0.5,0.875,0.1767766952966369,1,0.75,1.0,0.125;0.1,0.5;1e-17\r\n"
+        b"1,12,2x3,6,1,1,,,,0,,,,\r\n"
+    )
 
 
 def test_run_study_requires_cells():
