@@ -147,11 +147,7 @@ def _load(args):
 def cmd_fit(args) -> int:
     manifest, data = _load(args)
     order = len(manifest.dims)
-    specs = (
-        _parse_specs(args.scale_models, order)
-        if args.scale_models
-        else tuple(ScaleModel.VVV for _ in range(order))
-    )
+    specs = _parse_specs(args.scale_models, order) if args.scale_models else None
     if args.groups < 1:
         raise _UsageError(f"--groups must be >= 1, got {args.groups}")
     options = _options_from(args)

@@ -11,7 +11,7 @@ MCD families' T and delta) is derived from it, in one place, whenever a
 :class:`MixtureModel` is built.  Stopping uses the Aitken estimate of the
 asymptotic log-likelihood.  The Kronecker rescaling indeterminacy is
 resolved once after convergence by rescaling every non-leading scale
-matrix to a unit leading entry.
+matrix to a unit leading entry, one stack at a time for all groups.
 
 The sweep whitens incrementally in one :class:`~tmclust.mlnd.SweepWorkspace`
 per fit: 3D-2 mode passes per group and iteration instead of D^2, the last
@@ -27,8 +27,10 @@ means and, per dimension, (G, n_d, n_d) stacks of the scales, their Cholesky
 factors L — from the one batched Cholesky that checks each new stack — and
 the inverses, beside the workspace.  :func:`e_step` takes that state or a
 :class:`MixtureModel`, whose densities come from fresh workspaces, one per
-component.  :class:`MlndParams` and :class:`MixtureModel` are built once, at
-exit.
+component.  At exit the scale stacks are normalized and the
+:class:`MixtureModel` is built from them, once per fit;
+:func:`normalize_identifiability` runs the same normalization on a built
+model's stacks.
 
 A fit runs numpy's OpenBLAS on one thread (restoring the caller's count on
 exit): its products are small, and a second BLAS thread only spins.  Its
@@ -69,6 +71,14 @@ from .parsimony import (
 _EMPTY_FIT_TOL = 1e-6  # fit-level abort threshold on n_g / N
 
 
+def _require_numbers(obj, *names: str) -> None:
+    """ValueError unless each named field of ``obj`` is a real number, not a bool."""
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"{name} must be a number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class FitOptions:
     """Knobs for one EM run.
@@ -90,10 +100,7 @@ class FitOptions:
             value = getattr(self, name)
             if type(value) is not int or value < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-        for name in ("aitken_epsilon", "reg_epsilon"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a number, got {value!r}")
+        _require_numbers(self, "aitken_epsilon", "reg_epsilon")
         if not self.aitken_epsilon > 0:
             raise ValueError("aitken_epsilon must be > 0")
         if not 0 < self.reg_epsilon <= 0.1:
@@ -278,14 +285,6 @@ class _Stacks:
     chols: list
     invs: list
     work: SweepWorkspace
-
-    def model(self, specs) -> MixtureModel:
-        """The mixture these parameters define, with its symmetry checks."""
-        components = tuple(
-            MlndParams(mean, tuple(scales[k] for scales in self.scales))
-            for k, mean in enumerate(self.means)
-        )
-        return MixtureModel(self.weights, components, specs)
 
 
 def loglik_matrix(data, model: MixtureModel | _Stacks):
@@ -539,6 +538,33 @@ def bic(loglik: float, rho: int, n_obs: int) -> float:
 # --- identifiability ----------------------------------------------------------
 
 
+def _normalize_stacks(scales: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """New per-dimension (G, n_d, n_d) scale stacks: every trailing stack
+    divided by its groups' leading entries (pinned to exactly 1.0), the first
+    multiplied by their product, taken in dimension order.  The first
+    non-positive leading entry in group-major order raises ValueError."""
+    leads = np.stack([s[:, 0, 0] for s in scales[1:]], axis=1)  # (G, D-1)
+    bad = np.argwhere(leads <= 0)  # (group, dimension - 2) pairs, group-major
+    if bad.size:
+        g, k = bad[0]
+        raise ValueError(f"leading entry of scale {k + 2} in group {g} is not positive")
+    out, prod = [], np.ones(len(leads))
+    for stack, lead in zip(scales[1:], leads.T):
+        out.append(stack / lead[:, None, None])
+        out[-1][:, 0, 0] = 1.0
+        prod = prod * lead
+    return [scales[0] * prod[:, None, None]] + out
+
+
+def _mixture(weights, means, scales, specs=()) -> MixtureModel:
+    """The mixture of per-group means and per-dimension scale stacks, with
+    the symmetry checks of :class:`MlndParams`."""
+    components = tuple(
+        MlndParams(mean, tuple(stack[k] for stack in scales)) for k, mean in enumerate(means)
+    )
+    return MixtureModel(weights, components, specs)
+
+
 def normalize_identifiability(model: MixtureModel) -> MixtureModel:
     """Resolve the Kronecker rescaling indeterminacy.
 
@@ -548,25 +574,9 @@ def normalize_identifiability(model: MixtureModel) -> MixtureModel:
     product — and therefore every density value — unchanged.  The factor
     records are derived from the new scales, as for any model.  Idempotent.
     """
-    d_count = len(model.dims)
-    new_components = []
-    for g, comp in enumerate(model.components):
-        scales = [s.copy() for s in comp.scales]
-        prod = 1.0
-        for k in range(1, d_count):
-            lead = float(scales[k][0, 0])
-            if lead <= 0:
-                raise ValueError(
-                    f"leading entry of scale {k + 1} in group {g} is not positive"
-                )
-            scales[k] /= lead
-            scales[k][0, 0] = 1.0
-            prod *= lead
-        scales[0] *= prod
-        new_components.append(MlndParams(mean=comp.mean, scales=tuple(scales)))
-    return MixtureModel(
-        weights=model.weights.copy(), components=tuple(new_components), specs=model.specs
-    )
+    comps = model.components
+    scales = _normalize_stacks([np.stack(dim) for dim in zip(*(c.scales for c in comps))])
+    return _mixture(model.weights.copy(), [c.mean for c in comps], scales, model.specs)
 
 
 # --- the full loop ------------------------------------------------------------
@@ -671,7 +681,7 @@ def fit(
             converged = True
             break
 
-    model = normalize_identifiability(state.model(specs))
+    model = _mixture(state.weights, state.means, _normalize_stacks(state.scales), specs)
     labels = z.argmax(axis=1)
     rho = free_params(specs, g, dims).total
     report = FitReport(

@@ -65,6 +65,21 @@ def _items(value, convert=_integer) -> tuple:
     return tuple(convert(v) for v in value)
 
 
+def _csv_cell(value):
+    """One CSV cell: empty for None, ``true``/``false`` for a bool, the
+    shortest round-trip repr for a float (numpy's included), semicolon-joined
+    reprs for a vector, and anything else as the csv module writes it."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, float):
+        return repr(float(value))
+    if isinstance(value, (tuple, list)):
+        return ";".join(repr(v) for v in value)
+    return value
+
+
 def _entries(doc: dict, name: str, kind: str = "numbers", convert=_number):
     """``doc[name]``, a JSON array (of arrays or objects) whose every entry
     ``convert`` accepts; otherwise :class:`DataFormatError` names the first
@@ -492,7 +507,7 @@ def write_labels_csv(path, labels, responsibilities) -> None:
         w = csv.writer(fh)
         w.writerow(["obs_id", "map_label"] + [f"z_{g + 1}" for g in range(z.shape[1])])
         for i in range(labels.shape[0]):
-            w.writerow([i + 1, int(labels[i]) + 1] + [repr(float(v)) for v in z[i]])
+            w.writerow([_csv_cell(v) for v in (i + 1, int(labels[i]) + 1, *z[i])])
 
 
 def read_labels_csv(path) -> np.ndarray:

@@ -10,6 +10,7 @@ from typing import Sequence
 
 from ._blas import one_blas_thread
 from .em import FitOptions, FitReport, MixtureModel, bic, fit, free_params
+from .io import _convert_field, _csv_cell, _items
 from .mda import as_batch
 from .parsimony import ScaleModel
 
@@ -26,15 +27,14 @@ class ScanGrid:
     options: FitOptions = FitOptions()
 
     def __post_init__(self):
-        groups = tuple(int(g) for g in self.groups)
-        if not groups or any(g < 1 for g in groups):
+        _convert_field(self, "groups", "a list of integers", _items, ValueError)
+        if not self.groups or any(g < 1 for g in self.groups):
             raise ValueError("groups must be a nonempty sequence of positive ints")
         cands = tuple(
             tuple(ScaleModel(s) for s in dim_list) for dim_list in self.spec_candidates
         )
         if not cands or any(not c for c in cands):
             raise ValueError("every dimension needs a nonempty candidate list")
-        object.__setattr__(self, "groups", groups)
         object.__setattr__(self, "spec_candidates", cands)
 
     def cells(self):
@@ -162,17 +162,9 @@ def write_bic_table(result: ScanResult, path) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in result.rows:
-            writer.writerow(
-                [row.g]
-                + [s.value for s in row.specs]
-                + [
-                    "" if row.loglik is None else repr(row.loglik),
-                    row.rho,
-                    "" if row.bic is None else repr(row.bic),
-                    str(row.converged).lower(),
-                    row.n_singular_events,
-                ]
-            )
+            cells = (row.g, *(s.value for s in row.specs), row.loglik, row.rho, row.bic,
+                     row.converged, row.n_singular_events)
+            writer.writerow([_csv_cell(v) for v in cells])
 
 
 __all__ = ["ScanGrid", "ScanResult", "ScanRow", "bic", "scan", "write_bic_table"]

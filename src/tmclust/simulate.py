@@ -20,10 +20,10 @@ from typing import Sequence
 import numpy as np
 
 from ._blas import one_blas_thread
-from .em import FitOptions, MixtureModel, normalize_identifiability
-from .io import _convert_field, _integer, _items, _write_json
+from .em import FitOptions, MixtureModel, _mixture, _normalize_stacks, _require_numbers
+from .io import _convert_field, _csv_cell, _integer, _items, _write_json
 from .metrics import adjusted_rand_index, kron_relative_error, relative_error
-from .mlnd import MlndParams, sample
+from .mlnd import sample
 from .parsimony import ScaleModel
 from .selection import ScanGrid, scan
 
@@ -50,6 +50,7 @@ class SimConfig:
             _convert_field(self, name, "an integer", _integer, ValueError)
         for name in ("dims", "g_scan"):
             _convert_field(self, name, "a list of integers", _items, ValueError)
+        _require_numbers(self, "snr", "condition_cap")
         if len(self.dims) < 2 or any(n < 1 for n in self.dims):
             raise ValueError("dims must have order >= 2 with positive extents")
         if self.n_groups < 1:
@@ -89,8 +90,8 @@ def default_study(base_seed: int = 0, replicates: int = 25) -> tuple[SimConfig, 
 
 def full_study(base_seed: int = 0, replicates: int = 250) -> tuple[SimConfig, ...]:
     """The complete grid: four sample sizes x four array sizes.  One replicate
-    of its 16 cells took 2.7-4.4 s on a 2-vCPU VM (numpy 2.4.6, OpenBLAS
-    0.3.31), so the default 250 take about 15 minutes on one worker."""
+    of its 16 cells took 1.7-2.8 s on a 2-vCPU VM (numpy 2.4.6, OpenBLAS
+    0.3.31), so the default 250 take about 7 to 12 minutes on one worker."""
     return tuple(
         SimConfig(n_obs=n, dims=(m, m, m, m), replicates=replicates, base_seed=base_seed)
         for n in (60, 90, 120, 180)
@@ -152,7 +153,8 @@ def generate_dataset(config: SimConfig, rng) -> tuple[np.ndarray, MixtureModel, 
     over dimensions of the mean scale diagonal, averaged across groups)
     equals ``config.snr``.
 
-    Returns ``(batch, truth, labels)`` with the batch in label-block order.
+    Returns ``(batch, truth, labels)`` with the batch in label-block order
+    and the truth identifiability-normalized.
     """
     g = config.n_groups
     dims = config.dims
@@ -172,12 +174,8 @@ def generate_dataset(config: SimConfig, rng) -> tuple[np.ndarray, MixtureModel, 
         raise RuntimeError("degenerate mean draw: no between-group signal")
     means = grand[None] + np.sqrt(config.snr * noise / signal) * (means - grand[None])
 
-    components = tuple(
-        MlndParams(mean=means[k], scales=scales[k]) for k in range(g)
-    )
-    truth = normalize_identifiability(
-        MixtureModel(weights=np.full(g, 1.0 / g), components=components)
-    )
+    stacks = _normalize_stacks([np.stack(dim) for dim in zip(*scales)])
+    truth = _mixture(np.full(g, 1.0 / g), means, stacks)
     labels = np.repeat(np.arange(g), per)
     batch = np.concatenate([sample(comp, rng, size=per) for comp in truth.components])
     return batch, truth, labels
@@ -401,21 +399,6 @@ def run_study(configs, options: FitOptions | None = None, workers: int = 1) -> S
 def write_report_json(report: StudyReport, path) -> None:
     """Serialize the full report; deterministic bytes for a given report."""
     _write_json(report.to_dict(), path)
-
-
-def _csv_cell(value):
-    """One CSV cell: empty for None, ``true``/``false`` for a bool, the
-    shortest round-trip repr for a float, semicolon-joined reprs for a
-    vector, and anything else as the csv module writes it."""
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return str(value).lower()
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, (tuple, list)):
-        return ";".join(repr(v) for v in value)
-    return value
 
 
 def write_report_csvs(report: StudyReport, directory) -> None:

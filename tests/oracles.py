@@ -24,6 +24,9 @@ to the front.
   Gram-matrix route.
 * :func:`eee_oracle` — the shared full scale (EEE) by derivative-free
   minimization of its objective (acceptance criterion 9).
+* :func:`normalized_scales` — the identifiability normalization one group
+  and one dimension at a time, the oracle for the stacked normalization of
+  ``tmclust.em.normalize_identifiability``.
 """
 
 from __future__ import annotations
@@ -267,3 +270,21 @@ def kmeans_direct(data, n_groups: int, options: FitOptions | None = None, rng=No
     z = np.zeros((n, g))
     z[np.arange(n), best_labels] = 1.0
     return z
+
+
+def normalized_scales(components) -> list[tuple[np.ndarray, ...]]:
+    """Each group's scales with every trailing leading entry pinned to 1.0
+    and the first matrix multiplied by the product of those entries, taken
+    in dimension order."""
+    out = []
+    for comp in components:
+        scales = [s.copy() for s in comp.scales]
+        prod = 1.0
+        for k in range(1, len(scales)):
+            lead = float(scales[k][0, 0])
+            scales[k] /= lead
+            scales[k][0, 0] = 1.0
+            prod *= lead
+        scales[0] *= prod
+        out.append(tuple(scales))
+    return out

@@ -28,7 +28,7 @@ from tmclust.metrics import adjusted_rand_index
 from tmclust.mlnd import MlndParams, log_density, log_density_batch, sample
 from tmclust.parsimony import GpcmVviFactors, McdFactors, ScaleModel, SharedMcdFactors
 from tmclust.selection import ScanGrid, scan
-from tmclust.simulate import SimConfig, generate_dataset
+from tmclust.simulate import SimConfig, generate_dataset, random_scale_matrix
 
 import oracles
 from conftest import random_spd, sweep_scatters
@@ -453,6 +453,62 @@ def test_normalize_is_idempotent(rng):
     for a, b in zip(once.components, twice.components):
         for s1, s2 in zip(a.scales, b.scales):
             assert np.array_equal(s1, s2)
+
+
+@pytest.mark.parametrize(
+    "leads, message",
+    [
+        ({(1, 2): -1.0, (2, 1): 0.0}, "scale 3 in group 1"),
+        ({(1, 1): 0.0, (1, 2): -2.0}, "scale 2 in group 1"),
+        ({(0, 0): -1.0, (2, 2): -0.5}, "scale 3 in group 2"),
+    ],
+)
+def test_normalize_rejects_a_non_positive_leading_entry(rng, leads, message):
+    """The first bad (group, dimension k >= 2) in group-major order is
+    named; the first dimension's leading entry is never checked."""
+    model = _toy_model(rng, g=3)
+    for (g, d0), lead in leads.items():
+        scale = model.components[g].scales[d0]
+        scale[0, 0] = lead
+    with pytest.raises(ValueError, match=f"^leading entry of {message} is not positive$"):
+        normalize_identifiability(model)
+
+
+def test_fit_builds_one_model(rng, monkeypatch):
+    """The fit normalizes its scale stacks and builds its model once."""
+    calls = []
+    post_init = MixtureModel.__post_init__
+
+    def counted(self):
+        calls.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(MixtureModel, "__post_init__", counted)
+    batch, _ = separated_batch(rng, n=40, g=2)
+    model, _ = fit(batch, 2, specs=[ScaleModel.MCD_VVI, ScaleModel.VVV, ScaleModel.MCD_EVI])
+    assert calls == [model]
+    for comp in model.components:
+        assert comp.scales[1][0, 0] == 1.0 and comp.scales[2][0, 0] == 1.0
+
+
+def test_normalize_matches_the_per_group_loop():
+    """The stacked normalization gives the per-group loop's scales exactly,
+    on random models with condition numbers up to 1e8."""
+    rng = np.random.default_rng(18)
+    for _ in range(60):
+        dims = tuple(int(n) for n in rng.integers(1, 5, size=rng.integers(2, 5)))
+        cap = 10.0 ** rng.uniform(0, 8)
+        comps = tuple(
+            MlndParams(
+                rng.standard_normal(dims),
+                tuple(random_scale_matrix(n, cap, rng) * 10.0 ** rng.uniform(-3, 3) for n in dims),
+            )
+            for _ in range(rng.integers(1, 5))
+        )
+        model = MixtureModel(np.full(len(comps), 1.0 / len(comps)), comps)
+        out = normalize_identifiability(model)
+        for comp, want in zip(out.components, oracles.normalized_scales(comps)):
+            assert all(np.array_equal(a, b) for a, b in zip(comp.scales, want))
 
 
 def test_normalize_rescales_factor_records(rng):

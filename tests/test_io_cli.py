@@ -424,6 +424,20 @@ def test_labels_csv_round_trip(tmp_path):
     assert np.array_equal(read_labels_csv(path), labels)
 
 
+def test_labels_csv_pins_every_cell_format(tmp_path):
+    """Exact bytes: 1-based ids and labels, and every responsibility by its
+    shortest round-trip repr (numpy scalars included)."""
+    path = tmp_path / "labels.csv"
+    z = np.array([[1.0, 0.0], [1e-17, 1.0 - 1e-17], [0.1, 0.9]])
+    write_labels_csv(path, np.array([0, 1, 1], dtype=np.int32), z)
+    assert path.read_bytes() == (
+        b"obs_id,map_label,z_1,z_2\r\n"
+        b"1,1,1.0,0.0\r\n"
+        b"2,2,1e-17,1.0\r\n"
+        b"3,2,0.1,0.9\r\n"
+    )
+
+
 # --- the command line ------------------------------------------------------------------
 
 

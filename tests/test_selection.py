@@ -9,7 +9,7 @@ from tmclust.em import FitOptions
 from tmclust.mlnd import MlndParams, sample
 from tmclust.parsimony import ScaleModel
 from tmclust.selection import (
-    ScanGrid, ScanRow, _cell_seed, _prefer, bic, scan, write_bic_table,
+    ScanGrid, ScanResult, ScanRow, _cell_seed, _prefer, bic, scan, write_bic_table,
 )
 
 
@@ -49,6 +49,34 @@ def test_grid_validation():
         ScanGrid(groups=(0,), spec_candidates=((ScaleModel.VVV,),))
     with pytest.raises(ValueError):
         ScanGrid(groups=(1,), spec_candidates=((ScaleModel.VVV,), ()))
+    # int() would truncate 2.5, read True as 1 and parse "3"
+    for groups in ((2.5,), (True,), ("3",)):
+        with pytest.raises(ValueError, match="groups must be a list of integers"):
+            ScanGrid(groups=groups, spec_candidates=((ScaleModel.VVV,),))
+    grid = ScanGrid(groups=np.array([2, 3]), spec_candidates=((ScaleModel.VVV,),))
+    assert grid.groups == (2, 3) and all(type(g) is int for g in grid.groups)
+
+
+def test_write_bic_table_pins_every_cell_format(tmp_path):
+    """Exact bytes: a converged row, an unconverged one with repairs, and a
+    failed one, whose log-likelihood and BIC are empty."""
+    vvv, eee, mcd = ScaleModel.VVV, ScaleModel.GPCM_EEE, ScaleModel.MCD_EVI
+    rows = [
+        ScanRow(g=2, specs=(vvv, eee), loglik=-101.25, rho=17, bic=-259.5,
+                converged=True, n_singular_events=0),
+        ScanRow(g=3, specs=(mcd, vvv), loglik=-0.1, rho=25, bic=1e-17,
+                converged=False, n_singular_events=3),
+        ScanRow(g=4, specs=(vvv, vvv), loglik=None, rho=33, bic=None,
+                converged=False, n_singular_events=0, error="EmptyComponentError: x"),
+    ]
+    path = tmp_path / "table.csv"
+    write_bic_table(ScanResult(rows=rows, best=rows[0]), path)
+    assert path.read_bytes() == (
+        b"G,spec_d1,spec_d2,loglik,rho,bic,converged,singular_events\r\n"
+        b"2,VVV,EEE,-101.25,17,-259.5,true,0\r\n"
+        b"3,MCD-EVI,VVV,-0.1,25,1e-17,false,3\r\n"
+        b"4,VVV,VVV,,33,,false,0\r\n"
+    )
 
 
 def test_grid_cell_order():

@@ -66,10 +66,15 @@ def test_config_validation():
         ("dims", [True, 4], r"dims must be a list of integers, got \[True, 4\]"),
         ("g_scan", "23", "g_scan must be a list of integers, got '23'"),
         ("replicates", True, "replicates must be an integer, got True"),
+        ("snr", True, "snr must be a number, got True"),
+        ("snr", "1", "snr must be a number, got '1'"),
+        ("condition_cap", False, "condition_cap must be a number, got False"),
+        ("condition_cap", "10", "condition_cap must be a number, got '10'"),
     ],
 )
 def test_config_rejects_coercible_values(tmp_path, capsys, field, value, match):
-    """int() would split "44" into (4, 4), truncate 4.7 and read true as 1."""
+    """int() would split "44" into (4, 4), truncate 4.7 and read true as 1;
+    a report would keep snr true as written."""
     doc = {**TINY.to_dict(), field: value}
     with pytest.raises(ValueError, match=match):
         load_study(doc)
@@ -77,6 +82,13 @@ def test_config_rejects_coercible_values(tmp_path, capsys, field, value, match):
     path.write_text(json.dumps(doc))
     assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "r.json")]) == 1
     assert field in capsys.readouterr().err
+
+
+def test_config_keeps_numbers_as_given():
+    """An integer snr is not converted, so a report writes it as it was read."""
+    cfg = SimConfig(snr=2, condition_cap=np.float64(10.0))
+    assert type(cfg.snr) is int and json.dumps(cfg.to_dict()["snr"]) == "2"
+    assert type(cfg.condition_cap) is np.float64
 
 
 def test_default_and_full_grids():
