@@ -56,22 +56,13 @@ def _default_threads() -> int:
     if not raw:
         return 1
     try:
-        value = int(raw)
+        return int(raw)
     except ValueError:
         raise _UsageError(f"TMCLUST_THREADS must be an integer, got {raw!r}")
-    if value < 1:
-        raise _UsageError("TMCLUST_THREADS must be >= 1")
-    return value
 
 
-def _parse_specs(text: str, order: int) -> tuple[ScaleModel, ...]:
-    tokens = [t for t in text.split(",") if t.strip()]
-    specs = tuple(ScaleModel.from_token(t) for t in tokens)
-    if len(specs) != order:
-        raise _UsageError(
-            f"--scale-models needs {order} comma-separated tokens, got {len(specs)}"
-        )
-    return specs
+def _parse_specs(text: str) -> tuple[ScaleModel, ...]:
+    return tuple(ScaleModel.from_token(t) for t in text.split(",") if t.strip())
 
 
 def _parse_groups(text: str) -> tuple[int, ...]:
@@ -79,40 +70,23 @@ def _parse_groups(text: str) -> tuple[int, ...]:
     try:
         if ".." in text:
             lo, hi = text.split("..")
-            groups = tuple(range(int(lo), int(hi) + 1))
-        else:
-            groups = tuple(int(t) for t in text.split(","))
+            return tuple(range(int(lo), int(hi) + 1))
+        return tuple(int(t) for t in text.split(","))
     except ValueError:
         raise _UsageError(f"cannot parse --groups value {text!r}") from None
-    if not groups or any(g < 1 for g in groups):
-        raise _UsageError(f"--groups must name positive counts, got {text!r}")
-    return groups
 
 
-def _parse_grid_spec(value: str | None, order: int) -> tuple[tuple[ScaleModel, ...], ...]:
-    """Per-dimension candidate families: inline 'VVV,EEE;VVV;...' or a JSON file."""
+def _parse_grid_spec(value: str | None, order: int):
+    """Per-dimension candidate tokens: inline 'VVV,EEE;VVV;...' or a JSON file."""
     if value is None:
         return tuple((ScaleModel.VVV,) for _ in range(order))
     if os.path.exists(value):
-        try:
-            with open(value) as fh:
-                doc = json.load(fh)
-            lists = [[ScaleModel.from_token(t) for t in dim_list] for dim_list in doc]
-        except (json.JSONDecodeError, TypeError, ValueError) as exc:
-            raise _UsageError(f"bad grid file {value}: {exc}") from None
-    else:
-        try:
-            lists = [
-                [ScaleModel.from_token(t) for t in part.split(",") if t.strip()]
-                for part in value.split(";")
-            ]
-        except ValueError as exc:
-            raise _UsageError(str(exc)) from None
-    if len(lists) != order or any(not l for l in lists):
-        raise _UsageError(
-            f"grid spec needs {order} nonempty ';'-separated candidate lists"
-        )
-    return tuple(tuple(l) for l in lists)
+        with open(value) as fh:
+            try:
+                return json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise _UsageError(f"bad grid file {value}: {exc}") from None
+    return [[t for t in part.split(",") if t.strip()] for part in value.split(";")]
 
 
 def _parse_seed(text: str):
@@ -124,15 +98,12 @@ def _parse_seed(text: str):
 
 
 def _options_from(args) -> FitOptions:
-    try:
-        return FitOptions(
-            max_iterations=args.max_iter,
-            aitken_epsilon=args.tol,
-            reg_epsilon=args.reg_eps,
-            seed=_parse_seed(args.seed),
-        )
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    return FitOptions(
+        max_iterations=args.max_iter,
+        aitken_epsilon=args.tol,
+        reg_epsilon=args.reg_eps,
+        seed=_parse_seed(args.seed),
+    )
 
 
 def _load(args):
@@ -146,10 +117,7 @@ def _load(args):
 
 def cmd_fit(args) -> int:
     manifest, data = _load(args)
-    order = len(manifest.dims)
-    specs = _parse_specs(args.scale_models, order) if args.scale_models else None
-    if args.groups < 1:
-        raise _UsageError(f"--groups must be >= 1, got {args.groups}")
+    specs = _parse_specs(args.scale_models) if args.scale_models else None
     options = _options_from(args)
     model, report = fit(data, args.groups, specs=specs, options=options)
     doc = result_document(model, report, options, manifest=manifest)
@@ -173,9 +141,8 @@ def cmd_fit(args) -> int:
 
 def cmd_scan(args) -> int:
     manifest, data = _load(args)
-    order = len(manifest.dims)
     groups = _parse_groups(args.groups)
-    candidates = _parse_grid_spec(args.scale_models_grid, order)
+    candidates = _parse_grid_spec(args.scale_models_grid, len(manifest.dims))
     options = _options_from(args)
     grid = ScanGrid(groups=groups, spec_candidates=candidates, options=options)
     result = scan(data, grid, threads=args.threads, keep_models=bool(args.best))
@@ -210,10 +177,8 @@ def cmd_simulate(args) -> int:
         else:
             configs = default_study()
         if args.replicates is not None:
-            if args.replicates < 1:
-                raise ValueError("--replicates must be >= 1")
             configs = tuple(replace(c, replicates=args.replicates) for c in configs)
-    except (ValueError, TypeError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, TypeError, OSError) as exc:  # a JSONDecodeError is a ValueError
         raise _UsageError(f"invalid simulation config: {exc}") from None
     report = run_study(configs, workers=args.threads)
     write_report_json(report, args.out)
@@ -243,10 +208,6 @@ def cmd_metrics(args) -> int:
             raise _UsageError("--labels-a and --labels-b are both required")
         a = read_labels_csv(args.labels_a)
         b = read_labels_csv(args.labels_b)
-        if a.shape != b.shape:
-            raise _UsageError(
-                f"label files disagree on length: {a.shape[0]} vs {b.shape[0]}"
-            )
         out = {
             "rand_index": rand_index(a, b),
             "adjusted_rand_index": adjusted_rand_index(a, b),
@@ -259,10 +220,7 @@ def cmd_metrics(args) -> int:
             truth = np.loadtxt(args.truth, delimiter=",", ndmin=2)
         except (OSError, ValueError) as exc:
             raise _UsageError(f"cannot read matrix CSV: {exc}") from None
-        try:
-            out = {"relative_error": relative_error(est, truth)}
-        except ValueError as exc:
-            raise _UsageError(str(exc)) from None
+        out = {"relative_error": relative_error(est, truth)}
     print(json.dumps(out))
     return 0
 
@@ -332,13 +290,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if getattr(args, "threads", None) is None and args.command in ("scan", "simulate"):
             args.threads = _default_threads()
-        if getattr(args, "threads", None) is not None and args.threads < 1:
-            raise _UsageError("--threads must be >= 1")
         return args.func(args)
-    except _UsageError as exc:
-        print(f"tmclust: error: {exc}", file=sys.stderr)
-        return 1
-    except (DataFormatError, ValueError, OSError) as exc:
+    except (_UsageError, DataFormatError, ValueError, OSError) as exc:
         print(f"tmclust: error: {exc}", file=sys.stderr)
         return 1
     except TmclustError as exc:

@@ -40,13 +40,13 @@ of a Lloyd step reads the batch.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from ._blas import one_blas_thread
+from ._fields import _convert_field, _count, _integer, _items, _number
 from .errors import EmptyComponentError, NotPositiveDefiniteError, SingularScaleError
 from .mda import as_batch
 from .mlnd import (
@@ -71,22 +71,16 @@ from .parsimony import (
 _EMPTY_FIT_TOL = 1e-6  # fit-level abort threshold on n_g / N
 
 
-def _require_numbers(obj, *names: str) -> None:
-    """ValueError unless each named field of ``obj`` is a real number, not a bool."""
-    for name in names:
-        value = getattr(obj, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise ValueError(f"{name} must be a number, got {value!r}")
-
-
 @dataclass(frozen=True)
 class FitOptions:
     """Knobs for one EM run.
 
-    The two counts are ints >= 1 and the two epsilons real numbers (a bool
-    is neither).  ``seed`` feeds a ``numpy.random.SeedSequence`` (an int >= 0
-    or a non-empty tuple of them, a list read as a tuple), so derived seeds
-    for scans and simulation replicates stay counter-based and reproducible.
+    The two counts are integers >= 1 and the two epsilons real numbers (a
+    bool is neither).  ``seed`` feeds a ``numpy.random.SeedSequence`` (an
+    integer >= 0 or a non-empty tuple of them, a list read as a tuple), so
+    derived seeds for scans and simulation replicates stay counter-based and
+    reproducible.  Counts and seeds may be numpy integers; they are stored
+    as Python ints.
     """
 
     max_iterations: int = 500
@@ -97,19 +91,21 @@ class FitOptions:
 
     def __post_init__(self):
         for name in ("max_iterations", "kmeans_restarts"):
-            value = getattr(self, name)
-            if type(value) is not int or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-        _require_numbers(self, "aitken_epsilon", "reg_epsilon")
+            object.__setattr__(self, name, _count(name, getattr(self, name)))
+        for name in ("aitken_epsilon", "reg_epsilon"):
+            _convert_field(self, name, "a number", _number, ValueError)
         if not self.aitken_epsilon > 0:
             raise ValueError("aitken_epsilon must be > 0")
         if not 0 < self.reg_epsilon <= 0.1:
             raise ValueError("reg_epsilon must lie in (0, 0.1]")
         listed = isinstance(self.seed, (list, tuple))
-        parts = tuple(self.seed) if listed else (self.seed,)
-        if not parts or any(type(p) is not int or p < 0 for p in parts):
+        try:
+            parts = _items(self.seed) if listed else (_integer(self.seed),)
+        except TypeError:
+            parts = ()
+        if not parts or min(parts) < 0:
             raise ValueError(f"seed must be one or more integers >= 0, got {self.seed!r}")
-        object.__setattr__(self, "seed", parts if listed else self.seed)
+        object.__setattr__(self, "seed", parts if listed else parts[0])
 
     def rng(self) -> np.random.Generator:
         return np.random.default_rng(np.random.SeedSequence(self.seed))
@@ -542,9 +538,10 @@ def _normalize_stacks(scales: Sequence[np.ndarray]) -> list[np.ndarray]:
     """New per-dimension (G, n_d, n_d) scale stacks: every trailing stack
     divided by its groups' leading entries (pinned to exactly 1.0), the first
     multiplied by their product, taken in dimension order.  The first
-    non-positive leading entry in group-major order raises ValueError."""
+    leading entry that is not positive (NaN included) in group-major order
+    raises ValueError."""
     leads = np.stack([s[:, 0, 0] for s in scales[1:]], axis=1)  # (G, D-1)
-    bad = np.argwhere(leads <= 0)  # (group, dimension - 2) pairs, group-major
+    bad = np.argwhere(~(leads > 0))  # (group, dimension - 2) pairs, group-major; NaN too
     if bad.size:
         g, k = bad[0]
         raise ValueError(f"leading entry of scale {k + 2} in group {g} is not positive")

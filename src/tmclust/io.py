@@ -17,7 +17,6 @@ import csv
 import itertools
 import json
 import math
-import operator
 import os
 import re
 import warnings
@@ -26,6 +25,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from ._fields import _boolean, _convert_field, _integer, _items, _number
 from ._version import __version__
 from .em import FitOptions, FitReport, MixtureModel, SingularEvent
 from .errors import DataFormatError
@@ -36,33 +36,6 @@ from .parsimony import ScaleModel
 _FORMATS = ("csv-long", "bin-f64")
 _CSV_CHUNK_LINES = 512  # lines of a long CSV parsed per np.loadtxt call
 _CSV_OTHER_CHARS = re.compile(r"[^0-9eE.+\- \t,\n]")
-
-
-def _integer(value) -> int:
-    """``operator.index``, but a JSON ``true`` is not the integer 1."""
-    if isinstance(value, bool):
-        raise TypeError("a boolean is not an integer")
-    return operator.index(value)
-
-
-def _boolean(value) -> bool:
-    if not isinstance(value, bool):
-        raise TypeError("expected a boolean")
-    return value
-
-
-def _number(value) -> float:
-    """A JSON number as a float; a boolean or a string is not one."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError("expected a number")
-    return float(value)
-
-
-def _items(value, convert=_integer) -> tuple:
-    """Convert each entry of a list (to integers by default); a string is not a list."""
-    if isinstance(value, str):
-        raise TypeError("a string is not a list")
-    return tuple(convert(v) for v in value)
 
 
 def _csv_cell(value):
@@ -95,15 +68,6 @@ def _entries(doc: dict, name: str, kind: str = "numbers", convert=_number):
         except TypeError:
             raise DataFormatError(f"{name} must hold only {kind}, got {value!r}") from None
     return doc[name]
-
-
-def _convert_field(obj, name: str, kind: str, convert, error=DataFormatError) -> None:
-    """Set a frozen dataclass field to ``convert(value)``; a TypeError becomes ``error``."""
-    value = getattr(obj, name)
-    try:
-        object.__setattr__(obj, name, convert(value))
-    except TypeError:
-        raise error(f"{name} must be {kind}, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -434,9 +398,10 @@ def read_result(path) -> tuple[MixtureModel, FitReport, dict]:
     model does; the stored ``factors`` block is only type-checked.  Invalid
     JSON, a missing field, a report field of the wrong JSON type (such as
     ``"n_iterations": "5"``), an array entry that is not a JSON number
-    (labels: not a JSON integer; a boolean is neither) or a value the model
-    rejects (such as an unknown family token in ``scale_models``) raises
-    :class:`DataFormatError` naming the file.
+    (labels: not a JSON integer; a boolean is neither), a value the model
+    rejects (such as an unknown family token in ``scale_models``, or a scale
+    holding ``NaN``) or a ``config`` echo that :class:`FitOptions` rejects
+    raises :class:`DataFormatError` naming the file.
     """
     with open(path) as fh:
         try:
@@ -483,13 +448,14 @@ def read_result(path) -> tuple[MixtureModel, FitReport, dict]:
         _convert_field(report, "converged", "a boolean", _boolean)
         for name in ("n_iterations", "rho"):
             _convert_field(report, name, "an integer", _integer)
-        _convert_field(report, "bic", "a number", _number)
+        _convert_field(report, "bic", "a number", lambda v: float(_number(v)))
         for event in report.singular_events:
             _convert_field(  # None marks a matrix shared across groups
                 event, "group", "an integer or null", lambda v: None if v is None else _integer(v)
             )
             for name in ("dim", "iteration"):
                 _convert_field(event, name, "an integer", _integer)
+        FitOptions(**doc["config"])  # checked only: the echo is returned as written
         return model, report, doc["config"]
     except KeyError as exc:
         raise DataFormatError(f"result {path}: missing field {exc}") from None

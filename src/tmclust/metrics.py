@@ -14,7 +14,7 @@ def _pair_counts(labels_a, labels_b):
     a = np.asarray(labels_a).ravel()
     b = np.asarray(labels_b).ravel()
     if a.shape != b.shape:
-        raise ValueError("label vectors must have equal length")
+        raise ValueError(f"label vectors must have equal length, got {a.size} and {b.size}")
     n = a.size
     if n == 0:
         raise ValueError("label vectors must be nonempty")

@@ -75,8 +75,10 @@ def _check_symmetric(mat: np.ndarray, dim: int) -> np.ndarray:
     mat = np.asarray(mat, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"scale matrix for dimension {dim} must be square, got {mat.shape}")
-    scale = max(1.0, float(np.abs(mat).max()))
-    if float(np.abs(mat - mat.T).max()) > _SYM_TOL * scale:
+    top = float(np.abs(mat).max())  # NaN or inf if an entry is; NaN passes the test below
+    if not top < math.inf:
+        raise ValueError(f"scale matrix for dimension {dim} holds a NaN or infinite entry")
+    if float(np.abs(mat - mat.T).max()) > _SYM_TOL * max(1.0, top):
         raise ValueError(f"scale matrix for dimension {dim} is not symmetric")
     return mat
 

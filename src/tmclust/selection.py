@@ -9,8 +9,9 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 from ._blas import one_blas_thread
+from ._fields import _convert_field, _count, _items
 from .em import FitOptions, FitReport, MixtureModel, bic, fit, free_params
-from .io import _convert_field, _csv_cell, _items
+from .io import _csv_cell
 from .mda import as_batch
 from .parsimony import ScaleModel
 
@@ -18,9 +19,20 @@ _TIE_TOL = 1e-9
 _FAMILY_ORDINAL = {m: i for i, m in enumerate(ScaleModel)}
 
 
+def _family(token) -> ScaleModel:
+    """A family token (a :class:`ScaleModel` is one); a number is not."""
+    if not isinstance(token, str):
+        raise TypeError("a family token is a string")
+    return ScaleModel.from_token(token)
+
+
 @dataclass(frozen=True)
 class ScanGrid:
-    """Candidate group counts, per-dimension family lists, and fit options."""
+    """Candidate group counts, per-dimension family lists, and fit options.
+
+    ``spec_candidates`` holds one list of family tokens per dimension, such
+    as ``[["VVV", "EEE"], ["VVV"]]``; a bare string is not such a list.
+    """
 
     groups: tuple[int, ...]
     spec_candidates: tuple[tuple[ScaleModel, ...], ...]
@@ -30,12 +42,12 @@ class ScanGrid:
         _convert_field(self, "groups", "a list of integers", _items, ValueError)
         if not self.groups or any(g < 1 for g in self.groups):
             raise ValueError("groups must be a nonempty sequence of positive ints")
-        cands = tuple(
-            tuple(ScaleModel(s) for s in dim_list) for dim_list in self.spec_candidates
+        _convert_field(
+            self, "spec_candidates", "a list of family-token lists",
+            lambda v: _items(v, lambda tokens: _items(tokens, _family)), ValueError,
         )
-        if not cands or any(not c for c in cands):
+        if not self.spec_candidates or not all(self.spec_candidates):
             raise ValueError("every dimension needs a nonempty candidate list")
-        object.__setattr__(self, "spec_candidates", cands)
 
     def cells(self):
         """(G, specs) combinations in canonical order."""
@@ -130,9 +142,13 @@ def scan(data, grid: ScanGrid, threads: int = 1, keep_models: bool = False) -> S
 
     Each cell runs with a seed derived deterministically from the grid
     options' base seed, G, and the family encoding, so the outcome is a pure
-    function of (data, grid) regardless of ``threads``.  Cells that raise
-    (degenerate G, collapsed components, ...) are recorded as failed rows.
+    function of (data, grid) regardless of ``threads``, the number of worker
+    processes: an integer >= 1, or ValueError.  Cells that raise (degenerate
+    G, collapsed components, ...) are recorded as failed rows; a grid with
+    a candidate list for another number of dimensions than the data's
+    raises ValueError.
     """
+    threads = _count("threads", threads)
     batch = as_batch(data)
     tasks = [
         (g, specs, replace(grid.options, seed=_cell_seed(grid.options.seed, g, specs)), keep_models)

@@ -20,8 +20,9 @@ from typing import Sequence
 import numpy as np
 
 from ._blas import one_blas_thread
-from .em import FitOptions, MixtureModel, _mixture, _normalize_stacks, _require_numbers
-from .io import _convert_field, _csv_cell, _integer, _items, _write_json
+from ._fields import _convert_field, _count, _integer, _items, _number
+from .em import FitOptions, MixtureModel, _mixture, _normalize_stacks
+from .io import _csv_cell, _write_json
 from .metrics import adjusted_rand_index, kron_relative_error, relative_error
 from .mlnd import sample
 from .parsimony import ScaleModel
@@ -50,7 +51,8 @@ class SimConfig:
             _convert_field(self, name, "an integer", _integer, ValueError)
         for name in ("dims", "g_scan"):
             _convert_field(self, name, "a list of integers", _items, ValueError)
-        _require_numbers(self, "snr", "condition_cap")
+        for name in ("snr", "condition_cap"):
+            _convert_field(self, name, "a number", _number, ValueError)
         if len(self.dims) < 2 or any(n < 1 for n in self.dims):
             raise ValueError("dims must have order >= 2 with positive extents")
         if self.n_groups < 1:
@@ -360,10 +362,12 @@ def _summarize_cell(index: int, cfg: SimConfig, records: list[ReplicateRecord]) 
 def run_study(configs, options: FitOptions | None = None, workers: int = 1) -> StudyReport:
     """Run every replicate of every cell and aggregate a stratified report.
 
-    ``workers > 1`` fans replicates out to a process pool; because every
-    replicate derives its own seeds from (base_seed, cell, replicate), the
-    report is identical for any worker count.
+    ``workers``, an integer >= 1 (otherwise ValueError), is the number of
+    processes; above 1 it fans replicates out to a process pool.  Because
+    every replicate derives its own seeds from (base_seed, cell,
+    replicate), the report is identical for any worker count.
     """
+    workers = _count("workers", workers)
     if isinstance(configs, SimConfig):
         configs = (configs,)
     configs = tuple(configs)

@@ -23,6 +23,7 @@ from tmclust.em import (
     regularize_and_check,
 )
 from tmclust.errors import EmptyComponentError, SingularScaleError
+from tmclust.io import result_document, write_result
 from tmclust.mda import mode_product
 from tmclust.metrics import adjusted_rand_index
 from tmclust.mlnd import MlndParams, log_density, log_density_batch, sample
@@ -474,6 +475,23 @@ def test_normalize_rejects_a_non_positive_leading_entry(rng, leads, message):
         normalize_identifiability(model)
 
 
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ((0, 0), "^leading entry of scale 2 in group 0 is not positive$"),
+        ((1, 1), "^scale matrix for dimension 2 holds a NaN or infinite entry$"),
+    ],
+)
+def test_normalize_rejects_a_nan_scale(entry, message):
+    """A NaN written into a scale is named by its dimension, not spread
+    over the first scale."""
+    comp = MlndParams(mean=np.zeros((2, 2)), scales=(np.eye(2), np.eye(2)))
+    model = MixtureModel(weights=[1.0], components=(comp,))
+    comp.scales[1][entry] = np.nan
+    with pytest.raises(ValueError, match=message):
+        normalize_identifiability(model)
+
+
 def test_fit_builds_one_model(rng, monkeypatch):
     """The fit normalizes its scale stacks and builds its model once."""
     calls = []
@@ -728,10 +746,25 @@ def test_fit_rejects_init_z_whose_rows_do_not_sum_to_one(rng):
         fit(batch, 2, init_z=np.full((20, 2), 0.6), options=FitOptions(max_iterations=3))
 
 
-@pytest.mark.parametrize("seed", [-1, True, (1, "a"), (2, -3), (), [], 1.0, "7", np.int64(3)])
+@pytest.mark.parametrize("seed", [-1, True, (1, "a"), (2, -3), (), [], 1.0, "7"])
 def test_fit_options_reject_a_bad_seed(seed):
     with pytest.raises(ValueError, match="seed must be"):
         FitOptions(seed=seed)
+
+
+def test_fit_options_accept_numpy_integers(tmp_path, rng):
+    """numpy counts and seeds are stored as Python ints, so a fit with them
+    writes the same result bytes as one with the Python ints."""
+    options = FitOptions(seed=np.int64(3), max_iterations=np.int64(5))
+    assert type(options.seed) is int and type(options.max_iterations) is int
+    assert FitOptions(seed=[np.int32(2), np.uint8(0)]).seed == (2, 0)
+    batch = rng.standard_normal((20, 3, 2))
+    written = []
+    for opts in (options, FitOptions(seed=3, max_iterations=5)):
+        path = tmp_path / f"result{len(written)}.json"
+        write_result(result_document(*fit(batch, 2, options=opts), opts), path)
+        written.append(path.read_bytes())
+    assert written[0] == written[1]
 
 
 @pytest.mark.parametrize(

@@ -279,7 +279,7 @@ def test_result_document_round_trips_exactly(tmp_path, rng):
     assert np.array_equal(report2.loglik_trace, report.loglik_trace)
     assert report2.bic == report.bic
     assert report2.rho == report.rho
-    assert config["seed"] == 3
+    assert config == doc["config"] and config["seed"] == 3
     # factor records survive: group T/delta pairs and the shared-T block
     f1 = model.factors[1]
     f1b = model2.factors[1]
@@ -394,6 +394,19 @@ def result_doc(rng):
         (lambda doc: json.dumps({**doc, "factors": {"1": {**doc["factors"]["1"], "groups": [
             {**g, "delta": str(g["delta"])} for g in doc["factors"]["1"]["groups"]]}}}),
          "groups must hold only numbers, got '[0-9.e-]+'"),
+        # a JSON NaN literal is a number, but not a scale entry
+        (lambda doc: json.dumps({**doc, "groups": [
+            {**g, "scales": g["scales"][:1] + [np.diag([1.0, float("nan"), 1.0]).tolist()]}
+            for g in doc["groups"]]}),
+         "scale matrix for dimension 2 holds a NaN or infinite entry"),
+        # the config echo must be what FitOptions accepts
+        (lambda doc: json.dumps({**doc, "config": {**doc["config"], "seed": "x"}}),
+         "seed must be one or more integers >= 0, got 'x'"),
+        (lambda doc: json.dumps({**doc, "config": 5}), "must be a mapping"),
+        (lambda doc: json.dumps({**doc, "config": {**doc["config"], "bogus": 1}}),
+         "unexpected keyword argument 'bogus'"),
+        (lambda doc: json.dumps({**doc, "config": {**doc["config"], "max_iterations": True}}),
+         "max_iterations must be an integer >= 1, got True"),
     ],
     ids=["invalid-json", "missing-field", "unknown-family", "family-not-a-string",
          "transposed-mean", "dims-string", "dims-float", "dims-bool",
@@ -401,7 +414,8 @@ def result_doc(rng):
          "event-group-float", "event-dim-string", "event-iteration-float",
          "labels-string", "labels-bool", "labels-float", "loglik-trace-string",
          "responsibilities-string", "weights-string", "mean-string", "scales-bool",
-         "factor-string"],
+         "factor-string", "scale-nan", "config-seed-string", "config-not-an-object",
+         "config-unknown-field", "config-count-bool"],
 )
 def test_read_result_names_the_file_on_bad_input(tmp_path, result_doc, corrupt, match):
     path = tmp_path / "result.json"
@@ -635,6 +649,48 @@ def test_cmd_simulate_replicates_override_and_bad_config(tmp_path, capsys):
     out = str(tmp_path / "r.json")
     assert main(["simulate", "--config", str(config), "--out", out]) == 1
     assert main(["simulate", "--config", str(tmp_path / "nope.json"), "--out", out]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, env_threads",
+    [
+        (["fit", "--groups", "0"], None),
+        (["fit", "--groups", "1", "--scale-models", "VVV"], None),
+        (["scan", "--groups", "0..2"], None),
+        (["scan", "--groups", "3..1"], None),
+        (["scan", "--groups", "2", "--scale-models-grid", "VVV;VVV;VVV"], None),
+        (["scan", "--groups", "2", "--scale-models-grid", "GRID_FILE"], None),
+        (["scan", "--groups", "1", "--threads", "0"], None),
+        (["scan", "--groups", "1"], "0"),
+        (["simulate", "--threads", "0"], None),
+        (["simulate"], "0"),
+        (["simulate", "--replicates", "0"], None),
+    ],
+    ids=["fit-groups-0", "fit-specs-short", "scan-groups-from-0", "scan-groups-empty",
+         "scan-grid-3-dims", "scan-grid-file-3-dims", "scan-threads-0", "scan-env-threads-0",
+         "simulate-threads-0", "simulate-env-threads-0", "simulate-replicates-0"],
+)
+def test_cli_range_errors_exit_1(cli_bundle, capsys, monkeypatch, argv, env_threads):
+    """Each out-of-range value, whichever object checks it, exits 1 with an
+    error line and writes no output."""
+    tmp_path, manifest_path, _ = cli_bundle
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps([["VVV"]] * 3))  # the data has two dimensions
+    config = tmp_path / "sim.json"
+    config.write_text(json.dumps({"n_obs": 24, "dims": [2, 3], "n_groups": 3, "replicates": 1,
+                                  "g_scan": [2, 3]}))
+    out = tmp_path / "out"
+    inputs = ["--manifest", str(manifest_path)]
+    if argv[0] == "simulate":
+        inputs = ["--config", str(config)]
+    if env_threads is None:
+        monkeypatch.delenv("TMCLUST_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("TMCLUST_THREADS", env_threads)
+    argv = [str(grid) if a == "GRID_FILE" else a for a in argv]
+    assert main([*argv, *inputs, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("tmclust: error: ")
+    assert not out.exists()
 
 
 def test_cmd_metrics_fixture(tmp_path, capsys):

@@ -112,6 +112,16 @@ def test_asymmetric_scale_rejected():
         MlndParams(mean=np.zeros((2, 2)), scales=(np.array([[1.0, 0.5], [0.0, 1.0]]), np.eye(2)))
 
 
+@pytest.mark.parametrize("entry", [(0, 0), (0, 1), (1, 1)])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_scale_names_dimension(entry, value):
+    """A NaN compares false with the symmetry tolerance, so it is checked first."""
+    scale = np.eye(2)
+    scale[entry] = scale[entry[::-1]] = value
+    with pytest.raises(ValueError, match="^scale matrix for dimension 2 holds a NaN or infinite"):
+        MlndParams(mean=np.zeros((3, 2)), scales=(np.eye(3), scale))
+
+
 # --- whitening against the triangular-solve oracle --------------------------
 
 

@@ -55,6 +55,22 @@ def test_grid_validation():
             ScanGrid(groups=groups, spec_candidates=((ScaleModel.VVV,),))
     grid = ScanGrid(groups=np.array([2, 3]), spec_candidates=((ScaleModel.VVV,),))
     assert grid.groups == (2, 3) and all(type(g) is int for g in grid.groups)
+    # a bare string is not a list of token lists, and a number is not a token
+    for cands in (("VVV",), [[5]]):
+        with pytest.raises(ValueError, match="spec_candidates must be a list of family-token"):
+            ScanGrid(groups=(1,), spec_candidates=cands)
+    grid = ScanGrid(groups=(1,), spec_candidates=[["VVV", " EEE"], ["MCD-VVI"]])
+    assert grid.spec_candidates == (
+        (ScaleModel.VVV, ScaleModel.GPCM_EEE), (ScaleModel.MCD_VVI,)
+    )
+
+
+@pytest.mark.parametrize("threads", [0, -3, 1.5, True])
+def test_scan_rejects_a_bad_thread_count(threads):
+    """0 and -3 would run serially, 1.5 and True as 1, without an error."""
+    grid = ScanGrid(groups=(1,), spec_candidates=((ScaleModel.VVV,),) * 2)
+    with pytest.raises(ValueError, match=f"^threads must be an integer >= 1, got {threads!r}$"):
+        scan(np.zeros((4, 2, 2)), grid, threads=threads)
 
 
 def test_write_bic_table_pins_every_cell_format(tmp_path):

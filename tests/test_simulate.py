@@ -84,6 +84,12 @@ def test_config_rejects_coercible_values(tmp_path, capsys, field, value, match):
     assert field in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("workers", [0, -3, 2.5])
+def test_run_study_rejects_a_bad_worker_count(workers):
+    with pytest.raises(ValueError, match=f"^workers must be an integer >= 1, got {workers!r}$"):
+        run_study(TINY, workers=workers)
+
+
 def test_config_keeps_numbers_as_given():
     """An integer snr is not converted, so a report writes it as it was read."""
     cfg = SimConfig(snr=2, condition_cap=np.float64(10.0))
