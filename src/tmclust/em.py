@@ -15,12 +15,13 @@ matrix to a unit leading entry, one stack at a time for all groups.
 
 The sweep whitens incrementally in one :class:`~tmclust.mlnd.SweepWorkspace`
 per fit: 3D-2 mode passes per group and iteration instead of D^2, the last
-giving the E-step's quadratic forms, and no allocation the size of the batch.
+giving the E-step's quadratic forms, and no temporary the size of the batch.
 A group sweeps only the observations whose responsibility is not exactly
 zero, since the others add nothing to its means and scatters; the E-step
-whitens those once with the new factors.  The workspace holds
-observation-last blocks, so the number of matrix products per pass does not
-grow with N.
+whitens those once with the new factors.  One ``_scatter_one`` call per
+dimension reads the state's factor stacks and returns its (G, n_d, n_d)
+scatters.  The workspace holds observation-last blocks, so the number of
+matrix products per pass does not grow with N.
 
 The loop keeps its state as arrays: the weights, the (G, n_1, ..., n_D)
 means and, per dimension, (G, n_d, n_d) stacks of the scales, their Cholesky
@@ -140,8 +141,8 @@ class MixtureModel:
         self.components = tuple(self.components)
         if self.weights.ndim != 1 or self.weights.size != len(self.components):
             raise ValueError("need one weight per component")
-        if np.any(self.weights <= 0) or abs(float(self.weights.sum()) - 1.0) > 1e-12:
-            raise ValueError("weights must be positive and sum to 1")
+        if not (np.all(self.weights > 0) and abs(float(self.weights.sum()) - 1.0) <= 1e-12):
+            raise ValueError("weights must be positive and sum to 1")  # NaN is not positive
         dims = self.components[0].dims
         for comp in self.components:
             if comp.dims != dims:
@@ -187,6 +188,14 @@ class FitReport:
 # --- initialization ---------------------------------------------------------
 
 
+def _group_count(n_groups, n_obs: int) -> int:
+    """G by the one count rule, and at most N."""
+    g = _count("n_groups", n_groups)
+    if g > n_obs:
+        raise ValueError(f"need 1 <= G <= N, got G={g}, N={n_obs}")
+    return g
+
+
 def init_kmeans(data, n_groups: int, options: FitOptions | None = None, rng=None) -> np.ndarray:
     """Hard (0/1) responsibilities from Lloyd's k-means on vectorizations.
 
@@ -203,9 +212,7 @@ def init_kmeans(data, n_groups: int, options: FitOptions | None = None, rng=None
     options = options or FitOptions()
     batch = as_batch(data)
     n = batch.shape[0]
-    g = int(n_groups)
-    if not 1 <= g <= n:
-        raise ValueError(f"need 1 <= G <= N, got G={g}, N={n}")
+    g = _group_count(n_groups, n)
     rng = rng if rng is not None else options.rng()
     v = batch.reshape(n, -1)
     # seed(rows) and step(one_hot, sizes) give the centres' products with
@@ -517,7 +524,7 @@ def free_params(specs: Sequence[ScaleModel], n_groups: int, dims: Sequence[int])
     specs = tuple(specs)
     if len(specs) != len(dims):
         raise ValueError(f"got {len(specs)} specs for {len(dims)} dimensions")
-    g = int(n_groups)
+    g = _count("n_groups", n_groups)
     per_dim = tuple(FAMILIES[s].n_params(n, g) for s, n in zip(specs, dims))
     return FreeParamCount(weights=g - 1, means=g * int(np.prod(dims)), per_dim=per_dim)
 
@@ -597,7 +604,8 @@ def fit(
         One family per dimension; defaults to all-VVV.
     options : FitOptions, optional
     init_z : ndarray (N, G), optional
-        Initial responsibilities; defaults to k-means hard assignments.
+        Initial responsibilities, finite and non-negative with rows that sum
+        to 1; defaults to k-means hard assignments.
         Mainly for symmetry tests and warm starts.
 
     Returns
@@ -615,9 +623,7 @@ def fit(
     dims = batch.shape[1:]
     d_count = len(dims)
     n_star = int(np.prod(dims))
-    g = int(n_groups)
-    if not 1 <= g <= n:
-        raise ValueError(f"need 1 <= G <= N, got G={g}, N={n}")
+    g = _group_count(n_groups, n)
     if specs is None:
         specs = [ScaleModel.VVV] * d_count
     specs = tuple(ScaleModel(s) if not isinstance(s, ScaleModel) else s for s in specs)
@@ -630,6 +636,8 @@ def fit(
         z = np.asarray(init_z, dtype=np.float64)
         if z.shape != (n, g):
             raise ValueError(f"init_z must have shape {(n, g)}")
+        if not (z.min() >= 0 and z.max() < np.inf):  # NaN fails both
+            raise ValueError("init_z must hold finite, non-negative entries")
 
     eyes = [np.broadcast_to(np.eye(n_d), (g, n_d, n_d)) for n_d in dims]
     state = _Stacks(None, None, list(eyes), list(eyes), list(eyes), SweepWorkspace(batch, g))
@@ -656,15 +664,7 @@ def fit(
 
         for d0, spec in enumerate(specs):
             dim = d0 + 1
-            raws = np.stack(
-                [
-                    _scatter_one(
-                        state.work, k, dim, means[k], z[:, k],
-                        [inv[k] for inv in state.invs], [L[k] for L in state.chols],
-                    )
-                    for k in range(g)
-                ]
-            )
+            raws = _scatter_one(state.work, dim, means, z, state.invs, state.chols)
             news, L, flagged = FAMILIES[spec].update(
                 raws / counts[:, None, None], counts, n, n_star, state.scales[d0],
                 options.reg_epsilon,

@@ -95,9 +95,10 @@ class DatasetManifest:
                 f"unknown format tag {self.format!r} (expected one of {_FORMATS})"
             )
         if self.dim_names is not None:
-            _convert_field(self, "dim_names", "a list", lambda v: _items(v, str))
-            if len(self.dim_names) != len(self.dims):
-                raise DataFormatError("dim_names must have one entry per dimension")
+            _convert_field(self, "dim_names", "a list", lambda v: _items(v, lambda name: name))
+            names = list(self.dim_names)
+            if len(names) != len(self.dims) or not all(isinstance(v, str) for v in names):
+                raise DataFormatError(f"dim_names must hold a string per dimension, got {names!r}")
         if self.temporal is not None:
             _convert_field(self, "temporal", "a list of booleans", lambda v: _items(v, _boolean))
             if len(self.temporal) != len(self.dims):

@@ -20,15 +20,16 @@ and :func:`sample` with ``size=n`` draws one (n, n_1, ..., n_D) batch.
 
 Every Q comes from :meth:`SweepWorkspace.quad_matrix` and every constant
 from :func:`log_density_consts`: :func:`log_density_batch` uses a fresh
-one-group workspace, which whitens each row from scratch, and EM the one
-workspace of its fit.  That holds each group's centred support, the
-observations whose weight is not exactly zero, whitened on every mode but
-the one being updated; :func:`_scatter_one` advances it by the new L_d^{-1}
-and the old L_{d+1}.  The other observations add nothing to the group's
-scatters, so they are whitened once, from scratch, for the E-step.  The
-workspace keeps observations last, in (n_1, ..., n_D, b) blocks, so the
-contracted mode of every pass and Gram has the b observations in its
-trailing extent.  Every single-mode pass goes through :func:`_solve_mode`.
+one-group workspace, which whitens each row from scratch in two block
+buffers, and EM the one workspace of its fit.  Its sweep holds each group's
+centred support, the observations whose weight is not exactly zero,
+whitened on every mode but the one being updated; :func:`_scatter_one`
+advances the supports by the new L_d^{-1} and the old L_{d+1}.  The other
+observations add nothing to a group's scatters, so they are whitened once,
+from scratch, for the E-step.  Blocks keep observations last, so the
+contracted mode of every pass and Gram has them in its trailing extent.
+Every centring and pass sequence runs in :meth:`SweepWorkspace.whiten`, and
+every single-mode pass through :func:`_solve_mode`.
 :func:`chol_lower` and :func:`inv_lower` also take (G, n, n) stacks.
 """
 
@@ -104,6 +105,8 @@ class MlndParams:
         self.mean = np.ascontiguousarray(self.mean, dtype=np.float64)
         if self.mean.ndim < 2:
             raise ValueError(f"the mean must have order >= 2, got order {self.mean.ndim}")
+        if not np.isfinite(self.mean).all():
+            raise ValueError("the mean holds a NaN or infinite entry")
         scales = tuple(_check_symmetric(s, d + 1) for d, s in enumerate(self.scales))
         if len(scales) != self.order:
             raise ValueError(f"got {len(scales)} scale matrices for an order-{self.order} mean")
@@ -147,66 +150,68 @@ class SweepWorkspace:
     """The buffers of one fit's whitening sweep.
 
     A group's sweep touches only its support, the rows whose weight is not
-    exactly zero: the others add nothing to its means and scatters.  The
-    support is held observation-last, in blocks of shape (n_1, ..., n_D, b)
-    of at most ``_BLOCK_BYTES`` (at least one observation), so a pass on mode
-    d is prod(n_1..n_{d-1}) matrix products whatever N is.  ``blocks[k]``
-    lists, per block of group k's support, its rows of the batch, one buffer
-    of the block's shape that every other pass and the scatter products
-    write into, and the held block, carved from the front of the group's
-    held row.  ``rest[k]`` are the group's other rows, which
-    :meth:`quad_matrix` whitens from scratch; before any sweep that is every
-    row.
+    exactly zero: the others add nothing to its means and scatters.  Arrays
+    are held observation-last, in blocks of shape (n_1, ..., n_D, b) of at
+    most ``_BLOCK_BYTES`` (at least one observation), so a pass on mode d is
+    prod(n_1..n_{d-1}) matrix products whatever N is.  ``blocks[k]`` lists
+    the (rows, block buffer, held block) of each block of group k's support,
+    held in group k's row of ``held``, which the first :meth:`restrict`
+    allocates.  ``rest[k]`` are its other rows (before any sweep, all):
+    :meth:`quad_matrix` whitens them in the two block buffers.
     """
 
     def __init__(self, batch: np.ndarray, n_groups: int):
         self.batch = batch
         n = len(batch)
         self.step = min(n, max(1, _BLOCK_BYTES // batch[0].nbytes))
-        self.held = np.empty((n_groups, batch.size))
-        self.buf = np.empty(self.step * batch[0].size)
+        self.held = None
+        self.bufs = np.empty((2, self.step * batch[0].size))
         self.blocks = [[] for _ in range(n_groups)]
         self.rest = [np.arange(n)] * n_groups
 
     def restrict(self, k: int, weights: np.ndarray) -> None:
         """Make group k's support the rows where ``weights`` is not zero."""
-        self.blocks[k] = self.carve(k, np.flatnonzero(weights))
+        if self.held is None:
+            self.held = np.empty((len(self.blocks), self.batch.size))
+        room = self.bufs.shape[1]  # the size of a full block
+        self.blocks[k] = [
+            (rows, tmp, self.held[k, j * room : j * room + tmp.size].reshape(tmp.shape))
+            for j, (rows, tmp, _) in enumerate(self.carve(np.flatnonzero(weights)))
+        ]
         self.rest[k] = np.flatnonzero(weights == 0)
 
-    def carve(self, k: int, rows: np.ndarray, one_at_a_time: bool = False) -> list:
-        """Blocks of the ascending batch rows ``rows``, held from the front of
-        group k's held row, one after another, or all at its first element
-        for blocks that are ``one_at_a_time``; a block of consecutive rows
-        keeps a slice, so it reads the batch without a gather copy."""
-        size = self.batch[0].size
-        blocks = []
+    def carve(self, rows: np.ndarray) -> list:
+        """(rows, buffer, spare) of each block of the ascending batch rows
+        ``rows``, the two block buffers viewed in the block's shape; rows
+        that are consecutive stay a slice, read without a gather copy."""
+        blocks, size = [], self.batch[0].size
         for i in range(0, len(rows), self.step):
             sel = rows[i : i + self.step]
             b = len(sel)
             if sel[-1] - sel[0] == b - 1:
                 sel = slice(int(sel[0]), int(sel[0]) + b)
             shape = self.batch.shape[1:] + (b,)
-            start = 0 if one_at_a_time else i * size
-            blocks.append((
-                sel,
-                self.buf[: b * size].reshape(shape),
-                self.held[k, start : start + b * size].reshape(shape),
-            ))
+            blocks.append((sel, *(buf[: b * size].reshape(shape) for buf in self.bufs)))
         return blocks
 
-    def centre(self, rows, mean: np.ndarray, out: np.ndarray, spare: np.ndarray) -> None:
-        """The batch's ``rows`` minus ``mean``, observation-last, into ``out``.
-
-        Rows that are not consecutive are gathered into ``spare``, a buffer
-        of the block's size, so nothing is allocated (``take`` buffers its
-        output unless told to clip).
-        """
-        b = out.shape[-1]
-        if isinstance(rows, slice):
-            obs = self.batch[rows]
-        else:
-            obs = np.take(self.batch, rows, axis=0, out=spare.reshape((b,) + mean.shape), mode="clip")
-        np.subtract(obs.reshape(b, -1).T, mean.reshape(-1, 1), out=out.reshape(-1, b))
+    def whiten(self, out: np.ndarray, spare: np.ndarray, passes, rows=None, mean=None):
+        """Apply the (factor, axis) ``passes`` in turn, ping-ponging so that
+        the last ends in ``out``.  The input is the batch's ``rows`` minus
+        ``mean`` (rows not given as a slice are gathered into a buffer, as
+        ``take`` allocates unless told to clip), or without a ``mean`` the
+        buffer the first pass reads: ``out`` if the passes are even."""
+        src, dst = (spare, out) if len(passes) % 2 else (out, spare)
+        if mean is not None:
+            b = out.shape[-1]
+            if isinstance(rows, slice):
+                obs = self.batch[rows]
+            else:
+                gathered = dst.reshape((b,) + mean.shape)
+                obs = np.take(self.batch, rows, axis=0, out=gathered, mode="clip")
+            np.subtract(obs.reshape(b, -1).T, mean.reshape(-1, 1), out=src.reshape(-1, b))
+        for factor, axis in passes:
+            _solve_mode(src, factor, axis, out=dst)
+            src, dst = dst, src
 
     def quad_matrix(self, means: np.ndarray, invs) -> np.ndarray:
         """The (N, G) Mahalanobis quadratic forms of a fit's E-step: the
@@ -215,24 +220,18 @@ class SweepWorkspace:
         ``means`` is the (G, n_1, ..., n_D) stack of the new means and
         ``invs`` the per-dimension (G, n_d, n_d) stacks of the new L_d^{-1}.
         Each group's support lacks only the last mode's whitening, one pass
-        with the new L_D^{-1}.  The group's rest is then centred and whitened
-        on every mode, one block at a time, at the front of the same held
-        row, free once the support's forms are taken: a rest block is dead
-        once its norms are taken, so a fit keeps only its supports resident.
+        with the new L_D^{-1} into a block buffer.  Its rest is centred and
+        whitened on every mode in the two block buffers, block by block.
         """
         quad = np.empty((len(self.batch), len(means)))
         for k, mean in enumerate(means):
-            inv, out = [stack[k] for stack in invs], quad[:, k]
+            passes, out = [(stack[k], axis) for axis, stack in enumerate(invs)], quad[:, k]
             for rows, tmp, held in self.blocks[k]:
-                _solve_mode(held, inv[-1], len(inv) - 1, out=tmp)
+                self.whiten(tmp, held, passes[-1:])
                 out[rows] = _column_norms(tmp)
-            for rows, tmp, held in self.carve(k, self.rest[k], one_at_a_time=True):
-                src, dst = held, tmp
-                self.centre(rows, mean, src, dst)
-                for axis, factor in enumerate(inv):
-                    _solve_mode(src, factor, axis, out=dst)
-                    src, dst = dst, src
-                out[rows] = _column_norms(src)
+            for rows, tmp, spare in self.carve(self.rest[k]):
+                self.whiten(tmp, spare, passes, rows, mean)
+                out[rows] = _column_norms(tmp)
         return quad
 
 
@@ -242,34 +241,30 @@ def _column_norms(block: np.ndarray) -> np.ndarray:
     return np.einsum("kn,kn->n", cols, cols)
 
 
-def _scatter_one(work: SweepWorkspace, k: int, dim: int, mean, weights, inv_chols, chols):
-    """Group k's unnormalized weighted scatter sum_i w_i (...) for ``dim``.
+def _scatter_one(work: SweepWorkspace, dim: int, means, z, invs, chols) -> np.ndarray:
+    """The (G, n_d, n_d) unnormalized weighted scatters sum_i z_ik (...) for
+    ``dim``, from the per-dimension (G, n_d, n_d) stacks ``invs`` and
+    ``chols`` of L_d^{-1} and L_d, new below ``dim`` and old from it on.
 
-    First advances the held tensor of the group's support: dimension 1 takes
-    the support from ``weights``, centres it and whitens modes 2..D; a later
-    one applies the new L_{dim-1}^{-1}, then the old L_dim to undo that mode.
-    The factor lists are new below ``dim``, old from it on.
+    First advances each group's held support: dimension 1 takes it from
+    ``z``, centres it and whitens modes 2..D; a later one applies the new
+    L_{dim-1}^{-1}, then the old L_dim to undo that mode.
     """
     dims = work.batch.shape[1:]
-    if dim == 1:
-        work.restrict(k, weights)
-        passes = [(inv_chols[m], m) for m in range(1, len(dims))]
-    else:
-        passes = [(inv_chols[dim - 2], dim - 2), (chols[dim - 1], dim - 1)]
     n_d, lead = dims[dim - 1], math.prod(dims[: dim - 1])
-    s = np.zeros((n_d, n_d))
-    for rows, tmp, block in work.blocks[k]:
-        # an odd number of passes starts in the buffer, so the last ends in block
-        src, dst = (tmp, block) if len(passes) % 2 else (block, tmp)
+    scatters = np.zeros((len(means), n_d, n_d))
+    for k, s in enumerate(scatters):
         if dim == 1:
-            work.centre(rows, mean, src, dst)
-        for factor, axis in passes:
-            _solve_mode(src, factor, axis, out=dst)
-            src, dst = dst, src
-        np.multiply(block, weights[rows], out=tmp)
-        fibres, weighted = block.reshape(lead, n_d, -1), tmp.reshape(lead, n_d, -1)
-        s += np.matmul(fibres, weighted.transpose(0, 2, 1)).sum(axis=0)
-    return (s + s.T) / 2.0
+            work.restrict(k, z[:, k])
+            passes = [(invs[m][k], m) for m in range(1, len(dims))]
+        else:
+            passes = [(invs[dim - 2][k], dim - 2), (chols[dim - 1][k], dim - 1)]
+        for rows, tmp, block in work.blocks[k]:
+            work.whiten(block, tmp, passes, rows, means[k] if dim == 1 else None)
+            np.multiply(block, z[rows, k], out=tmp)
+            fibres, weighted = block.reshape(lead, n_d, -1), tmp.reshape(lead, n_d, -1)
+            s += np.matmul(fibres, weighted.transpose(0, 2, 1)).sum(axis=0)
+    return (scatters + scatters.transpose(0, 2, 1)) / 2.0
 
 
 def log_density(x, params: MlndParams) -> float:

@@ -40,23 +40,14 @@ def sweep_scatters(batch, z, comps, next_comps=None):
     """
     next_comps = comps if next_comps is None else next_comps
     work = SweepWorkspace(batch, len(comps))
-    chols = [list(c.chol_factors()) for c in comps]
-    invs = [[inv_lower(L) for L in c.chol_factors()] for c in comps]
+    chols = [np.stack(mats) for mats in zip(*(c.chol_factors() for c in comps))]
+    invs = [inv_lower(L) for L in chols]
+    means = np.stack([c.mean for c in next_comps])
     scatters = []
     for d0 in range(batch.ndim - 1):
-        scatters.append(
-            np.stack(
-                [
-                    _scatter_one(work, k, d0 + 1, c.mean, z[:, k], invs[k], chols[k])
-                    for k, c in enumerate(next_comps)
-                ]
-            )
-        )
-        for k, c in enumerate(next_comps):
-            chols[k][d0] = c.chol_factors()[d0]
-            invs[k][d0] = inv_lower(chols[k][d0])
-    means = np.stack([c.mean for c in next_comps])
-    invs = [np.stack(mats) for mats in zip(*invs)]
+        scatters.append(_scatter_one(work, d0 + 1, means, z, invs, chols))
+        chols[d0] = np.stack([c.chol_factors()[d0] for c in next_comps])
+        invs[d0] = inv_lower(chols[d0])
     return scatters, work.quad_matrix(means, invs)
 
 

@@ -17,6 +17,7 @@ from tmclust.em import (
     aitken_stop,
     e_step,
     fit,
+    free_params,
     init_kmeans,
     loglik_matrix,
     normalize_identifiability,
@@ -746,6 +747,55 @@ def test_fit_rejects_init_z_whose_rows_do_not_sum_to_one(rng):
         fit(batch, 2, init_z=np.full((20, 2), 0.6), options=FitOptions(max_iterations=3))
 
 
+@pytest.mark.parametrize(
+    "init_z, match",
+    [
+        (np.full((20, 2), np.nan), "init_z must hold finite, non-negative entries"),
+        (np.tile([-10.0, 11.0], (20, 1)), "init_z must hold finite, non-negative entries"),
+        (np.tile([np.inf, 0.5], (20, 1)), "init_z must hold finite, non-negative entries"),
+    ],
+    ids=["nan", "negative", "inf"],
+)
+def test_fit_rejects_a_bad_init_z(rng, init_z, match):
+    batch = rng.standard_normal((20, 3, 2))
+    with pytest.raises(ValueError, match=match):
+        fit(batch, 2, init_z=init_z, options=FitOptions(max_iterations=3))
+
+
+@pytest.mark.parametrize("n_groups", [True, 2.0, 2.9, "2"])
+def test_group_counts_follow_the_integer_rule(rng, n_groups):
+    """``fit``, ``init_kmeans`` and ``free_params`` read G by the one integer
+    rule: a bool, a float or a string is not a count."""
+    batch = rng.standard_normal((12, 3, 2))
+    calls = [
+        lambda: fit(batch, n_groups, options=FitOptions(max_iterations=2)),
+        lambda: init_kmeans(batch, n_groups),
+        lambda: free_params((ScaleModel.VVV,) * 2, n_groups, (3, 2)),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"n_groups must be an integer >= 1, got {n_groups!r}"):
+            call()
+
+
+def test_group_counts_accept_numpy_integers(rng):
+    batch = rng.standard_normal((12, 3, 2))
+    _, report = fit(batch, np.int64(2), options=FitOptions(max_iterations=2))
+    assert report.responsibilities.shape == (12, 2)
+    assert init_kmeans(batch, np.int32(3)).shape == (12, 3)
+    specs = (ScaleModel.VVV,) * 2
+    assert free_params(specs, np.int64(2), (3, 2)) == free_params(specs, 2, (3, 2))
+
+
+def test_mixture_and_component_reject_non_finite_values():
+    comps = [MlndParams(mean=np.zeros((3, 2)), scales=(np.eye(3), np.eye(2)))] * 2
+    for weights in ([np.nan, 0.5], [np.inf, 0.5], [np.nan, np.nan]):
+        with pytest.raises(ValueError, match="weights must be positive and sum to 1"):
+            MixtureModel(weights, comps)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="the mean holds a NaN or infinite entry"):
+            MlndParams(mean=np.full((3, 2), bad), scales=(np.eye(3), np.eye(2)))
+
+
 @pytest.mark.parametrize("seed", [-1, True, (1, "a"), (2, -3), (), [], 1.0, "7"])
 def test_fit_options_reject_a_bad_seed(seed):
     with pytest.raises(ValueError, match="seed must be"):
@@ -897,10 +947,12 @@ def test_fit_sweep_matches_from_scratch_oracle(spec, rng, monkeypatch):
     )
     held = []  # every L stack the fit keeps, in update order: dimension 1 to D
 
-    def scatter(work, k, dim, mean, weights, inv_chols, chols):
-        got = sweep_step(work, k, dim, mean, weights, inv_chols, chols)
-        assert_matches_oracle(got, oracles.scatter(work.batch, mean, weights, chols, dim))
-        checked["scatter"] += 1
+    def scatter(work, dim, means, z, invs, chols):
+        got = sweep_step(work, dim, means, z, invs, chols)
+        for k, mean in enumerate(means):
+            want = oracles.scatter(work.batch, mean, z[:, k], [L[k] for L in chols], dim)
+            assert_matches_oracle(got[k], want)
+            checked["scatter"] += 1
         return got
 
     def inv(L):
@@ -969,9 +1021,12 @@ def test_fit_peak_is_the_workspace(cell_7x4):
 
 
 def test_public_loglik_peak_is_one_workspace(cell_7x4):
-    """A model's log-likelihood matrix whitens each component in a fresh
-    one-group workspace: one held batch plus one block buffer at a time."""
+    """A model's densities whiten each component in a fresh one-group
+    workspace, every block in its two block buffers: no public route
+    allocates anything of the batch's size."""
     z = init_kmeans(cell_7x4, 3, rng=np.random.default_rng(0))
     model, _ = fit(cell_7x4, 3, init_z=z, options=FitOptions(max_iterations=1))
-    peak = traced_peak(loglik_matrix, cell_7x4, model)
-    assert peak <= cell_7x4.nbytes + 2**20
+    for fn, arg in [
+        (loglik_matrix, model), (e_step, model), (log_density_batch, model.components[0]),
+    ]:
+        assert traced_peak(fn, cell_7x4, arg) <= 0.4 * cell_7x4.nbytes, fn.__name__

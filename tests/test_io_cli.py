@@ -226,6 +226,7 @@ def test_manifest_validation(tmp_path):
         ("dim_names", "ab", "dim_names must be a list, got 'ab'"),
         ("temporal", "ab", "temporal must be a list of booleans, got 'ab'"),
         ("temporal", [1, 0], "temporal must be a list of booleans"),
+        ("dim_names", [1, 2], r"dim_names must hold a string per dimension, got \[1, 2\]"),
     ],
 )
 def test_manifest_rejects_coercible_values(tmp_path, field, value, match):
@@ -399,6 +400,8 @@ def result_doc(rng):
             {**g, "scales": g["scales"][:1] + [np.diag([1.0, float("nan"), 1.0]).tolist()]}
             for g in doc["groups"]]}),
          "scale matrix for dimension 2 holds a NaN or infinite entry"),
+        (lambda doc: json.dumps({**doc, "weights": [float("nan")] + doc["weights"][1:]}),
+         "weights must be positive and sum to 1"),
         # the config echo must be what FitOptions accepts
         (lambda doc: json.dumps({**doc, "config": {**doc["config"], "seed": "x"}}),
          "seed must be one or more integers >= 0, got 'x'"),
@@ -414,7 +417,7 @@ def result_doc(rng):
          "event-group-float", "event-dim-string", "event-iteration-float",
          "labels-string", "labels-bool", "labels-float", "loglik-trace-string",
          "responsibilities-string", "weights-string", "mean-string", "scales-bool",
-         "factor-string", "scale-nan", "config-seed-string", "config-not-an-object",
+         "factor-string", "scale-nan", "weights-nan", "config-seed-string", "config-not-an-object",
          "config-unknown-field", "config-count-bool"],
 )
 def test_read_result_names_the_file_on_bad_input(tmp_path, result_doc, corrupt, match):

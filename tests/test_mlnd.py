@@ -243,32 +243,27 @@ def test_sweep_skips_zero_weight_rows(dims, block_rows, rng, monkeypatch):
     assert_matches_oracle(fresh[:, 0], (white.reshape(n, -1) ** 2).sum(axis=1))
 
 
-def test_rest_blocks_reuse_the_front_of_the_held_row(rng, monkeypatch):
-    """quad_matrix centres and whitens each block of a group's rest at the
-    held row's first element, so only the support stays resident."""
+def test_a_forms_only_workspace_holds_no_batch_sized_array(rng, monkeypatch):
+    """A workspace that never sweeps centres and whitens every block in its
+    two block buffers: it holds no array larger than those two blocks, and
+    the sweep's first ``restrict`` allocates the held rows."""
     n, dims = 13, (2, 3, 4)
     batch = rng.standard_normal((n,) + dims)
     monkeypatch.setattr(mlnd, "_BLOCK_BYTES", 2 * batch[0].nbytes)
-    z = rng.random((n, 2)) + 0.05
-    z[[0, 1, 2, 5, 7, 8, 11, 12], 0] = 0.0  # 8 rest rows: 4 blocks
     comps = [random_params(dims, rng) for _ in range(2)]
+    means = np.stack([c.mean for c in comps])
+    chols = [np.stack(mats) for mats in zip(*(c.chol_factors() for c in comps))]
+    invs = [inv_lower(L) for L in chols]
     work = mlnd.SweepWorkspace(batch, 2)
+    quad = work.quad_matrix(means, invs)
+    assert work.held is None
+    arrays = [v for v in vars(work).values() if isinstance(v, np.ndarray) and v is not batch]
+    assert max(a.nbytes for a in arrays + work.rest) <= 2 * 2 * batch[0].nbytes
     for k, comp in enumerate(comps):
-        invs = [inv_lower(L) for L in comp.chol_factors()]
-        mlnd._scatter_one(work, k, 1, comp.mean, z[:, k], invs, comp.chol_factors())
-    starts = []  # (group, the first element of each rest block)
-    centre = work.centre
-
-    def recording(rows, mean, out, spare):
-        group = next(k for k in range(2) if np.shares_memory(out, work.held[k]))
-        starts.append((group, out.ctypes.data - work.held[group].ctypes.data))
-        centre(rows, mean, out, spare)
-
-    monkeypatch.setattr(work, "centre", recording)
-    work.quad_matrix(np.stack([c.mean for c in comps]),
-                     [np.stack([inv_lower(c.chol_factors()[d]) for c in comps]) for d in range(3)])
-    assert starts == [(0, 0)] * 4
-# --- slicing ---------------------------------------------------------------
+        white = oracles.whiten_all_modes(batch - comp.mean, comp.chol_factors())
+        assert_matches_oracle(quad[:, k], (white.reshape(n, -1) ** 2).sum(axis=1))
+    mlnd._scatter_one(work, 1, means, rng.random((n, 2)), invs, chols)
+    assert work.held.shape == (2, batch.size)
 
 
 def test_single_slice_for_unit_third_dim(rng):
