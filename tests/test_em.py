@@ -748,17 +748,13 @@ def test_fit_rejects_init_z_whose_rows_do_not_sum_to_one(rng):
 
 
 @pytest.mark.parametrize(
-    "init_z, match",
-    [
-        (np.full((20, 2), np.nan), "init_z must hold finite, non-negative entries"),
-        (np.tile([-10.0, 11.0], (20, 1)), "init_z must hold finite, non-negative entries"),
-        (np.tile([np.inf, 0.5], (20, 1)), "init_z must hold finite, non-negative entries"),
-    ],
+    "init_z",
+    [np.full((20, 2), np.nan), np.tile([-10.0, 11.0], (20, 1)), np.tile([np.inf, 0.5], (20, 1))],
     ids=["nan", "negative", "inf"],
 )
-def test_fit_rejects_a_bad_init_z(rng, init_z, match):
+def test_fit_rejects_a_bad_init_z(rng, init_z):
     batch = rng.standard_normal((20, 3, 2))
-    with pytest.raises(ValueError, match=match):
+    with pytest.raises(ValueError, match="init_z must hold finite, non-negative entries"):
         fit(batch, 2, init_z=init_z, options=FitOptions(max_iterations=3))
 
 

@@ -417,8 +417,8 @@ def result_doc(rng):
          "event-group-float", "event-dim-string", "event-iteration-float",
          "labels-string", "labels-bool", "labels-float", "loglik-trace-string",
          "responsibilities-string", "weights-string", "mean-string", "scales-bool",
-         "factor-string", "scale-nan", "weights-nan", "config-seed-string", "config-not-an-object",
-         "config-unknown-field", "config-count-bool"],
+         "factor-string", "scale-nan", "weights-nan", "config-seed-string",
+         "config-not-an-object", "config-unknown-field", "config-count-bool"],
 )
 def test_read_result_names_the_file_on_bad_input(tmp_path, result_doc, corrupt, match):
     path = tmp_path / "result.json"

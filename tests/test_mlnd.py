@@ -266,6 +266,9 @@ def test_a_forms_only_workspace_holds_no_batch_sized_array(rng, monkeypatch):
     assert work.held.shape == (2, batch.size)
 
 
+# --- slicing ---------------------------------------------------------------
+
+
 def test_single_slice_for_unit_third_dim(rng):
     # D=3 with n_3=1: exactly one slice, the centered matricization scaled
     # by the inverse square root of the scalar third scale
