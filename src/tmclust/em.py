@@ -70,6 +70,7 @@ from .parsimony import (
 )
 
 _EMPTY_FIT_TOL = 1e-6  # fit-level abort threshold on n_g / N
+_MEMBER_RTOL = 1e-8  # a record rebuilds a member's scale to round-off (see _require_members)
 
 
 @dataclass(frozen=True)
@@ -129,6 +130,7 @@ class MixtureModel:
     ``factors`` maps each dimension (1-based) whose family keeps a factor
     record to the record of its scale stack, derived from the scales by
     ``FAMILIES[spec].record`` on construction; the scales are the only state.
+    A scale that is not a member of its family raises ValueError naming it.
     """
 
     weights: np.ndarray
@@ -144,19 +146,20 @@ class MixtureModel:
         if not (np.all(self.weights > 0) and abs(float(self.weights.sum()) - 1.0) <= 1e-12):
             raise ValueError("weights must be positive and sum to 1")  # NaN is not positive
         dims = self.components[0].dims
-        for comp in self.components:
-            if comp.dims != dims:
-                raise ValueError("all components must share the same dims")
-        if not self.specs:
-            self.specs = tuple(ScaleModel.VVV for _ in dims)
-        self.specs = tuple(ScaleModel(s) for s in self.specs)
+        if any(comp.dims != dims for comp in self.components):
+            raise ValueError("all components must share the same dims")
+        self.specs = tuple(ScaleModel(s) for s in (self.specs or [ScaleModel.VVV] * len(dims)))
         if len(self.specs) != len(dims):
             raise ValueError(f"got {len(self.specs)} specs for {len(dims)} dimensions")
-        records = {
-            d0 + 1: FAMILIES[spec].record(np.stack([c.scales[d0] for c in self.components]))
-            for d0, spec in enumerate(self.specs)
-        }
-        self.factors = {dim: rec for dim, rec in records.items() if rec is not None}
+        self.factors = {}
+        for d0, spec in enumerate(self.specs):
+            stack = np.stack([c.scales[d0] for c in self.components])
+            try:
+                record = FAMILIES[spec].record(stack)
+            except ValueError as exc:
+                raise ValueError(f"{spec.value} scale of dimension {d0 + 1}: {exc}") from None
+            if record is not None:
+                self.factors[d0 + 1] = record
 
     @property
     def n_groups(self) -> int:
@@ -414,13 +417,28 @@ class _Family:
     ``n_params(n_d, G)`` counts free parameters.  ``record(scales)`` is the
     factor record of a scale stack, or None if the family keeps none: the
     family's own estimator run on the scales at n* = n_d, which returns a
-    family member's own parameters, up to round-off.  The estimators and
-    ``regularize_and_check`` are looked up in this module's globals at call
-    time, so wrappers set on them see every call.
+    family member's own parameters, up to round-off; a scale that it does not
+    reconstruct is not a member, and ValueError names its group.  The
+    estimators and ``regularize_and_check`` are looked up in this module's
+    globals at call time, so wrappers set on them see every call.
     """
 
     def record(self, scales):
         return None
+
+
+def _require_members(scales: np.ndarray, members: np.ndarray) -> None:
+    """ValueError naming the first group whose scale misses ``members``, the
+    family members its record describes, by more than _MEMBER_RTOL of its
+    largest entry.  The test suite's fitted scales miss by at most 3.3e-16,
+    and members of condition number near 1e8 by up to 1.7e-11."""
+    miss, top = (np.abs(a).max(axis=(1, 2)) for a in (members - scales, scales))
+    bad = np.flatnonzero(~(miss <= _MEMBER_RTOL * top))
+    if bad.size:
+        raise ValueError(
+            f"group {bad[0]} is not a member of the family (its record misses its scale "
+            f"by {miss[bad[0]] / top[bad[0]]:.2g} of the largest entry)"
+        )
 
 
 class _Vvv(_Family):
@@ -445,26 +463,27 @@ class _Eee(_Family):
 
 class _McdVvi(_Family):
     def update(self, lams, counts, n_obs, n_star, previous, reg_epsilon):
-        factors = [mcd_vvi_update(lam, n_star) for lam in lams]
-        scales = np.stack([f.scale() for f in factors])
-        deltas = np.array([f.delta for f in factors])
-        scales, chols, flags = _factor(scales, ~(deltas > 0), reg_epsilon, np.eye(lams.shape[1]))
+        _, deltas, shapes = mcd_vvi_update(lams, n_star)
+        scales, chols, flags = _factor(
+            deltas[:, None, None] * shapes, ~(deltas > 0), reg_epsilon, np.eye(lams.shape[1])
+        )
         return scales, chols, np.flatnonzero(flags).tolist()
 
     def n_params(self, n_d: int, n_groups: int) -> int:
         return n_groups * (n_d * (n_d - 1) // 2 + 1)
 
     def record(self, scales):
-        return tuple(mcd_vvi_update(s, len(s)) for s in scales)
+        t, deltas, shapes = mcd_vvi_update(scales, scales.shape[1])
+        _require_members(scales, deltas[:, None, None] * shapes)
+        return tuple(McdFactors(tk, float(dk)) for tk, dk in zip(t, deltas))
 
 
 class _McdEvi(_Family):
     def update(self, lams, counts, n_obs, n_star, previous, reg_epsilon):
         # a repaired group keeps the shared T, with delta_g = reg_epsilon
-        t, deltas = mcd_evi_update(lams, counts, previous[:, 0, 0], n_star)
-        shared = McdFactors(t, 1.0).scale()
+        _, deltas, shape = mcd_evi_update(lams, counts, previous[:, 0, 0], n_star)
         scales, chols, flags = _factor(
-            deltas[:, None, None] * shared, ~(deltas > 0), reg_epsilon, shared
+            deltas[:, None, None] * shape, ~(deltas > 0), reg_epsilon, shape
         )
         return scales, chols, np.flatnonzero(flags).tolist()
 
@@ -472,23 +491,24 @@ class _McdEvi(_Family):
         return n_d * (n_d - 1) // 2 + n_groups
 
     def record(self, scales):
-        t, deltas = mcd_evi_update(scales, np.ones(len(scales)), scales[:, 0, 0], scales.shape[1])
+        ones = np.ones(len(scales))
+        t, deltas, shape = mcd_evi_update(scales, ones, scales[:, 0, 0], scales.shape[1])
+        _require_members(scales, deltas[:, None, None] * shape)
         return SharedMcdFactors(t=t, deltas=deltas)
 
 
 class _GpcmVvi(_Vvv):
     def update(self, lams, counts, n_obs, n_star, previous, reg_epsilon):
         # the VVV update of the diagonal scatters
-        n_d = lams.shape[1]
-        diag = np.zeros_like(lams)
-        diag[:, range(n_d), range(n_d)] = lams[:, range(n_d), range(n_d)]
+        diag = np.where(np.eye(lams.shape[1], dtype=bool), lams, 0.0)
         return super().update(diag, counts, n_obs, n_star, previous, reg_epsilon)
 
     def n_params(self, n_d: int, n_groups: int) -> int:
         return n_groups * n_d
 
     def record(self, scales):
-        return tuple(gpcm_vvi_update(s, len(s)) for s in scales)
+        _require_members(scales, scales * np.eye(scales.shape[1]))
+        return gpcm_vvi_update(scales, scales.shape[1])
 
 
 FAMILIES = {
@@ -520,7 +540,7 @@ def free_params(specs: Sequence[ScaleModel], n_groups: int, dims: Sequence[int])
     follow the table in :mod:`tmclust.parsimony`.  Redundant multiplicative
     constants across Kronecker factors are deliberately not subtracted.
     """
-    dims = tuple(int(n) for n in dims)
+    dims = _items(dims, lambda n: _count("each dim", n))
     specs = tuple(specs)
     if len(specs) != len(dims):
         raise ValueError(f"got {len(specs)} specs for {len(dims)} dimensions")

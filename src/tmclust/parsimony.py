@@ -17,19 +17,22 @@ VVI-GPCM positive diagonal, group-specific,       G n_d
 The MCD families use the modified Cholesky decomposition
 Delta^{-1} = T' (delta I)^{-1} T with T unit lower triangular, natural for
 ordered (e.g. temporal) dimensions: row r of T holds negated autoregressive
-coefficients of index r on indices 1..r-1.  The updates below are the exact
-conditional maximizers of the expected complete-data log-likelihood given
-the per-group scatters Lambda_{g,d}, so a cyclic sweep keeps EM monotone.
-Each family's M-step with its repair, parameter count and factor record are
-defined in one place, ``tmclust.em.FAMILIES``, which calls these: a record
-is the family's estimator run on a scale stack at n* = n_d.
+coefficients of index r on indices 1..r-1.  Both come from one batched,
+square-root-free LDL' Lambda = C D C': T = C^{-1}, delta = tr(D) / n* and
+the scale is delta C C', with no matrix inverse.  A pivot not positive
+beyond round-off flags its group (for MCD-EVI, whose pivots are the pooled
+matrix's, every group) as a singular estimate, which the EM sweep repairs
+and records.  The updates are the exact conditional maximizers of the expected
+complete-data log-likelihood given the per-group scatters Lambda_{g,d}, so
+a cyclic sweep keeps EM monotone.  ``tmclust.em.FAMILIES`` defines each
+family from these: a record is the family's estimator run on a scale stack
+at n* = n_d, and a scale its record does not reconstruct is not a member.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
@@ -59,12 +62,6 @@ class McdFactors:
     t: np.ndarray
     delta: float
 
-    def scale(self) -> np.ndarray:
-        """Reconstruct Delta = delta * T^{-1} T^{-T} (always SPD for delta > 0)."""
-        tinv = np.linalg.inv(self.t)
-        out = self.delta * (tinv @ tinv.T)
-        return (out + out.T) / 2.0
-
 
 @dataclass(frozen=True)
 class GpcmVviFactors:
@@ -72,9 +69,6 @@ class GpcmVviFactors:
 
     scale: float
     shape: np.ndarray
-
-    def matrix(self) -> np.ndarray:
-        return self.scale * np.diag(self.shape)
 
 
 @dataclass(frozen=True)
@@ -85,67 +79,54 @@ class SharedMcdFactors:
     deltas: np.ndarray
 
 
-def _unit_lower_solve(lam: np.ndarray) -> np.ndarray:
-    """Row-wise triangular systems giving the unit lower T that decorrelates lam.
+def mcd_vvi_update(lams: np.ndarray, n_star: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Group-specific modified-Cholesky update from a (G, n, n) scatter stack.
 
-    Row r solves lam[:r, :r] phi = -lam[:r, r]; a singular leading minor gets
-    one 1e-10 diagonal jitter retry, then errors.
+    The one LDL' of the MCD families, for all groups at once: row operations
+    on [Lambda_g | I] give Lambda_g = C_g D_g C_g' and, in the right half,
+    T_g = C_g^{-1}.  Returns ``(t, deltas, shapes)``, (G, n, n), (G,) and
+    (G, n, n), with delta_g = tr(D_g) / n* and the scale delta_g * shapes_g =
+    delta_g C_g C_g'.  A pivot not positive beyond round-off (n eps times the
+    matrix's largest entry) is not divided by, so column j of C_g stays e_j,
+    and gives delta_g = 0, the mark of a singular estimate.
     """
-    n = lam.shape[0]
-    t = np.eye(n)
-    work = lam
-    for attempt in range(2):
-        try:
-            for r in range(1, n):
-                t[r, :r] = -np.linalg.solve(work[:r, :r], work[:r, r])
-            return t
-        except np.linalg.LinAlgError:
-            if attempt == 1:
-                raise
-            work = lam + 1e-10 * np.eye(n)
-    raise AssertionError("unreachable")
+    lams = np.asarray(lams, dtype=np.float64)
+    g, n, _ = lams.shape
+    eye = np.broadcast_to(np.eye(n), lams.shape)
+    work = np.concatenate([lams, eye], axis=2)
+    c = eye.copy()
+    floor = n * np.finfo(np.float64).eps * np.abs(lams).max(axis=(1, 2))[:, None]
+    for j in range(n):
+        pivot = work[:, j, j, None]
+        ok = pivot > floor
+        pivot *= ok  # a pivot at round-off or below becomes 0
+        mult = np.divide(work[:, j + 1 :, j], pivot, out=np.zeros((g, n - 1 - j)), where=ok)
+        c[:, j + 1 :, j] = mult
+        work[:, j + 1 :] -= mult[:, :, None] * work[:, None, j]
+    pivots = np.diagonal(work, axis1=1, axis2=2)
+    deltas = np.where((pivots > 0).all(axis=1), pivots.sum(axis=1) / n_star, 0.0)
+    return work[:, :, n:], deltas, c @ c.transpose(0, 2, 1)
 
 
-def mcd_vvi_update(lam: np.ndarray, n_star: int) -> McdFactors:
-    """Group-specific modified-Cholesky update from one scatter matrix.
-
-    T decorrelates lam exactly (T lam T' is diagonal); the isotropic
-    innovation scale is delta = trace(T lam T') / n*.
-    """
-    lam = np.asarray(lam, dtype=np.float64)
-    t = _unit_lower_solve(lam)
-    delta = float(np.trace(t @ lam @ t.T)) / n_star
-    return McdFactors(t=t, delta=delta)
-
-
-def mcd_evi_update(
-    lams: Sequence[np.ndarray],
-    counts: Sequence[float],
-    deltas_prev: Sequence[float],
-    n_star: int,
-) -> tuple[np.ndarray, np.ndarray]:
+def mcd_evi_update(lams, counts, deltas_prev, n_star: int) -> tuple[np.ndarray, ...]:
     """Shared-T update: one fixed-point sweep of the coupled (T, delta) system.
 
-    The pooled matrix kappa = sum_g (n_g / delta_g) Lambda_g (previous
-    deltas) determines the shared T through the same row-wise solves; the
-    per-group scales are then refreshed as delta_g = trace(T Lambda_g T')/n*.
-
-    Returns ``(t, deltas)`` with ``deltas`` of shape (G,).
+    The LDL' of the pooled kappa = sum_g (n_g / delta_g) Lambda_g (previous
+    deltas) gives the shared T; then delta_g = trace(T Lambda_g T') / n*.
+    Returns ``(t, deltas, shape)``, (n, n), (G,) and (n, n): the scale of
+    group g is delta_g * shape.  A pivot of kappa that is not positive makes
+    every delta_g 0.
     """
-    lams = [np.asarray(l, dtype=np.float64) for l in lams]
-    counts = np.asarray(counts, dtype=np.float64)
-    deltas_prev = np.asarray(deltas_prev, dtype=np.float64)
+    lams, counts, deltas_prev = (np.asarray(a, dtype=float) for a in (lams, counts, deltas_prev))
     if np.any(deltas_prev <= 0):
         raise ValueError("previous delta estimates must be positive")
-    kappa = sum((n / d) * l for n, d, l in zip(counts, deltas_prev, lams))
-    t = _unit_lower_solve(kappa)
-    deltas = np.array([float(np.trace(t @ l @ t.T)) / n_star for l in lams])
-    return t, deltas
+    kappa = np.einsum("g,gab->ab", counts / deltas_prev, lams)
+    (t,), (pooled,), (shape,) = mcd_vvi_update(kappa[None], 1)
+    deltas = ((t @ lams) * t).sum(axis=(1, 2)) / n_star
+    return t, deltas if pooled > 0 else np.zeros_like(deltas), shape
 
 
-def gpcm_eee_update(
-    lams: Sequence[np.ndarray], counts: Sequence[float], n_obs: int, n_star: int
-) -> np.ndarray:
+def gpcm_eee_update(lams, counts, n_obs: int, n_star: int) -> np.ndarray:
     """Shared full-matrix update: Delta = (n_d/(n* N)) sum_g n_g Lambda_g."""
     lams = np.asarray(lams, dtype=np.float64)
     pooled = np.einsum("k,kab->ab", np.asarray(counts, dtype=np.float64), lams)
@@ -153,21 +134,19 @@ def gpcm_eee_update(
     return (pooled + pooled.T) / 2.0
 
 
-def gpcm_vvi_update(lam: np.ndarray, n_star: int) -> GpcmVviFactors:
-    """Diagonal family update from one scatter matrix.
+def gpcm_vvi_update(lams: np.ndarray, n_star: int) -> tuple[GpcmVviFactors, ...]:
+    """Diagonal family update from a (G, n, n) scatter stack, one record per group.
 
-    Off-diagonal scatter is ignored by the model; the diagonal is split into
+    Off-diagonal scatter is ignored by the model; each diagonal is split into
     a unit-determinant shape vector and a scalar volume.
     """
-    lam = np.asarray(lam, dtype=np.float64)
-    d = np.diag(lam).copy()
+    lams = np.asarray(lams, dtype=np.float64)
+    d = np.diagonal(lams, axis1=1, axis2=2)
     if np.any(d <= 0):
         raise ValueError("diagonal family requires strictly positive scatter diagonal")
-    n_d = d.size
-    geo = float(np.exp(np.mean(np.log(d))))  # |diag|^(1/n_d)
-    shape = d / geo
-    scale = (n_d / n_star) * geo
-    return GpcmVviFactors(scale=scale, shape=shape)
+    geo = np.exp(np.mean(np.log(d), axis=1))  # |diag|^(1/n_d)
+    scales = (d.shape[1] / n_star) * geo
+    return tuple(GpcmVviFactors(float(v), s) for v, s in zip(scales, d / geo[:, None]))
 
 
 __all__ = [

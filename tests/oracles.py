@@ -24,6 +24,10 @@ to the front.
   Gram-matrix route.
 * :func:`eee_oracle` — the shared full scale (EEE) by derivative-free
   minimization of its objective (acceptance criterion 9).
+* :func:`mcd_rowwise` — the MCD-VVI factors by one linear solve per row of
+  T, the oracle for the batched LDL' of ``tmclust.parsimony``.
+* :func:`mcd_scale` / :func:`record_scale` — the scale matrix that MCD
+  factors (T, delta), or a group of a factor record, describe.
 * :func:`normalized_scales` — the identifiability normalization one group
   and one dimension at a time, the oracle for the stacked normalization of
   ``tmclust.em.normalize_identifiability``.
@@ -42,7 +46,7 @@ from tmclust.em import FitOptions
 from tmclust.mda import as_batch, vectorize
 from tmclust.metrics import relative_error
 from tmclust.mlnd import MlndParams
-from tmclust.parsimony import gpcm_eee_update
+from tmclust.parsimony import McdFactors, SharedMcdFactors, gpcm_eee_update
 
 
 def solve_mode(values: np.ndarray, L: np.ndarray, axis: int) -> np.ndarray:
@@ -288,3 +292,32 @@ def normalized_scales(components) -> list[tuple[np.ndarray, ...]]:
         scales[0] *= prod
         out.append(tuple(scales))
     return out
+
+
+def mcd_rowwise(lam: np.ndarray, n_star: int) -> tuple[np.ndarray, float]:
+    """The unit lower T that decorrelates one matrix and delta = tr(T lam T') / n*:
+    row r of T solves lam[:r, :r] phi = -lam[:r, r].  A singular leading
+    minor raises ``numpy.linalg.LinAlgError``."""
+    n = lam.shape[0]
+    t = np.eye(n)
+    for r in range(1, n):
+        t[r, :r] = -np.linalg.solve(lam[:r, :r], lam[:r, r])
+    return t, float(np.trace(t @ lam @ t.T)) / n_star
+
+
+def mcd_scale(t: np.ndarray, delta: float) -> np.ndarray:
+    """delta T^{-1} T^{-T}, from a triangular solve for T^{-1}."""
+    tinv = solve_triangular(t, np.eye(len(t)), lower=True, unit_diagonal=True)
+    out = delta * (tinv @ tinv.T)
+    return (out + out.T) / 2.0
+
+
+def record_scale(record, k: int) -> np.ndarray:
+    """Group k's scale matrix as a factor record (a ``SharedMcdFactors``, or a
+    tuple of ``McdFactors`` or ``GpcmVviFactors``) describes it."""
+    if isinstance(record, SharedMcdFactors):
+        return mcd_scale(record.t, record.deltas[k])
+    fac = record[k]
+    if isinstance(fac, McdFactors):
+        return mcd_scale(fac.t, fac.delta)
+    return fac.scale * np.diag(fac.shape)

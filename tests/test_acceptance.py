@@ -305,17 +305,15 @@ def test_criterion_8_ari_fixtures():
 
 
 def test_criterion_9_factor_estimators():
-    factors = mcd_vvi_update(np.array([[2.0, 1.0], [1.0, 2.0]]), n_star=1)
-    fixture_ok = (
-        np.array_equal(factors.t, [[1.0, 0.0], [-0.5, 1.0]]) and factors.delta == 3.5
-    )
+    (t,), (delta,), _ = mcd_vvi_update(np.array([[[2.0, 1.0], [1.0, 2.0]]]), n_star=1)
+    fixture_ok = np.array_equal(t, [[1.0, 0.0], [-0.5, 1.0]]) and delta == 3.5
 
     rng = np.random.default_rng(909)
     worst_offdiag = 0.0
     for _ in range(100):
         n = int(rng.integers(2, 6))
         lam = random_spd(n, rng)
-        t = mcd_vvi_update(lam, n_star=n).t
+        t = mcd_vvi_update(lam[None], n_star=n)[0][0]
         rotated = t @ lam @ t.T
         off = rotated - np.diag(np.diag(rotated))
         worst_offdiag = max(worst_offdiag, float(np.abs(off).max()))

@@ -1,6 +1,7 @@
 """EM loop pieces (init, E-step, M-steps, stopping, repair) and full fits."""
 
 import dataclasses
+import json
 import tracemalloc
 import warnings
 
@@ -23,8 +24,8 @@ from tmclust.em import (
     normalize_identifiability,
     regularize_and_check,
 )
-from tmclust.errors import EmptyComponentError, SingularScaleError
-from tmclust.io import result_document, write_result
+from tmclust.errors import DataFormatError, EmptyComponentError, SingularScaleError
+from tmclust.io import read_result, result_document, write_result
 from tmclust.mda import mode_product
 from tmclust.metrics import adjusted_rand_index
 from tmclust.mlnd import MlndParams, log_density, log_density_batch, sample
@@ -535,29 +536,24 @@ def test_normalize_rescales_factor_records(rng):
     lam = random_spd(3, rng)
     from tmclust.parsimony import mcd_vvi_update
 
-    fac = mcd_vvi_update(lam, n_star=6)
-    comp = MlndParams(mean=np.zeros(dims), scales=(random_spd(2, rng), fac.scale()))
+    _, (delta,), (shape,) = mcd_vvi_update(lam[None], n_star=6)
+    comp = MlndParams(mean=np.zeros(dims), scales=(random_spd(2, rng), delta * shape))
     model = MixtureModel(
         weights=[1.0], components=(comp,), specs=(ScaleModel.VVV, ScaleModel.MCD_VVI)
     )
     out = normalize_identifiability(model)
     new_fac = out.factors[2][0]
     assert isinstance(new_fac, McdFactors)
-    assert np.allclose(new_fac.scale(), out.components[0].scales[1], rtol=1e-12, atol=1e-14)
-
-
-def record_scale(record, k):
-    """Group k's scale matrix as its factor record reconstructs it."""
-    if isinstance(record, SharedMcdFactors):
-        return McdFactors(t=record.t, delta=record.deltas[k]).scale()
-    fac = record[k]
-    return fac.scale() if isinstance(fac, McdFactors) else fac.matrix()
+    scale = oracles.record_scale(out.factors[2], 0)
+    assert np.allclose(scale, out.components[0].scales[1], rtol=1e-12, atol=1e-14)
 
 
 def assert_records_reconstruct(record, scales):
     """Group k's scale is the one its factor record reconstructs."""
     for k, scale in enumerate(scales):
-        np.testing.assert_allclose(record_scale(record, k), scale, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(
+            oracles.record_scale(record, k), scale, rtol=1e-12, atol=1e-15
+        )
 
 
 @pytest.mark.parametrize(
@@ -599,7 +595,9 @@ def test_family_update_repairs_zero_scatter(spec):
     record = FAMILIES[spec].record(scales)
     if record is not None:
         for k in range(g):
-            np.testing.assert_allclose(record_scale(record, k), reg * np.eye(n_d), rtol=1e-12)
+            np.testing.assert_allclose(
+                oracles.record_scale(record, k), reg * np.eye(n_d), rtol=1e-12
+            )
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS)
@@ -631,15 +629,13 @@ def test_record_of_a_family_member_is_its_parameters(rng, spec):
     ts = np.eye(n_d) + np.tril(0.5 * rng.standard_normal((g, n_d, n_d)), -1)
     if spec is ScaleModel.MCD_VVI:
         want = tuple(McdFactors(t, d) for t, d in zip(ts, deltas))
-        scales = np.stack([f.scale() for f in want])
     elif spec is ScaleModel.MCD_EVI:
         want = SharedMcdFactors(ts[0], deltas)
-        scales = deltas[:, None, None] * McdFactors(ts[0], 1.0).scale()
     else:
         shapes = rng.uniform(0.5, 2.0, (g, n_d))
         shapes /= np.exp(np.log(shapes).mean(axis=1, keepdims=True))
         want = tuple(GpcmVviFactors(d, shape) for d, shape in zip(deltas, shapes))
-        scales = np.stack([f.matrix() for f in want])
+    scales = np.stack([oracles.record_scale(want, k) for k in range(g)])
     got = FAMILIES[spec].record(scales)
     assert type(got) is type(want)
     for a, b in zip(want, got) if isinstance(want, tuple) else [(want, got)]:
@@ -647,6 +643,29 @@ def test_record_of_a_family_member_is_its_parameters(rng, spec):
             np.testing.assert_allclose(
                 getattr(b, f.name), getattr(a, f.name), rtol=1e-12, atol=1e-12
             )
+
+
+@pytest.mark.parametrize("spec", [ScaleModel.MCD_VVI, ScaleModel.MCD_EVI, ScaleModel.GPCM_VVI])
+def test_non_member_scales_are_rejected(rng, tmp_path, spec):
+    """A fit of the family builds its model, but a random SPD scale in place
+    of one of its groups' scales is not a member: the model and the result
+    reader reject it, naming the dimension and a group."""
+    batch, _ = separated_batch(rng, n=40, g=2)
+    specs = (spec, ScaleModel.VVV, spec)
+    options = FitOptions(seed=3)
+    model, report = fit(batch, 2, specs=specs, options=options)
+    bad = random_spd(3, rng)
+    comps = list(model.components)
+    comps[1] = MlndParams(comps[1].mean, (bad,) + comps[1].scales[1:])
+    match = f"{spec.value} scale of dimension 1: group [01] is not a member of the family"
+    with pytest.raises(ValueError, match=match):
+        MixtureModel(model.weights, comps, specs)
+    doc = result_document(model, report, options)
+    doc["groups"][1]["scales"][0] = bad.tolist()
+    path = tmp_path / "result.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataFormatError, match=match):
+        read_result(path)
 
 
 # --- full fits ----------------------------------------------------------------------

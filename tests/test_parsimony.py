@@ -6,8 +6,6 @@ import pytest
 from tmclust.mda import mode_product
 from tmclust.mlnd import MlndParams
 from tmclust.parsimony import (
-    GpcmVviFactors,
-    McdFactors,
     ScaleModel,
     gpcm_eee_update,
     gpcm_vvi_update,
@@ -26,41 +24,41 @@ from oracles import eee_oracle, quadratic_form
 
 def test_mcd_vvi_fixture_exact():
     lam = np.array([[2.0, 1.0], [1.0, 2.0]])
-    fac = mcd_vvi_update(lam, n_star=4)
-    assert np.array_equal(fac.t, np.array([[1.0, 0.0], [-0.5, 1.0]]))
+    t, deltas, _ = mcd_vvi_update(lam[None], n_star=4)
+    assert np.array_equal(t[0], np.array([[1.0, 0.0], [-0.5, 1.0]]))
     # T lam T' = diag(2, 1.5), trace 3.5
-    assert fac.delta == 3.5 / 4.0
+    assert deltas[0] == 3.5 / 4.0
 
 
 def test_mcd_vvi_diagonal_input_gives_identity_t():
-    fac = mcd_vvi_update(np.diag([3.0, 5.0, 7.0]), n_star=8)
-    assert np.array_equal(fac.t, np.eye(3))
-    assert fac.delta == pytest.approx(15.0 / 8.0, rel=1e-15)
+    t, deltas, _ = mcd_vvi_update(np.diag([3.0, 5.0, 7.0])[None], n_star=8)
+    assert np.array_equal(t[0], np.eye(3))
+    assert deltas[0] == pytest.approx(15.0 / 8.0, rel=1e-15)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_mcd_t_decorrelates(rng, n):
     for _ in range(20):
         lam = random_spd(n, rng)
-        fac = mcd_vvi_update(lam, n_star=n)
-        d = fac.t @ lam @ fac.t.T
+        t = mcd_vvi_update(lam[None], n_star=n)[0][0]
+        d = t @ lam @ t.T
         off = d - np.diag(np.diag(d))
         assert np.max(np.abs(off)) < 1e-10 * np.max(np.abs(d))
 
 
 def test_mcd_t_is_unit_lower(rng):
     lam = random_spd(4, rng)
-    fac = mcd_vvi_update(lam, n_star=4)
-    assert np.array_equal(np.diag(fac.t), np.ones(4))
-    assert np.array_equal(np.triu(fac.t, 1), np.zeros((4, 4)))
+    t = mcd_vvi_update(lam[None], n_star=4)[0][0]
+    assert np.array_equal(np.diag(t), np.ones(4))
+    assert np.array_equal(np.triu(t, 1), np.zeros((4, 4)))
 
 
 def test_mcd_scale_reconstruction(rng):
     lam = random_spd(3, rng)
-    fac = mcd_vvi_update(lam, n_star=6)
-    delta = fac.scale()
+    (t,), (d,), (shape,) = mcd_vvi_update(lam[None], n_star=6)
+    delta = d * shape
     # scale's inverse must factor as T' (delta I)^{-1} T
-    expected_inv = fac.t.T @ fac.t / fac.delta
+    expected_inv = t.T @ t / d
     assert np.allclose(np.linalg.inv(delta), expected_inv, rtol=0, atol=1e-10)
     np.linalg.cholesky(delta)  # SPD
 
@@ -68,13 +66,13 @@ def test_mcd_scale_reconstruction(rng):
 def test_mcd_t_minimizes_whitened_trace(rng):
     """Among unit lower-triangular T, the returned one minimizes tr(T lam T')."""
     lam = random_spd(4, rng)
-    fac = mcd_vvi_update(lam, n_star=4)
-    base = np.trace(fac.t @ lam @ fac.t.T)
+    (ft,), (fdelta,), _ = mcd_vvi_update(lam[None], n_star=4)
+    base = np.trace(ft @ lam @ ft.T)
     for _ in range(200):
         t = np.eye(4)
         t[np.tril_indices(4, -1)] = rng.normal(scale=2.0, size=6)
         assert base <= np.trace(t @ lam @ t.T) + 1e-12
-    assert fac.delta == pytest.approx(base / 4.0, rel=1e-15)
+    assert fdelta == pytest.approx(base / 4.0, rel=1e-15)
 
 
 # --- modified Cholesky, shared T (MCD-EVI) ---------------------------------------
@@ -82,10 +80,10 @@ def test_mcd_t_minimizes_whitened_trace(rng):
 
 def test_mcd_evi_single_group_matches_vvi(rng):
     lam = random_spd(3, rng)
-    t, deltas = mcd_evi_update([lam], counts=[17.0], deltas_prev=[1.0], n_star=6)
-    fac = mcd_vvi_update(lam, n_star=6)
-    assert np.allclose(t, fac.t, rtol=0, atol=1e-12)
-    assert deltas[0] == pytest.approx(fac.delta, rel=1e-14)
+    t, deltas, _ = mcd_evi_update([lam], counts=[17.0], deltas_prev=[1.0], n_star=6)
+    (vvi_t,), (vvi_delta,), _ = mcd_vvi_update(lam[None], n_star=6)
+    assert np.allclose(t, vvi_t, rtol=0, atol=1e-12)
+    assert deltas[0] == pytest.approx(vvi_delta, rel=1e-14)
 
 
 def test_mcd_evi_objective_nonincreasing_over_sweeps(rng):
@@ -105,7 +103,7 @@ def test_mcd_evi_objective_nonincreasing_over_sweeps(rng):
     deltas = np.ones(3)
     values = []
     for _ in range(6):
-        t, deltas = mcd_evi_update(lams, counts, deltas, n_star)
+        t, deltas, _ = mcd_evi_update(lams, counts, deltas, n_star)
         values.append(objective(t, deltas))
     diffs = np.diff(values)
     assert np.all(diffs <= 1e-10 * np.abs(values[:-1]))
@@ -140,30 +138,30 @@ def test_gpcm_eee_matches_derivative_free_oracle(rng):
 
 
 def test_gpcm_vvi_fixture():
-    fac = gpcm_vvi_update(np.array([[4.0, 1.0], [1.0, 9.0]]), n_star=8)
+    (fac,) = gpcm_vvi_update(np.array([[4.0, 1.0], [1.0, 9.0]])[None], n_star=8)
     assert fac.shape == pytest.approx([2.0 / 3.0, 3.0 / 2.0], rel=1e-12)
     assert fac.scale == pytest.approx((2.0 / 8.0) * 6.0, rel=1e-12)
-    assert np.allclose(fac.matrix(), np.diag([1.0, 2.25]), rtol=1e-12, atol=0)
+    assert np.allclose(fac.scale * np.diag(fac.shape), np.diag([1.0, 2.25]), rtol=1e-12, atol=0)
 
 
 def test_gpcm_vvi_shape_has_unit_geometric_mean(rng):
     for _ in range(20):
         lam = random_spd(4, rng)
-        fac = gpcm_vvi_update(lam, n_star=4)
+        (fac,) = gpcm_vvi_update(lam[None], n_star=4)
         assert np.prod(fac.shape) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_gpcm_vvi_scale_homogeneous(rng):
     lam = random_spd(3, rng)
-    f1 = gpcm_vvi_update(lam, n_star=9)
-    f2 = gpcm_vvi_update(7.0 * lam, n_star=9)
+    (f1,) = gpcm_vvi_update(lam[None], n_star=9)
+    (f2,) = gpcm_vvi_update(7.0 * lam[None], n_star=9)
     assert f2.scale == pytest.approx(7.0 * f1.scale, rel=1e-12)
     assert f2.shape == pytest.approx(f1.shape, rel=1e-12)
 
 
 def test_gpcm_vvi_rejects_nonpositive_diagonal():
     with pytest.raises(ValueError):
-        gpcm_vvi_update(np.array([[1.0, 0.0], [0.0, 0.0]]), n_star=4)
+        gpcm_vvi_update(np.array([[1.0, 0.0], [0.0, 0.0]])[None], n_star=4)
 
 
 # --- scatter ------------------------------------------------------------------------
@@ -272,3 +270,13 @@ def test_free_params_is_dataclass_total():
 def test_free_params_spec_length_mismatch():
     with pytest.raises(ValueError):
         free_params([ScaleModel.VVV], 2, (2, 2))
+
+
+@pytest.mark.parametrize("dims", [(3.7, True), (3, True), (3, 2.0), (0, 2), (3, -1)])
+def test_free_params_dims_follow_the_integer_rule(dims):
+    with pytest.raises(ValueError, match="each dim must be an integer >= 1"):
+        free_params([ScaleModel.VVV] * 2, 2, dims)
+
+
+def test_free_params_accepts_numpy_dims():
+    assert free_params([ScaleModel.VVV] * 2, 2, np.array([3, 4])).per_dim == (12, 20)

@@ -14,13 +14,14 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from tmclust import mlnd  # noqa: E402
-from tmclust.em import MixtureModel, loglik_matrix  # noqa: E402
+from tmclust.em import FAMILIES, MixtureModel, loglik_matrix  # noqa: E402
 from tmclust.errors import DataFormatError  # noqa: E402
 from tmclust.io import _load_csv_long, _parse_csv_long, _scan_csv_long  # noqa: E402
 from tmclust.mlnd import MlndParams  # noqa: E402
+from tmclust.parsimony import ScaleModel, mcd_evi_update, mcd_vvi_update  # noqa: E402
 
 from conftest import spd_with_condition  # noqa: E402
-from oracles import dense_log_density  # noqa: E402
+from oracles import dense_log_density, mcd_rowwise  # noqa: E402
 
 PROPERTY = settings(derandomize=True, max_examples=200, deadline=None, database=None)
 
@@ -155,3 +156,58 @@ def test_densities_match_the_dense_oracle(case):
             want = [dense_log_density(x, comp) for x in batch]
             np.testing.assert_allclose(mlnd.log_density_batch(batch, comp), want, rtol=1e-9)
             np.testing.assert_allclose(matrix[:, k], np.log(weights[k]) + want, rtol=1e-9)
+
+
+# --- the MCD families' one LDL' --------------------------------------------------------
+
+
+@st.composite
+def scatter_stacks(draw):
+    """A (G, n, n) stack of B_g B_g' times a power of two, with small-integer
+    B_g of r_g columns: full rank, rank-deficient (r_g < n) or all zero.  A
+    zero row of B_g gives a zero pivot."""
+    n, g = draw(st.integers(1, 8)), draw(st.integers(1, 4))
+    mats = []
+    for _ in range(g):
+        r = draw(st.integers(0, n + 2))
+        b = np.array(draw(st.lists(st.integers(-3, 3), min_size=n * r, max_size=n * r)))
+        mats.append(b.reshape(n, r) @ b.reshape(n, r).T)
+    return np.stack(mats).astype(np.float64) * 2.0 ** draw(st.integers(-20, 20))
+
+
+@PROPERTY
+@given(scatter_stacks())
+def test_mcd_ldl_decorrelates_and_flags_zero_pivots(lams):
+    """T is unit lower and decorrelates every matrix; T and delta match the
+    row-wise oracle wherever every pivot is clear of round-off (a pivot at
+    round-off leaves T undetermined); a matrix with a zero pivot gets
+    delta = 0, with no jitter, and the EM update repairs and flags it; a
+    zero pivot of the pooled matrix flags every MCD-EVI group."""
+    g, n, _ = lams.shape
+    t, deltas, _ = mcd_vvi_update(lams, n_star=n)
+    assert np.array_equal(np.diagonal(t, axis1=1, axis2=2), np.ones((g, n)))
+    assert not np.triu(t, 1).any()
+    rotated = t @ lams @ t.transpose(0, 2, 1)
+    zero_pivot = (np.diagonal(lams, axis1=1, axis2=2) == 0).any(axis=1)
+    for k in range(g):
+        pivots = rotated[k].diagonal()
+        assert np.abs(rotated[k] - np.diag(pivots)).max() <= 1e-10 * np.abs(rotated[k]).max()
+        if (pivots > 1e-8 * lams[k].diagonal().max()).all():
+            t_ref, delta_ref = mcd_rowwise(lams[k], n)
+            np.testing.assert_allclose(t[k], t_ref, rtol=0, atol=1e-9 * np.abs(t_ref).max())
+            assert deltas[k] == pytest.approx(delta_ref, rel=1e-9)
+        elif deltas[k] > 0:
+            assert deltas[k] == pytest.approx(pivots.sum() / n, rel=1e-9, abs=0)
+        if zero_pivot[k]:
+            assert deltas[k] == 0.0
+        if not lams[k].any():
+            assert np.array_equal(t[k], np.eye(n))
+    reg, eye = 1e-3, np.broadcast_to(np.eye(n), lams.shape)
+    scales, _, flagged = FAMILIES[ScaleModel.MCD_VVI].update(lams, np.ones(g), g, n, eye, reg)
+    assert set(np.flatnonzero(deltas == 0)) <= set(flagged)
+    for k in np.flatnonzero(deltas == 0):
+        assert np.array_equal(scales[k], reg * np.eye(n))
+    if (np.diagonal(lams.sum(axis=0)) == 0).any():
+        assert not mcd_evi_update(lams, np.ones(g), np.ones(g), n)[1].any()
+        _, _, flagged = FAMILIES[ScaleModel.MCD_EVI].update(lams, np.ones(g), g, n, eye, reg)
+        assert flagged == list(range(g))
