@@ -18,10 +18,12 @@ per fit: 3D-2 mode passes per group and iteration instead of D^2, the last
 giving the E-step's quadratic forms, and no temporary the size of the batch.
 A group sweeps only the observations whose responsibility is not exactly
 zero, since the others add nothing to its means and scatters; the E-step
-whitens those once with the new factors.  One ``_scatter_one`` call per
-dimension reads the state's factor stacks and returns its (G, n_d, n_d)
-scatters.  The workspace holds observation-last blocks, so the number of
-matrix products per pass does not grow with N.
+whitens those once with the new factors, or not at all where a bound
+carried from the last E-step proves that their responsibility underflows
+to 0.0 (:meth:`~tmclust.mlnd.SweepWorkspace.quad_matrix`).  One
+``_scatter_one`` call per dimension reads the state's factor stacks and
+returns its (G, n_d, n_d) scatters.  The workspace holds observation-last
+blocks, so the number of matrix products per pass does not grow with N.
 
 The loop keeps its state as arrays: the weights, the (G, n_1, ..., n_D)
 means and, per dimension, (G, n_d, n_d) stacks of the scales, their Cholesky
@@ -70,7 +72,7 @@ from .parsimony import (
 )
 
 _EMPTY_FIT_TOL = 1e-6  # fit-level abort threshold on n_g / N
-_MEMBER_RTOL = 1e-8  # a record rebuilds a member's scale to round-off (see _require_members)
+_MEMBER_RTOL = 1e-8  # a record rebuilds a member's scale to round-off (see _ldl_reach)
 
 
 @dataclass(frozen=True)
@@ -300,12 +302,14 @@ def loglik_matrix(data, model: MixtureModel | _Stacks):
     one fresh workspace per component.  Inside ``fit``, ``model`` is the
     loop's state, whose workspace lacks only the last mode's whitening of
     each group's support: one pass gives those quadratic forms, and only the
-    rows of zero responsibility are centred and whitened from scratch
-    (:meth:`~tmclust.mlnd.SweepWorkspace.quad_matrix`).
+    rows of zero responsibility are centred and whitened from scratch, or
+    skipped with entry -inf where their responsibility provably underflows
+    to 0 (:meth:`~tmclust.mlnd.SweepWorkspace.quad_matrix`).
     """
     if isinstance(model, _Stacks):
-        quad = model.work.quad_matrix(model.means, model.invs)
-        return np.log(model.weights) + (log_density_consts(model.chols) - 0.5 * quad)
+        logw, consts = np.log(model.weights), log_density_consts(model.chols)
+        quad = model.work.quad_matrix(model.means, model.invs, logw + consts, model.chols)
+        return logw + (consts - 0.5 * quad)
     batch = as_batch(data)
     return np.log(model.weights) + np.column_stack(
         [log_density_batch(batch, comp) for comp in model.components]
@@ -427,18 +431,32 @@ class _Family:
         return None
 
 
-def _require_members(scales: np.ndarray, members: np.ndarray) -> None:
+def _require_members(scales: np.ndarray, members: np.ndarray, reach=None) -> None:
     """ValueError naming the first group whose scale misses ``members``, the
     family members its record describes, by more than _MEMBER_RTOL of its
-    largest entry.  The test suite's fitted scales miss by at most 3.3e-16,
-    and members of condition number near 1e8 by up to 1.7e-11."""
-    miss, top = (np.abs(a).max(axis=(1, 2)) for a in (members - scales, scales))
-    bad = np.flatnonzero(~(miss <= _MEMBER_RTOL * top))
+    ``reach`` (G,), by default its largest entry."""
+    miss = np.abs(members - scales).max(axis=(1, 2))
+    reach = np.abs(scales).max(axis=(1, 2)) if reach is None else reach
+    bad = np.flatnonzero(~(miss <= _MEMBER_RTOL * reach))
     if bad.size:
         raise ValueError(
             f"group {bad[0]} is not a member of the family (its record misses its scale "
-            f"by {miss[bad[0]] / top[bad[0]]:.2g} of the largest entry)"
+            f"by {miss[bad[0]]:.2g}, beyond its tolerance {_MEMBER_RTOL * reach[bad[0]]:.2g})"
         )
+
+
+def _ldl_reach(t: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+    """The (G,) largest entries of delta |C| diag(g) |C|', C = T^{-1} and
+    g_j = sum_k (|T| |C|)_jk^2: the LDL' backward-error scale delta |C| |C|'
+    carried through the pivots.  Round-off E in a member's entries, at most
+    eps delta |C| |C|', moves pivot j by (T E T')_jj, at most eps delta g_j,
+    and the record, delta C C' with delta their mean, misses by
+    C (D - delta I) C'.  The test suite's MCD members miss by at most 4.3e-16
+    of this, 200 random 6 x 6 members (median condition number 5e9) by
+    2.2e-15, and 2000 random SPD non-members by at least 7.8e-4."""
+    c = np.abs(np.linalg.inv(t))
+    g = ((np.abs(t) @ c) ** 2).sum(axis=-1)
+    return deltas * ((c * g[..., None, :]) @ c.swapaxes(-1, -2)).max(axis=(-2, -1))
 
 
 class _Vvv(_Family):
@@ -474,7 +492,7 @@ class _McdVvi(_Family):
 
     def record(self, scales):
         t, deltas, shapes = mcd_vvi_update(scales, scales.shape[1])
-        _require_members(scales, deltas[:, None, None] * shapes)
+        _require_members(scales, deltas[:, None, None] * shapes, _ldl_reach(t, deltas))
         return tuple(McdFactors(tk, float(dk)) for tk, dk in zip(t, deltas))
 
 
@@ -493,7 +511,7 @@ class _McdEvi(_Family):
     def record(self, scales):
         ones = np.ones(len(scales))
         t, deltas, shape = mcd_evi_update(scales, ones, scales[:, 0, 0], scales.shape[1])
-        _require_members(scales, deltas[:, None, None] * shape)
+        _require_members(scales, deltas[:, None, None] * shape, _ldl_reach(t, deltas))
         return SharedMcdFactors(t=t, deltas=deltas)
 
 

@@ -26,8 +26,14 @@ centred support, the observations whose weight is not exactly zero,
 whitened on every mode but the one being updated; :func:`_scatter_one`
 advances the supports by the new L_d^{-1} and the old L_{d+1}.  The other
 observations add nothing to a group's scatters, so they are whitened once,
-from scratch, for the E-step.  Blocks keep observations last, so the
-contracted mode of every pass and Gram has them in its trailing extent.
+from scratch, for the E-step, or not at all: from a fit's second E-step on,
+a lower bound on sqrt(Q) carried from the last one (Elkan's triangle-
+inequality bounds for k-means, 2003) skips every such pair whose entry
+provably lies 800 nats below its row's best.  Its form is +inf: the exact
+one's responsibility underflows to 0.0 just as exp(-inf) does, so the
+E-step's outputs are bit for bit those of whitening it.  Blocks keep
+observations last, so the contracted mode of every pass and Gram has them
+in its trailing extent.
 Every centring and pass sequence runs in :meth:`SweepWorkspace.whiten`, and
 every single-mode pass through :func:`_solve_mode`.
 :func:`chol_lower` and :func:`inv_lower` also take (G, n, n) stacks.
@@ -45,6 +51,8 @@ from .mda import _as_array, as_batch, multiply_axis
 
 _SYM_TOL = 1e-12
 _BLOCK_BYTES = 512 * 1024  # largest block of observations one sweep pass touches
+_SKIP_NATS = 800.0  # how far below its row's best a skipped E-step entry lies (exp: 745.13)
+_SKIP_TAU = 1e-3  # the share of a carried bound's square held back for the forms' round-off
 
 
 def chol_lower(mat: np.ndarray, dim: int | None = None) -> np.ndarray:
@@ -156,8 +164,9 @@ class SweepWorkspace:
     prod(n_1..n_{d-1}) matrix products whatever N is.  ``blocks[k]`` lists
     the (rows, block buffer, held block) of each block of group k's support,
     held in group k's row of ``held``, which the first :meth:`restrict`
-    allocates.  ``rest[k]`` are its other rows (before any sweep, all):
-    :meth:`quad_matrix` whitens them in the two block buffers.
+    allocates.  Column k of the (N, G) mask ``idle`` marks its other rows,
+    its rest (before any sweep, all): :meth:`quad_matrix` whitens them in
+    the two block buffers, unless a fit's carried ``bound`` rules them out.
     """
 
     def __init__(self, batch: np.ndarray, n_groups: int):
@@ -167,7 +176,8 @@ class SweepWorkspace:
         self.held = None
         self.bufs = np.empty((2, self.step * batch[0].size))
         self.blocks = [[] for _ in range(n_groups)]
-        self.rest = [np.arange(n)] * n_groups
+        self.idle = np.ones((n, n_groups), dtype=bool)
+        self.bound, self.last = 0.0, None
 
     def restrict(self, k: int, weights: np.ndarray) -> None:
         """Make group k's support the rows where ``weights`` is not zero."""
@@ -178,7 +188,7 @@ class SweepWorkspace:
             (rows, tmp, self.held[k, j * room : j * room + tmp.size].reshape(tmp.shape))
             for j, (rows, tmp, _) in enumerate(self.carve(np.flatnonzero(weights)))
         ]
-        self.rest[k] = np.flatnonzero(weights == 0)
+        self.idle[:, k] = weights == 0
 
     def carve(self, rows: np.ndarray) -> list:
         """(rows, buffer, spare) of each block of the ascending batch rows
@@ -213,7 +223,7 @@ class SweepWorkspace:
             _solve_mode(src, factor, axis, out=dst)
             src, dst = dst, src
 
-    def quad_matrix(self, means: np.ndarray, invs) -> np.ndarray:
+    def quad_matrix(self, means: np.ndarray, invs, offsets=None, chols=None) -> np.ndarray:
         """The (N, G) Mahalanobis quadratic forms of a fit's E-step: the
         squared norms of the whitened blocks' columns.
 
@@ -222,17 +232,59 @@ class SweepWorkspace:
         Each group's support lacks only the last mode's whitening, one pass
         with the new L_D^{-1} into a block buffer.  Its rest is centred and
         whitened on every mode in the two block buffers, block by block.
+
+        A fit's E-step also passes the (G,) ``offsets`` log pi_k + c_k and the
+        new L stacks ``chols``: from its second call on, a rest pair whose
+        entry offsets_k - Q_ik / 2 provably sits _SKIP_NATS below its row's
+        best (:meth:`_unskipped`) is not whitened, and its form is +inf.
         """
-        quad = np.empty((len(self.batch), len(means)))
+        quad = np.full((len(self.batch), len(means)), np.inf)
+        passes = [[(stack[k], axis) for axis, stack in enumerate(invs)] for k in range(len(means))]
+        for k, group in enumerate(self.blocks):
+            for rows, tmp, held in group:
+                self.whiten(tmp, held, passes[k][-1:])
+                quad[rows, k] = _column_norms(tmp)
+        todo = self.idle if chols is None else self._unskipped(quad, means, invs, offsets, chols)
         for k, mean in enumerate(means):
-            passes, out = [(stack[k], axis) for axis, stack in enumerate(invs)], quad[:, k]
-            for rows, tmp, held in self.blocks[k]:
-                self.whiten(tmp, held, passes[-1:])
-                out[rows] = _column_norms(tmp)
-            for rows, tmp, spare in self.carve(self.rest[k]):
-                self.whiten(tmp, spare, passes, rows, mean)
-                out[rows] = _column_norms(tmp)
+            for rows, tmp, spare in self.carve(np.flatnonzero(todo[:, k])):
+                self.whiten(tmp, spare, passes[k], rows, mean)
+                quad[rows, k] = _column_norms(tmp)
+        if chols is not None:
+            self.bound = np.where(self.idle & ~todo, self.bound, np.sqrt(quad))
         return quad
+
+    def _unskipped(self, quad, means, invs, offsets, chols) -> np.ndarray:
+        """The (N, G) mask of rest pairs to whiten, given the support's forms
+        in ``quad``; leaves in ``bound`` the carried bound of every pair.
+
+        ``bound`` holds a lower bound b on each pair's sqrt(Q) under the
+        ``last`` call's means and L^{-1} stacks.  With W = the Kronecker
+        product of the L_d^{-1}, W'(x - mu') = (W' W^{-1}) W(x - mu) -
+        W'(mu' - mu), so sqrt(Q') >= s b - m, where s_k = prod_d 1 / (1 +
+        ||L_d^{-1} L'_d - I||_F) bounds the smallest singular value of
+        W' W^{-1} from below and m_k = ||mu'_k - mu_k|| prod_d ||L'_d^{-1}||_F
+        bounds ||W'(mu' - mu)|| from above.  A pair is skipped when even
+        (1 - _SKIP_TAU) of that bound's square puts its entry _SKIP_NATS
+        below its row's best support entry: exp of the exact entry minus
+        the row's log-sum-exp underflows to 0.0 as exp(-inf) does, so the
+        responsibilities and the log-likelihood are bit-for-bit those of
+        computing it.  _SKIP_TAU covers the forms' relative round-off and the
+        floor's 55 nats past exp's underflow at -745.13 the rest.
+        """
+        todo = self.idle
+        if self.last is not None and todo.any():
+            old_means, old_invs = self.last
+            steps = [old @ L - np.eye(L.shape[-1]) for old, L in zip(old_invs, chols)]
+            sq = np.array([np.einsum("kij,kij->k", a, a) for a in [*steps, *invs]])
+            move = (means - old_means).reshape(len(means), -1)
+            reach = np.sqrt(np.einsum("ki,ki->k", move, move) * sq[len(steps) :].prod(axis=0))
+            shrink = (1.0 + np.sqrt(sq[: len(steps)])).prod(axis=0)
+            self.bound = np.maximum(self.bound / shrink - reach, 0.0)
+            top = (offsets - 0.5 * quad).max(axis=1)
+            gap = offsets - top[:, None] + _SKIP_NATS
+            todo = todo & ~((0.5 - 0.5 * _SKIP_TAU) * self.bound**2 > gap)
+        self.last = (means, list(invs))
+        return todo
 
 
 def _column_norms(block: np.ndarray) -> np.ndarray:

@@ -24,7 +24,12 @@ from tmclust.em import (
     normalize_identifiability,
     regularize_and_check,
 )
-from tmclust.errors import DataFormatError, EmptyComponentError, SingularScaleError
+from tmclust.errors import (
+    DataFormatError,
+    EmptyComponentError,
+    SingularScaleError,
+    TmclustError,
+)
 from tmclust.io import read_result, result_document, write_result
 from tmclust.mda import mode_product
 from tmclust.metrics import adjusted_rand_index
@@ -668,6 +673,26 @@ def test_non_member_scales_are_rejected(rng, tmp_path, spec):
         read_result(path)
 
 
+def test_ill_conditioned_mcd_members_are_accepted(tmp_path):
+    """Scales C C', C unit lower with N(0, 8^2) entries (median condition
+    number 5e9), are MCD-VVI members: the model and the result reader accept
+    each of 200.  Measured against the largest entry instead of the LDL'
+    backward-error scale, 4 of them missed by up to 5.7e-8."""
+    specs = (ScaleModel.MCD_VVI, ScaleModel.VVV)
+    options = FitOptions(max_iterations=2)
+    model, report = fit(np.random.default_rng(1).standard_normal((14, 6, 2)), 1, specs, options)
+    rng = np.random.default_rng(0)
+    doc = result_document(model, report, options)
+    path = tmp_path / "result.json"
+    for _ in range(200):
+        c = np.tril(rng.normal(0.0, 8.0, (6, 6)), -1) + np.eye(6)
+        scale = c @ c.T
+        MixtureModel([1.0], [MlndParams(np.zeros((6, 2)), (scale, np.eye(2)))], specs)
+        doc["groups"][0]["scales"][0] = scale.tolist()
+        path.write_text(json.dumps(doc))
+        assert np.array_equal(read_result(path)[0].components[0].scales[0], scale)
+
+
 # --- full fits ----------------------------------------------------------------------
 
 
@@ -748,6 +773,38 @@ def test_fit_duplicated_data_doubles_loglik(rng):
     assert np.allclose(
         r2.loglik_trace[:m], 2.0 * r1.loglik_trace[:m], rtol=1e-10, atol=0
     )
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind", ["every row twice", "a group of one repeated row"])
+def test_duplicate_observations_fit_and_scan_without_a_traceback(rng, kind):
+    """On a batch of repeated rows, every fit and scan cell converges, raises
+    a typed error (a failed cell in the scan), or runs to the iteration cap.
+    A group of one repeated row makes the likelihood unbounded: its scales
+    shrink every iteration until a repaired scale is no longer positive
+    definite (SingularScaleError), or, under an MCD or EEE first dimension,
+    to about 1e-30 in 200 iterations with no singular event.  A fit that ran
+    to the cap is not selectable."""
+    batch, _ = separated_batch(rng, n=20, g=2)
+    if kind == "every row twice":
+        batch = np.repeat(batch, 2, axis=0)
+    else:
+        batch = np.concatenate([batch, np.repeat(batch[:1] + 30.0, 5, axis=0)])
+    families = [s.value for s in ALL_SPECS]
+    grid = ScanGrid(groups=(1, 2, 3), spec_candidates=(families, ["VVV"], ["VVV"]),
+                    options=FitOptions(max_iterations=200))
+    result = scan(batch, grid, keep_models=True)
+    for row in result.rows:
+        try:
+            _, report = fit(batch, row.g, row.specs, row.options)
+        except TmclustError as exc:
+            assert row.error == f"{type(exc).__name__}: {exc}"
+            continue
+        assert row.error is None
+        assert np.array_equal(row.report.loglik_trace, report.loglik_trace)
+        assert report.converged or report.n_iterations == 200
+        assert row.selectable == report.converged
+    assert result.best is not None
 
 
 def test_fit_aborts_on_collapsed_component(rng):
@@ -974,12 +1031,19 @@ def test_fit_sweep_matches_from_scratch_oracle(spec, rng, monkeypatch):
         held.append(L)
         return inv_lower(L)
 
-    def quads(work, means, invs):
-        got = quad_matrix(work, means, invs)
+    def quads(work, means, invs, offsets, fit_chols):
+        got = quad_matrix(work, means, invs, offsets, fit_chols)
         chols = held[-(means.ndim - 1):]  # the last sweep's D stacks
+        want = np.empty_like(got)
         for k, mean in enumerate(means):
             white = oracles.whiten_all_modes(work.batch - mean, [L[k] for L in chols])
-            assert_matches_oracle(got[:, k], (white.reshape(len(white), -1) ** 2).sum(axis=1))
+            want[:, k] = (white.reshape(len(white), -1) ** 2).sum(axis=1)
+        # a skipped pair's form is +inf, and its entry lies past exp's underflow
+        skipped = np.isinf(got)
+        entries = offsets - 0.5 * want
+        assert np.all((entries < entries.max(axis=1, keepdims=True) - 745.2)[skipped])
+        for k in range(len(means)):
+            assert_matches_oracle(got[~skipped[:, k], k], want[~skipped[:, k], k])
             checked["quad"] += 1
         return got
 
@@ -1045,3 +1109,29 @@ def test_public_loglik_peak_is_one_workspace(cell_7x4):
         (loglik_matrix, model), (e_step, model), (log_density_batch, model.components[0]),
     ]:
         assert traced_peak(fn, cell_7x4, arg) <= 0.4 * cell_7x4.nbytes, fn.__name__
+
+
+def test_fit_skips_the_e_step_pairs_it_rules_out(cell_7x4, monkeypatch):
+    """On these separated groups the E-steps after the first whiten no rest
+    pair, the carried bound ruling each out, and the fit is bit for bit the
+    one that whitens every pair (a floor of +inf nats)."""
+    z = init_kmeans(cell_7x4, 3, rng=np.random.default_rng(0))
+    columns = []  # observations per mode pass
+    solve_mode = mlnd._solve_mode
+
+    def counted(values, inv_factor, axis, out=None):
+        columns.append(values.shape[-1])
+        return solve_mode(values, inv_factor, axis, out)
+
+    monkeypatch.setattr(mlnd, "_solve_mode", counted)
+    runs = []
+    for floor in (mlnd._SKIP_NATS, np.inf):
+        monkeypatch.setattr(mlnd, "_SKIP_NATS", floor)
+        columns.clear()
+        _, report = fit(cell_7x4, 3, init_z=z, options=FitOptions(max_iterations=4))
+        runs.append((report, sum(columns)))
+    (pruned, cols), (full, full_cols) = runs
+    for field in ("loglik_trace", "responsibilities", "labels"):
+        assert np.array_equal(getattr(pruned, field), getattr(full, field))
+    assert np.count_nonzero(full.responsibilities == 0) == 2 * 180
+    assert full_cols - cols == 4 * 3 * 2 * 180  # D passes, E-steps 2 to 4, the rest pairs

@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import event, given, settings, strategies as st  # noqa: E402
 
 from tmclust import mlnd  # noqa: E402
-from tmclust.em import FAMILIES, MixtureModel, loglik_matrix  # noqa: E402
-from tmclust.errors import DataFormatError  # noqa: E402
+from tmclust.em import FAMILIES, FitOptions, MixtureModel, fit, loglik_matrix  # noqa: E402
+from tmclust.errors import DataFormatError, TmclustError  # noqa: E402
 from tmclust.io import _load_csv_long, _parse_csv_long, _scan_csv_long  # noqa: E402
 from tmclust.mlnd import MlndParams  # noqa: E402
 from tmclust.parsimony import ScaleModel, mcd_evi_update, mcd_vvi_update  # noqa: E402
@@ -211,3 +211,69 @@ def test_mcd_ldl_decorrelates_and_flags_zero_pivots(lams):
         assert not mcd_evi_update(lams, np.ones(g), np.ones(g), n)[1].any()
         _, _, flagged = FAMILIES[ScaleModel.MCD_EVI].update(lams, np.ones(g), g, n, eye, reg)
         assert flagged == list(range(g))
+
+
+# --- the E-step's skipped pairs ----------------------------------------------------------
+
+
+@st.composite
+def mixture_fits(draw):
+    """A batch drawn from G <= 4 components of order D in {2, 3, 4}, whose
+    scales have per-dimension condition numbers up to 1e8 and whose means lie
+    0.3 to 300 units apart, with a family per dimension and a fit seed."""
+    d = draw(st.integers(2, 4))
+    dims = tuple(draw(st.lists(st.integers(2, 5 - d // 2), min_size=d, max_size=d)))
+    g = draw(st.integers(1, 4))
+    specs = tuple(draw(st.lists(st.sampled_from(list(ScaleModel)), min_size=d, max_size=d)))
+    exps = draw(st.lists(st.floats(0, 8), min_size=d, max_size=d))
+    gap = 10.0 ** draw(st.floats(-0.5, 2.5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    batch = np.concatenate([
+        mlnd.sample(
+            MlndParams(
+                gap * rng.standard_normal(dims),
+                tuple(spd_with_condition(n, 10.0**e, rng) for n, e in zip(dims, exps)),
+            ),
+            rng,
+            size=draw(st.integers(3, 12)),
+        )
+        for _ in range(g)
+    ])
+    return batch, g, specs, draw(st.integers(0, 2**16))
+
+
+def fit_outcome(batch, g, specs, seed):
+    """A fit's trace, responsibilities and labels, or the error it raised."""
+    try:
+        _, report = fit(batch, g, specs, FitOptions(max_iterations=30, seed=seed))
+    except (ArithmeticError, ValueError, TmclustError) as exc:
+        return repr(exc)
+    return report.loglik_trace, report.responsibilities, report.labels
+
+
+@settings(derandomize=True, max_examples=120, deadline=None, database=None)
+@given(mixture_fits())
+def test_skipped_e_step_pairs_leave_fits_bit_for_bit(case):
+    """A fit whose E-steps skip the pairs the carried bound rules out gives
+    the trace, responsibilities and labels of the same fit computing every
+    pair (a floor of +inf nats skips none), bit for bit, or the same error."""
+    skipped = []
+    quad_matrix = mlnd.SweepWorkspace.quad_matrix
+
+    def counted(work, *args):
+        quad = quad_matrix(work, *args)
+        skipped.append(int(np.isinf(quad).sum()))
+        return quad
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mlnd.SweepWorkspace, "quad_matrix", counted)
+        got = fit_outcome(*case)
+        event(f"skipped pairs: {'some' if sum(skipped) else 'none'}")
+        mp.setattr(mlnd, "_SKIP_NATS", np.inf)
+        skipped.clear()
+        want = fit_outcome(*case)
+        assert sum(skipped) == 0
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
