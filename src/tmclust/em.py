@@ -25,15 +25,12 @@ to 0.0 (:meth:`~tmclust.mlnd.SweepWorkspace.quad_matrix`).  One
 returns its (G, n_d, n_d) scatters.  The workspace holds observation-last
 blocks, so the number of matrix products per pass does not grow with N.
 
-The loop keeps its state as arrays: the weights, the (G, n_1, ..., n_D)
-means and, per dimension, (G, n_d, n_d) stacks of the scales, their Cholesky
-factors L — from the one batched Cholesky that checks each new stack — and
-the inverses, beside the workspace.  :func:`e_step` takes that state or a
-:class:`MixtureModel`, whose densities come from fresh workspaces, one per
-component.  At exit the scale stacks are normalized and the
-:class:`MixtureModel` is built from them, once per fit;
-:func:`normalize_identifiability` runs the same normalization on a built
-model's stacks.
+A :class:`MixtureModel` holds the loop's arrays: the weights, the (G, n_1,
+..., n_D) means and, per dimension, a (G, n_d, n_d) scale stack.  The loop
+adds each stack's Cholesky factors L, from the batched Cholesky that checks
+it, their inverses and the workspace.  :func:`e_step` evaluates that state,
+or a model's stacks factored the same way in a fresh workspace.  A fit
+builds its model once, from the normalized stacks.
 
 A fit runs numpy's OpenBLAS on one thread (restoring the caller's count on
 exit): its products are small, and a second BLAS thread only spins.  Its
@@ -55,10 +52,11 @@ from .mda import as_batch
 from .mlnd import (
     MlndParams,
     SweepWorkspace,
+    _check_stacks,
     _scatter_one,
     chol_lower,
     inv_lower,
-    log_density_batch,
+    log_density_batch,  # noqa: F401 -- unused; the benchmark tracer looks it up here
     log_density_consts,
 )
 from .parsimony import (
@@ -127,49 +125,53 @@ class SingularEvent:
 
 @dataclass(eq=False)
 class MixtureModel:
-    """A fitted (or constructed) mixture of multilinear normal components.
+    """A fitted (or constructed) mixture of G multilinear normal components:
+    (G,) ``weights``, (G, n_1, ..., n_D) ``means`` and per-dimension
+    (G, n_d, n_d) ``scales`` stacks (or G matrices each), checked by the
+    rules of :class:`MlndParams`; ``components`` views group k as one.
 
     ``factors`` maps each dimension (1-based) whose family keeps a factor
-    record to the record of its scale stack, derived from the scales by
+    record to the record of its scale stack, derived by
     ``FAMILIES[spec].record`` on construction; the scales are the only state.
     A scale that is not a member of its family raises ValueError naming it.
     """
 
     weights: np.ndarray
-    components: tuple[MlndParams, ...]
+    means: np.ndarray
+    scales: tuple[np.ndarray, ...]
     specs: tuple[ScaleModel, ...] = ()
     factors: dict[int, object] = field(init=False)
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=np.float64)
-        self.components = tuple(self.components)
-        if self.weights.ndim != 1 or self.weights.size != len(self.components):
+        self.means, self.scales = _check_stacks(self.means, self.scales)
+        if self.weights.ndim != 1 or self.weights.size != len(self.means):
             raise ValueError("need one weight per component")
         if not (np.all(self.weights > 0) and abs(float(self.weights.sum()) - 1.0) <= 1e-12):
             raise ValueError("weights must be positive and sum to 1")  # NaN is not positive
-        dims = self.components[0].dims
-        if any(comp.dims != dims for comp in self.components):
-            raise ValueError("all components must share the same dims")
-        self.specs = tuple(ScaleModel(s) for s in (self.specs or [ScaleModel.VVV] * len(dims)))
-        if len(self.specs) != len(dims):
-            raise ValueError(f"got {len(self.specs)} specs for {len(dims)} dimensions")
+        self.specs = tuple(ScaleModel(s) for s in self.specs or [ScaleModel.VVV] * len(self.scales))
+        if len(self.specs) != len(self.scales):
+            raise ValueError(f"got {len(self.specs)} specs for {len(self.scales)} dimensions")
         self.factors = {}
-        for d0, spec in enumerate(self.specs):
-            stack = np.stack([c.scales[d0] for c in self.components])
+        for dim, (spec, stack) in enumerate(zip(self.specs, self.scales), 1):
             try:
                 record = FAMILIES[spec].record(stack)
             except ValueError as exc:
-                raise ValueError(f"{spec.value} scale of dimension {d0 + 1}: {exc}") from None
+                raise ValueError(f"{spec.value} scale of dimension {dim}: {exc}") from None
             if record is not None:
-                self.factors[d0 + 1] = record
+                self.factors[dim] = record
 
     @property
     def n_groups(self) -> int:
-        return len(self.components)
+        return len(self.weights)
 
     @property
     def dims(self) -> tuple[int, ...]:
-        return self.components[0].dims
+        return self.means.shape[1:]
+
+    @property
+    def components(self) -> tuple[MlndParams, ...]:
+        return tuple(MlndParams(m, [s[k] for s in self.scales]) for k, m in enumerate(self.means))
 
 
 @dataclass
@@ -296,24 +298,22 @@ class _Stacks:
 
 
 def loglik_matrix(data, model: MixtureModel | _Stacks):
-    """(N, G) matrix of log(pi_g) + per-component log densities.
+    """(N, G) matrix of log(pi_g) + per-component log densities, from one
+    :meth:`~tmclust.mlnd.SweepWorkspace.quad_matrix` call.
 
-    A :class:`MixtureModel`'s entries come from :func:`log_density_batch`,
-    one fresh workspace per component.  Inside ``fit``, ``model`` is the
-    loop's state, whose workspace lacks only the last mode's whitening of
-    each group's support: one pass gives those quadratic forms, and only the
-    rows of zero responsibility are centred and whitened from scratch, or
-    skipped with entry -inf where their responsibility provably underflows
-    to 0 (:meth:`~tmclust.mlnd.SweepWorkspace.quad_matrix`).
+    A :class:`MixtureModel` gets a batched Cholesky of each scale stack and a
+    fresh workspace, which whitens every pair.  Inside ``fit``, ``model`` is
+    the loop's state, whose workspace whitens only the last mode of each
+    group's support, and the rest from scratch, or not where the rest's
+    responsibility provably underflows to 0 (its entry is then -inf).
     """
-    if isinstance(model, _Stacks):
-        logw, consts = np.log(model.weights), log_density_consts(model.chols)
-        quad = model.work.quad_matrix(model.means, model.invs, logw + consts, model.chols)
-        return logw + (consts - 0.5 * quad)
-    batch = as_batch(data)
-    return np.log(model.weights) + np.column_stack(
-        [log_density_batch(batch, comp) for comp in model.components]
-    )
+    if isinstance(model, MixtureModel):
+        chols = [chol_lower(stack, dim=d + 1) for d, stack in enumerate(model.scales)]
+        invs, work = [inv_lower(L) for L in chols], SweepWorkspace(as_batch(data), model.n_groups)
+        model = _Stacks(model.weights, model.means, model.scales, chols, invs, work)
+    logw, consts = np.log(model.weights), log_density_consts(model.chols)
+    quad = model.work.quad_matrix(model.means, model.invs, logw + consts, model.chols)
+    return logw + (consts - 0.5 * quad)
 
 
 def e_step(data, model: MixtureModel | _Stacks):
@@ -598,27 +598,17 @@ def _normalize_stacks(scales: Sequence[np.ndarray]) -> list[np.ndarray]:
     return [scales[0] * prod[:, None, None]] + out
 
 
-def _mixture(weights, means, scales, specs=()) -> MixtureModel:
-    """The mixture of per-group means and per-dimension scale stacks, with
-    the symmetry checks of :class:`MlndParams`."""
-    components = tuple(
-        MlndParams(mean, tuple(stack[k] for stack in scales)) for k, mean in enumerate(means)
-    )
-    return MixtureModel(weights, components, specs)
-
-
 def normalize_identifiability(model: MixtureModel) -> MixtureModel:
     """Resolve the Kronecker rescaling indeterminacy.
 
     For every group and every dimension k >= 2, the scale matrix is divided
     by its leading entry (pinned to exactly 1.0) and the first dimension's
     matrix absorbs the product of those entries, leaving the Kronecker
-    product — and therefore every density value — unchanged.  The factor
-    records are derived from the new scales, as for any model.  Idempotent.
+    product — and therefore every density value — unchanged, a stack at a
+    time; the records come from the new scales, as for any model.  Idempotent.
     """
-    comps = model.components
-    scales = _normalize_stacks([np.stack(dim) for dim in zip(*(c.scales for c in comps))])
-    return _mixture(model.weights.copy(), [c.mean for c in comps], scales, model.specs)
+    scales = _normalize_stacks(model.scales)
+    return MixtureModel(model.weights.copy(), model.means, scales, model.specs)
 
 
 # --- the full loop ------------------------------------------------------------
@@ -676,6 +666,8 @@ def fit(
             raise ValueError(f"init_z must have shape {(n, g)}")
         if not (z.min() >= 0 and z.max() < np.inf):  # NaN fails both
             raise ValueError("init_z must hold finite, non-negative entries")
+        if not np.all(np.abs(z.sum(axis=1) - 1.0) <= 1e-12):
+            raise ValueError("init_z rows must sum to 1")
 
     eyes = [np.broadcast_to(np.eye(n_d), (g, n_d, n_d)) for n_d in dims]
     state = _Stacks(None, None, list(eyes), list(eyes), list(eyes), SweepWorkspace(batch, g))
@@ -695,8 +687,6 @@ def fit(
                 iteration=iteration,
             )
         state.weights = counts / n
-        if abs(float(state.weights.sum()) - 1.0) > 1e-12:  # an init_z whose rows do not sum to 1
-            raise ValueError("weights must be positive and sum to 1")
         flat = batch.reshape(n, -1)
         state.means = means = ((z.T @ flat) / counts[:, None]).reshape((g,) + dims)
 
@@ -716,7 +706,7 @@ def fit(
             converged = True
             break
 
-    model = _mixture(state.weights, state.means, _normalize_stacks(state.scales), specs)
+    model = MixtureModel(state.weights, state.means, _normalize_stacks(state.scales), specs)
     labels = z.argmax(axis=1)
     rho = free_params(specs, g, dims).total
     report = FitReport(

@@ -30,7 +30,6 @@ from ._version import __version__
 from .em import FitOptions, FitReport, MixtureModel, SingularEvent
 from .errors import DataFormatError
 from .mda import as_batch, matricize_mode1
-from .mlnd import MlndParams
 from .parsimony import ScaleModel
 
 _FORMATS = ("csv-long", "bin-f64")
@@ -415,7 +414,7 @@ def read_result(path) -> tuple[MixtureModel, FitReport, dict]:
         except TypeError:
             raise DataFormatError(f"dims must be a list of integers, got {doc['dims']!r}") from None
         unfolded = (int(np.prod(dims[1:])), dims[0])
-        components = []
+        means, scales = [], []
         for gdoc in doc["groups"]:
             mat = np.asarray(_entries(gdoc, "mean_matricization"), dtype=np.float64)
             if mat.shape != unfolded:
@@ -423,14 +422,17 @@ def read_result(path) -> tuple[MixtureModel, FitReport, dict]:
                     f"mean_matricization of dims {dims} must have shape {unfolded}, "
                     f"got {mat.shape}"
                 )
-            scales = tuple(np.asarray(s, dtype=np.float64) for s in _entries(gdoc, "scales"))
-            components.append(MlndParams(mean=mat.T.reshape(dims), scales=scales))
+            means.append(mat.T.reshape(dims))
+            scales.append(_entries(gdoc, "scales"))
+        # a group with a scale too many or too few sets the count the model checks
+        count = next((len(s) for s in scales if len(s) != len(dims)), len(dims))
         for rec in doc["factors"].values():  # checked only: the model derives its records
             for name in sorted(rec.keys() - {"family"}):
                 _entries(rec, name)
         model = MixtureModel(
             weights=np.asarray(_entries(doc, "weights"), dtype=np.float64),
-            components=tuple(components),
+            means=np.reshape(means, (len(means), *dims)),
+            scales=[[s[d] for s in scales if d < len(s)] for d in range(count)],
             specs=tuple(ScaleModel.from_token(t) for t in doc["scale_models"]),
         )
         report = FitReport(

@@ -19,24 +19,24 @@ resolves by convention after fitting.  Means are dense arrays of shape dims,
 and :func:`sample` with ``size=n`` draws one (n, n_1, ..., n_D) batch.
 
 Every Q comes from :meth:`SweepWorkspace.quad_matrix` and every constant
-from :func:`log_density_consts`: :func:`log_density_batch` uses a fresh
-one-group workspace, which whitens each row from scratch in two block
-buffers, and EM the one workspace of its fit.  Its sweep holds each group's
-centred support, the observations whose weight is not exactly zero,
-whitened on every mode but the one being updated; :func:`_scatter_one`
-advances the supports by the new L_d^{-1} and the old L_{d+1}.  The other
-observations add nothing to a group's scatters, so they are whitened once,
-from scratch, for the E-step, or not at all: from a fit's second E-step on,
-a lower bound on sqrt(Q) carried from the last one (Elkan's triangle-
-inequality bounds for k-means, 2003) skips every such pair whose entry
-provably lies 800 nats below its row's best.  Its form is +inf: the exact
-one's responsibility underflows to 0.0 just as exp(-inf) does, so the
-E-step's outputs are bit for bit those of whitening it.  Blocks keep
-observations last, so the contracted mode of every pass and Gram has them
-in its trailing extent.
-Every centring and pass sequence runs in :meth:`SweepWorkspace.whiten`, and
-every single-mode pass through :func:`_solve_mode`.
-:func:`chol_lower` and :func:`inv_lower` also take (G, n, n) stacks.
+from :func:`log_density_consts`.  A fresh workspace, as
+:func:`log_density_batch` and a model's ``loglik_matrix`` use, centres and
+whitens every row from scratch in two block buffers.  A fit's workspace
+holds each group's centred support, the observations whose weight is not
+exactly zero, whitened on every mode but the one being updated;
+:func:`_scatter_one` advances the supports by the new L_d^{-1} and the old
+L_{d+1}.  The other observations add nothing to a group's scatters, so
+they are whitened once, from scratch, for the E-step, or not at all: from
+a fit's second E-step on, a lower bound on sqrt(Q) carried from the last
+one (Elkan's triangle-inequality bounds for k-means, 2003) skips every
+such pair whose entry provably lies 800 nats below its row's best.  Its
+form is +inf: the exact one's responsibility underflows to 0.0 just as
+exp(-inf) does, so the E-step's outputs are bit for bit those of
+whitening it.  Blocks keep observations last, so the contracted mode of
+every pass and Gram has them in its trailing extent.  Every centring and
+pass sequence runs in :meth:`SweepWorkspace.whiten`, and every single-mode
+pass through :func:`_solve_mode`.  :func:`chol_lower` and
+:func:`inv_lower` also take (G, n, n) stacks.
 """
 
 from __future__ import annotations
@@ -80,16 +80,38 @@ def inv_lower(L: np.ndarray) -> np.ndarray:
     return np.tril(np.linalg.inv(L))
 
 
-def _check_symmetric(mat: np.ndarray, dim: int) -> np.ndarray:
-    mat = np.asarray(mat, dtype=np.float64)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"scale matrix for dimension {dim} must be square, got {mat.shape}")
-    top = float(np.abs(mat).max())  # NaN or inf if an entry is; NaN passes the test below
-    if not top < math.inf:
-        raise ValueError(f"scale matrix for dimension {dim} holds a NaN or infinite entry")
-    if float(np.abs(mat - mat.T).max()) > _SYM_TOL * max(1.0, top):
-        raise ValueError(f"scale matrix for dimension {dim} is not symmetric")
-    return mat
+def _check_stacks(means, scales) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """G components' means as one C-contiguous float64 (G, n_1, ..., n_D)
+    array and their per-dimension scales, each a (G, n_d, n_d) stack or G
+    matrices, as float64 stacks (views where they are already).  ValueError
+    names the first rule broken: a finite mean of order D >= 2, and D stacks
+    of G square n_d x n_d matrices, each finite and symmetric."""
+    means = np.ascontiguousarray(means, dtype=np.float64)
+    dims = means.shape[1:]
+    if len(dims) < 2:
+        raise ValueError(f"the mean must have order >= 2, got order {len(dims)}")
+    if not np.isfinite(means).all():
+        raise ValueError("the mean holds a NaN or infinite entry")
+    if len(scales) != len(dims):
+        raise ValueError(f"got {len(scales)} scale matrices for an order-{len(dims)} mean")
+    stacks = []
+    for dim, (stack, n) in enumerate(zip(scales, dims), 1):
+        name = f"scale matrix for dimension {dim}"
+        for shape in [np.shape(mat) for mat in stack]:
+            if len(shape) != 2 or shape[0] != shape[1]:
+                raise ValueError(f"{name} must be square, got {shape}")
+            if shape[0] != n:
+                raise ValueError(f"{name} has extent {shape[0]}, expected {n}")
+        stack = np.asarray(stack, dtype=np.float64).reshape(-1, n, n)
+        if len(stack) != len(means):
+            raise ValueError(f"got {len(stack)} scales of dimension {dim} for {len(means)} groups")
+        if not np.isfinite(stack).all():
+            raise ValueError(f"{name} holds a NaN or infinite entry")
+        top = np.abs(stack).max(axis=(1, 2), initial=1.0)
+        if np.any(np.abs(stack - stack.swapaxes(1, 2)).max(axis=(1, 2)) > _SYM_TOL * top):
+            raise ValueError(f"{name} is not symmetric")
+        stacks.append(stack)
+    return means, tuple(stacks)
 
 
 @dataclass(eq=False)
@@ -110,28 +132,13 @@ class MlndParams:
     scales: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        self.mean = np.ascontiguousarray(self.mean, dtype=np.float64)
-        if self.mean.ndim < 2:
-            raise ValueError(f"the mean must have order >= 2, got order {self.mean.ndim}")
-        if not np.isfinite(self.mean).all():
-            raise ValueError("the mean holds a NaN or infinite entry")
-        scales = tuple(_check_symmetric(s, d + 1) for d, s in enumerate(self.scales))
-        if len(scales) != self.order:
-            raise ValueError(f"got {len(scales)} scale matrices for an order-{self.order} mean")
-        for d, (s, n) in enumerate(zip(scales, self.dims)):
-            if s.shape[0] != n:
-                raise ValueError(
-                    f"scale matrix for dimension {d + 1} has extent {s.shape[0]}, expected {n}"
-                )
-        self.scales = scales
+        scales = [np.asarray(s, dtype=np.float64)[None] for s in self.scales]
+        means, stacks = _check_stacks(np.asarray(self.mean)[None], scales)
+        self.mean, self.scales = means[0], tuple(stack[0] for stack in stacks)
 
     @property
     def dims(self) -> tuple[int, ...]:
         return self.mean.shape
-
-    @property
-    def order(self) -> int:
-        return self.mean.ndim
 
     def chol_factors(self) -> tuple[np.ndarray, ...]:
         """Lower Cholesky factors L_d of every scale matrix."""
@@ -223,34 +230,32 @@ class SweepWorkspace:
             _solve_mode(src, factor, axis, out=dst)
             src, dst = dst, src
 
-    def quad_matrix(self, means: np.ndarray, invs, offsets=None, chols=None) -> np.ndarray:
-        """The (N, G) Mahalanobis quadratic forms of a fit's E-step: the
-        squared norms of the whitened blocks' columns.
+    def quad_matrix(self, means: np.ndarray, invs, offsets, chols) -> np.ndarray:
+        """The (N, G) Mahalanobis quadratic forms of an E-step, given the
+        (G, n_1, ..., n_D) new means, the per-dimension (G, n_d, n_d) stacks
+        of the new L_d^{-1} and L_d, and the (G,) ``offsets`` log pi_k + c_k.
 
-        ``means`` is the (G, n_1, ..., n_D) stack of the new means and
-        ``invs`` the per-dimension (G, n_d, n_d) stacks of the new L_d^{-1}.
         Each group's support lacks only the last mode's whitening, one pass
-        with the new L_D^{-1} into a block buffer.  Its rest is centred and
-        whitened on every mode in the two block buffers, block by block.
-
-        A fit's E-step also passes the (G,) ``offsets`` log pi_k + c_k and the
-        new L stacks ``chols``: from its second call on, a rest pair whose
-        entry offsets_k - Q_ik / 2 provably sits _SKIP_NATS below its row's
-        best (:meth:`_unskipped`) is not whitened, and its form is +inf.
+        with the new L_D^{-1} into a block buffer.  Its rest (in a fresh
+        workspace, every row) is centred and whitened on every mode in the
+        two block buffers, except that from the second call on a rest pair
+        whose entry offsets_k - Q_ik / 2 provably sits _SKIP_NATS below its
+        row's best (:meth:`_unskipped`) is not whitened: its form is +inf.
         """
+        if means.shape[1:] != self.batch.shape[1:]:
+            raise ValueError(f"batch has dims {self.batch.shape[1:]}, expected {means.shape[1:]}")
         quad = np.full((len(self.batch), len(means)), np.inf)
         passes = [[(stack[k], axis) for axis, stack in enumerate(invs)] for k in range(len(means))]
         for k, group in enumerate(self.blocks):
             for rows, tmp, held in group:
                 self.whiten(tmp, held, passes[k][-1:])
                 quad[rows, k] = _column_norms(tmp)
-        todo = self.idle if chols is None else self._unskipped(quad, means, invs, offsets, chols)
+        todo = self._unskipped(quad, means, invs, offsets, chols)
         for k, mean in enumerate(means):
             for rows, tmp, spare in self.carve(np.flatnonzero(todo[:, k])):
                 self.whiten(tmp, spare, passes[k], rows, mean)
                 quad[rows, k] = _column_norms(tmp)
-        if chols is not None:
-            self.bound = np.where(self.idle & ~todo, self.bound, np.sqrt(quad))
+        self.bound = np.where(self.idle & ~todo, self.bound, np.sqrt(quad))
         return quad
 
     def _unskipped(self, quad, means, invs, offsets, chols) -> np.ndarray:
@@ -328,12 +333,11 @@ def log_density_batch(batch: np.ndarray, params: MlndParams) -> np.ndarray:
     """Log densities for a stacked batch of shape (N, n_1, ..., n_D), whose
     quadratic forms a fresh one-group workspace whitens from scratch."""
     batch = as_batch(batch)
-    if batch.shape[1:] != params.dims:
-        raise ValueError(f"batch has dims {batch.shape[1:]}, expected {params.dims}")
     chols = [L[None] for L in params.chol_factors()]
     invs = [inv_lower(L) for L in chols]
-    quad = SweepWorkspace(batch, 1).quad_matrix(params.mean[None], invs)[:, 0]
-    return log_density_consts(chols)[0] - 0.5 * quad
+    const = log_density_consts(chols)
+    quad = SweepWorkspace(batch, 1).quad_matrix(params.mean[None], invs, const, chols)[:, 0]
+    return const[0] - 0.5 * quad
 
 
 def sample(params: MlndParams, rng, size: int | None = None):

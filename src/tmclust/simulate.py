@@ -21,7 +21,7 @@ import numpy as np
 
 from ._blas import one_blas_thread
 from ._fields import _convert_field, _count, _integer, _items, _number
-from .em import FitOptions, MixtureModel, _mixture, _normalize_stacks
+from .em import FitOptions, MixtureModel, _normalize_stacks
 from .io import _csv_cell, _write_json
 from .metrics import adjusted_rand_index, kron_relative_error, relative_error
 from .mlnd import sample
@@ -177,7 +177,7 @@ def generate_dataset(config: SimConfig, rng) -> tuple[np.ndarray, MixtureModel, 
     means = grand[None] + np.sqrt(config.snr * noise / signal) * (means - grand[None])
 
     stacks = _normalize_stacks([np.stack(dim) for dim in zip(*scales)])
-    truth = _mixture(np.full(g, 1.0 / g), means, stacks)
+    truth = MixtureModel(np.full(g, 1.0 / g), means, stacks)
     labels = np.repeat(np.arange(g), per)
     batch = np.concatenate([sample(comp, rng, size=per) for comp in truth.components])
     return batch, truth, labels
@@ -264,7 +264,8 @@ def _run_replicate(
         true_row = next((r for r in result.rows if r.g == cfg.n_groups), None)
         if true_row is not None and true_row.model is not None:
             perm = _best_permutation(labels, true_row.report.labels, cfg.n_groups)
-            pairs = [(true_row.model.components[p], t) for p, t in zip(perm, truth.components)]
+            fitted = true_row.model.components  # built anew on each access
+            pairs = [(fitted[p], t) for p, t in zip(perm, truth.components)]
             record.rel_err_mean = tuple(float(relative_error(e.mean, t.mean)) for e, t in pairs)
             record.rel_err_scale = tuple(
                 float(kron_relative_error(e.scales, t.scales)) for e, t in pairs

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from tmclust.em import MixtureModel
 from tmclust.mlnd import MlndParams, SweepWorkspace, _scatter_one, inv_lower
 
 
@@ -20,6 +21,12 @@ def random_params(dims, rng: np.random.Generator) -> MlndParams:
     mean = rng.standard_normal(dims)
     scales = [random_spd(n, rng) for n in dims]
     return MlndParams(mean=mean, scales=tuple(scales))
+
+
+def mixture(weights, components, specs=()) -> MixtureModel:
+    """The mixture of the ``MlndParams`` ``components``, as stacks."""
+    stacks = [np.stack(mats) for mats in zip(*(c.scales for c in components))]
+    return MixtureModel(weights, np.stack([c.mean for c in components]), stacks, specs)
 
 
 def spd_with_condition(n: int, cond: float, rng) -> np.ndarray:
@@ -48,7 +55,7 @@ def sweep_scatters(batch, z, comps, next_comps=None):
         scatters.append(_scatter_one(work, d0 + 1, means, z, invs, chols))
         chols[d0] = np.stack([c.chol_factors()[d0] for c in next_comps])
         invs[d0] = inv_lower(chols[d0])
-    return scatters, work.quad_matrix(means, invs)
+    return scatters, work.quad_matrix(means, invs, np.zeros(len(comps)), chols)
 
 
 @pytest.fixture

@@ -31,6 +31,10 @@ to the front.
 * :func:`normalized_scales` — the identifiability normalization one group
   and one dimension at a time, the oracle for the stacked normalization of
   ``tmclust.em.normalize_identifiability``.
+* :func:`loglik_by_component` — a mixture's log-likelihood matrix one
+  component at a time through ``tmclust.mlnd.log_density_batch``, the
+  reference for ``tmclust.em.loglik_matrix``'s one G-group workspace.  It
+  does share the package's whitening: the two must agree bit for bit.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from scipy.optimize import minimize
 from tmclust.em import FitOptions
 from tmclust.mda import as_batch, vectorize
 from tmclust.metrics import relative_error
-from tmclust.mlnd import MlndParams
+from tmclust.mlnd import MlndParams, log_density_batch
 from tmclust.parsimony import McdFactors, SharedMcdFactors, gpcm_eee_update
 
 
@@ -292,6 +296,13 @@ def normalized_scales(components) -> list[tuple[np.ndarray, ...]]:
         scales[0] *= prod
         out.append(tuple(scales))
     return out
+
+
+def loglik_by_component(batch, model) -> np.ndarray:
+    """(N, G) log pi_k + log density of each observation under component k,
+    one fresh one-group workspace per component."""
+    densities = [log_density_batch(batch, comp) for comp in model.components]
+    return np.log(model.weights) + np.column_stack(densities)
 
 
 def mcd_rowwise(lam: np.ndarray, n_star: int) -> tuple[np.ndarray, float]:

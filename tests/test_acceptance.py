@@ -25,7 +25,7 @@ from tmclust.mlnd import MlndParams, log_density, sample
 from tmclust.parsimony import ScaleModel, gpcm_eee_update, mcd_vvi_update
 from tmclust.simulate import SimConfig, run_study
 
-from conftest import random_params, random_spd
+from conftest import mixture, random_params, random_spd
 from oracles import dense_log_density, eee_oracle, kron, quadratic_form
 
 
@@ -210,7 +210,7 @@ def test_criterion_6_normalization():
         dims = tuple(int(rng.integers(1, 4)) for _ in range(order))
         comps = [random_params(dims, rng) for _ in range(g)]
         weights = rng.dirichlet(np.ones(g))
-        model = MixtureModel(weights=weights, components=comps)
+        model = mixture(weights, comps)
         batch = rng.standard_normal((8,) + dims)
         _, ll_before = e_step(batch, model)
 

@@ -39,7 +39,7 @@ from tmclust.selection import ScanGrid, scan
 from tmclust.simulate import SimConfig, generate_dataset, random_scale_matrix
 
 import oracles
-from conftest import random_spd, sweep_scatters
+from conftest import mixture, random_spd, sweep_scatters
 
 ALL_SPECS = [
     ScaleModel.VVV,
@@ -142,7 +142,7 @@ def test_kmeans_rejects_too_many_groups(rng):
 def test_e_step_single_component(rng):
     batch = rng.normal(size=(7, 2, 3))
     comp = MlndParams(mean=np.zeros((2, 3)), scales=(np.eye(2), np.eye(3)))
-    model = MixtureModel(weights=[1.0], components=(comp,))
+    model = mixture([1.0], (comp,))
     z, ll = e_step(batch, model)
     assert np.array_equal(z, np.ones((7, 1)))
     assert ll == pytest.approx(float(log_density_batch(batch, comp).sum()), rel=1e-14)
@@ -151,7 +151,7 @@ def test_e_step_single_component(rng):
 def test_e_step_identical_components_split_evenly(rng):
     batch = rng.normal(size=(6, 2, 2))
     comp = MlndParams(mean=np.zeros((2, 2)), scales=(np.eye(2), np.eye(2)))
-    model = MixtureModel(weights=[0.5, 0.5], components=(comp, comp))
+    model = mixture([0.5, 0.5], (comp, comp))
     z, ll = e_step(batch, model)
     assert np.allclose(z, 0.5, rtol=0, atol=1e-14)
     # log(1/2 e^l + 1/2 e^l) = l
@@ -164,7 +164,7 @@ def test_e_step_extreme_separation_is_hard(rng):
         MlndParams(mean=np.full(dims, 60.0 * k), scales=(0.01 * np.eye(2), np.eye(2)))
         for k in range(2)
     )
-    model = MixtureModel(weights=[0.5, 0.5], components=comps)
+    model = mixture([0.5, 0.5], comps)
     batch = np.stack([comps[0].mean, comps[1].mean])
     z, _ = e_step(batch, model)
     assert z[0, 0] > 1.0 - 1e-12
@@ -179,7 +179,7 @@ def test_e_step_log_sum_exp_matches_scipy(rng):
         )
         for _ in range(3)
     )
-    model = MixtureModel(weights=[0.2, 0.3, 0.5], components=comps)
+    model = mixture([0.2, 0.3, 0.5], comps)
     batch = rng.normal(size=(40,) + dims) * 4.0
     lm = loglik_matrix(batch, model)
     want = logsumexp(lm, axis=1)
@@ -194,7 +194,7 @@ def test_e_step_names_observation_with_zero_density(rng):
     comps = tuple(
         MlndParams(mean=np.full(dims, float(k)), scales=(np.eye(2), np.eye(2))) for k in range(2)
     )
-    model = MixtureModel(weights=[0.5, 0.5], components=comps)
+    model = mixture([0.5, 0.5], comps)
     batch = rng.normal(size=(5,) + dims)
     batch[3] = 1e200  # squared Mahalanobis norm overflows to inf under every component
     with np.errstate(over="ignore"):
@@ -206,10 +206,46 @@ def test_e_step_names_observation_with_zero_density(rng):
 def test_loglik_matrix_shape(rng):
     batch = rng.normal(size=(5, 2, 2))
     comp = MlndParams(mean=np.zeros((2, 2)), scales=(np.eye(2), np.eye(2)))
-    model = MixtureModel(weights=[0.25, 0.75], components=(comp, comp))
+    model = mixture([0.25, 0.75], (comp, comp))
     lm = loglik_matrix(batch, model)
     assert lm.shape == (5, 2)
     assert np.allclose(lm[:, 1] - lm[:, 0], np.log(3.0), rtol=0, atol=1e-12)
+
+
+def test_a_batch_of_other_dims_is_rejected(rng):
+    comp = MlndParams(mean=np.zeros((2, 3)), scales=(np.eye(2), np.eye(3)))
+    model = mixture([1.0], (comp,))
+    batch = rng.normal(size=(5, 3, 2))  # as many entries, in other dims
+    for evaluate, params in [(loglik_matrix, model), (e_step, model), (log_density_batch, comp)]:
+        with pytest.raises(ValueError, match=r"^batch has dims \(3, 2\), expected \(2, 3\)$"):
+            evaluate(batch, params)
+
+
+# (dims, N, G, specs): the benchmark fit's cell, the scan's, the study's first
+# and a small matrix-variate one
+EVALUATION_CELLS = {
+    "7x7x7x7": ((7, 7, 7, 7), 180, 3, (ScaleModel.VVV,) * 4),
+    "8x6x5": ((8, 6, 5), 150, 4, (ScaleModel.MCD_EVI, ScaleModel.VVV, ScaleModel.MCD_VVI)),
+    "4x4x4x4": ((4, 4, 4, 4), 60, 2, (ScaleModel.VVV,) * 4),
+    "3x2": ((3, 2), 42, 3, (ScaleModel.GPCM_VVI, ScaleModel.GPCM_EEE)),
+}
+
+
+@pytest.mark.parametrize("cell", list(EVALUATION_CELLS))
+def test_models_evaluate_bit_for_bit_as_component_by_component(cell, monkeypatch):
+    """A fitted model's ``loglik_matrix``, one G-group workspace, and the
+    responsibilities and log-likelihood of ``e_step`` equal the per-component
+    reference exactly."""
+    dims, n, g, specs = EVALUATION_CELLS[cell]
+    config = SimConfig(n_obs=n, dims=dims, n_groups=3, replicates=1, snr=1.0)
+    batch, _, _ = generate_dataset(config, np.random.default_rng(n))
+    model, _ = fit(batch, g, specs=specs, options=FitOptions(seed=5))
+    assert np.array_equal(loglik_matrix(batch, model), oracles.loglik_by_component(batch, model))
+    z, ll = e_step(batch, model)
+    monkeypatch.setattr(em, "loglik_matrix", oracles.loglik_by_component)
+    want_z, want_ll = e_step(batch, model)
+    assert np.array_equal(z, want_z)
+    assert ll == want_ll
 
 
 # --- M-steps -----------------------------------------------------------------------
@@ -238,6 +274,7 @@ def test_m_step_pi_soft(rng):
 def test_m_step_pi_flags_empty(rng):
     z = np.ones((10, 2))
     z[:, 1] = 1e-9
+    z[:, 0] -= 1e-9
     with pytest.raises(EmptyComponentError):
         first_m_step(rng.normal(size=(10, 2, 2)), z)
 
@@ -426,14 +463,12 @@ def _toy_model(rng, dims=(2, 2, 3), g=2, specs=None):
         )
         for _ in range(g)
     )
-    return MixtureModel(
-        weights=np.full(g, 1.0 / g), components=comps, specs=specs or ()
-    )
+    return mixture(np.full(g, 1.0 / g), comps, specs or ())
 
 
 def test_normalize_two_dim_fixture():
     comp = MlndParams(mean=np.zeros((2, 2)), scales=(2.0 * np.eye(2), 3.0 * np.eye(2)))
-    model = MixtureModel(weights=[1.0], components=(comp,))
+    model = mixture([1.0], (comp,))
     out = normalize_identifiability(model)
     assert np.array_equal(out.components[0].scales[0], 6.0 * np.eye(2))
     assert np.array_equal(out.components[0].scales[1], np.eye(2))
@@ -493,8 +528,8 @@ def test_normalize_rejects_a_nan_scale(entry, message):
     """A NaN written into a scale is named by its dimension, not spread
     over the first scale."""
     comp = MlndParams(mean=np.zeros((2, 2)), scales=(np.eye(2), np.eye(2)))
-    model = MixtureModel(weights=[1.0], components=(comp,))
-    comp.scales[1][entry] = np.nan
+    model = mixture([1.0], (comp,))
+    model.components[0].scales[1][entry] = np.nan
     with pytest.raises(ValueError, match=message):
         normalize_identifiability(model)
 
@@ -530,7 +565,7 @@ def test_normalize_matches_the_per_group_loop():
             )
             for _ in range(rng.integers(1, 5))
         )
-        model = MixtureModel(np.full(len(comps), 1.0 / len(comps)), comps)
+        model = mixture(np.full(len(comps), 1.0 / len(comps)), comps)
         out = normalize_identifiability(model)
         for comp, want in zip(out.components, oracles.normalized_scales(comps)):
             assert all(np.array_equal(a, b) for a, b in zip(comp.scales, want))
@@ -543,9 +578,7 @@ def test_normalize_rescales_factor_records(rng):
 
     _, (delta,), (shape,) = mcd_vvi_update(lam[None], n_star=6)
     comp = MlndParams(mean=np.zeros(dims), scales=(random_spd(2, rng), delta * shape))
-    model = MixtureModel(
-        weights=[1.0], components=(comp,), specs=(ScaleModel.VVV, ScaleModel.MCD_VVI)
-    )
+    model = mixture([1.0], (comp,), (ScaleModel.VVV, ScaleModel.MCD_VVI))
     out = normalize_identifiability(model)
     new_fac = out.factors[2][0]
     assert isinstance(new_fac, McdFactors)
@@ -664,7 +697,7 @@ def test_non_member_scales_are_rejected(rng, tmp_path, spec):
     comps[1] = MlndParams(comps[1].mean, (bad,) + comps[1].scales[1:])
     match = f"{spec.value} scale of dimension 1: group [01] is not a member of the family"
     with pytest.raises(ValueError, match=match):
-        MixtureModel(model.weights, comps, specs)
+        mixture(model.weights, comps, specs)
     doc = result_document(model, report, options)
     doc["groups"][1]["scales"][0] = bad.tolist()
     path = tmp_path / "result.json"
@@ -687,7 +720,7 @@ def test_ill_conditioned_mcd_members_are_accepted(tmp_path):
     for _ in range(200):
         c = np.tril(rng.normal(0.0, 8.0, (6, 6)), -1) + np.eye(6)
         scale = c @ c.T
-        MixtureModel([1.0], [MlndParams(np.zeros((6, 2)), (scale, np.eye(2)))], specs)
+        mixture([1.0], [MlndParams(np.zeros((6, 2)), (scale, np.eye(2)))], specs)
         doc["groups"][0]["scales"][0] = scale.tolist()
         path.write_text(json.dumps(doc))
         assert np.array_equal(read_result(path)[0].components[0].scales[0], scale)
@@ -821,6 +854,10 @@ def test_fit_rejects_init_z_whose_rows_do_not_sum_to_one(rng):
     batch = rng.standard_normal((20, 3, 2))
     with pytest.raises(ValueError, match="sum to 1"):
         fit(batch, 2, init_z=np.full((20, 2), 0.6), options=FitOptions(max_iterations=3))
+    # rows of 0.5 and 1.5 whose total is still N
+    init_z = np.tile([[0.2, 0.3], [0.8, 0.7]], (10, 1))
+    with pytest.raises(ValueError, match="sum to 1"):
+        fit(batch, 2, init_z=init_z, options=FitOptions(max_iterations=3))
 
 
 @pytest.mark.parametrize(
@@ -858,11 +895,31 @@ def test_group_counts_accept_numpy_integers(rng):
     assert free_params(specs, np.int64(2), (3, 2)) == free_params(specs, 2, (3, 2))
 
 
+@pytest.mark.parametrize(
+    "scales, message",
+    [
+        ([np.eye(3), [np.eye(2), np.eye(3)]],
+         "scale matrix for dimension 2 has extent 3, expected 2"),
+        ([np.eye(3)], "got 1 scale matrices for an order-2 mean"),
+        ([np.eye(3), [np.eye(2), np.triu(np.ones((2, 2)))]],
+         "scale matrix for dimension 2 is not symmetric"),
+        ([np.eye(3), [np.eye(2)]], "got 1 scales of dimension 2 for 2 groups"),
+    ],
+    ids=["scale-extent", "scale-count", "scale-asymmetric", "scale-groups"],
+)
+def test_mixture_model_checks_its_stacks(scales, message):
+    """The stacks follow the rules of one component, with its messages; a
+    stack given as G matrices is checked matrix by matrix before stacking."""
+    scales = [np.stack([scales[0]] * 2), *scales[1:]]  # (2, 3, 3) for dimension 1
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        MixtureModel([0.5, 0.5], np.zeros((2, 3, 2)), scales)
+
+
 def test_mixture_and_component_reject_non_finite_values():
     comps = [MlndParams(mean=np.zeros((3, 2)), scales=(np.eye(3), np.eye(2)))] * 2
     for weights in ([np.nan, 0.5], [np.inf, 0.5], [np.nan, np.nan]):
         with pytest.raises(ValueError, match="weights must be positive and sum to 1"):
-            MixtureModel(weights, comps)
+            mixture(weights, comps)
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="the mean holds a NaN or infinite entry"):
             MlndParams(mean=np.full((3, 2), bad), scales=(np.eye(3), np.eye(2)))
@@ -1100,9 +1157,9 @@ def test_fit_peak_is_the_workspace(cell_7x4):
 
 
 def test_public_loglik_peak_is_one_workspace(cell_7x4):
-    """A model's densities whiten each component in a fresh one-group
-    workspace, every block in its two block buffers: no public route
-    allocates anything of the batch's size."""
+    """A model's densities whiten every group in one fresh G-group
+    workspace, and a component's in a one-group one, every block in its two
+    block buffers: no public route allocates anything of the batch's size."""
     z = init_kmeans(cell_7x4, 3, rng=np.random.default_rng(0))
     model, _ = fit(cell_7x4, 3, init_z=z, options=FitOptions(max_iterations=1))
     for fn, arg in [

@@ -402,6 +402,20 @@ def result_doc(rng):
          "scale matrix for dimension 2 holds a NaN or infinite entry"),
         (lambda doc: json.dumps({**doc, "weights": [float("nan")] + doc["weights"][1:]}),
          "weights must be positive and sum to 1"),
+        # one group's scales, stacked per dimension, keep the per-group messages
+        (lambda doc: json.dumps({**doc, "groups": doc["groups"][:1] + [
+            {**g, "scales": g["scales"][:1] + [np.eye(2).tolist()]} for g in doc["groups"][1:]]}),
+         r"scale matrix for dimension 2 has extent 2, expected 3"),
+        (lambda doc: json.dumps({**doc, "groups": doc["groups"][:1] + [
+            {**g, "scales": g["scales"][:1]} for g in doc["groups"][1:]]}),
+         "got 1 scale matrices for an order-2 mean"),
+        (lambda doc: json.dumps({**doc, "groups": doc["groups"][:1] + [
+            {**g, "scales": g["scales"] + [np.eye(3).tolist()]} for g in doc["groups"][1:]]}),
+         "got 3 scale matrices for an order-2 mean"),
+        (lambda doc: json.dumps({**doc, "groups": doc["groups"][:1] + [
+            {**g, "scales": g["scales"][:1] + [np.triu(np.ones((3, 3))).tolist()]}
+            for g in doc["groups"][1:]]}),
+         "scale matrix for dimension 2 is not symmetric"),
         # the config echo must be what FitOptions accepts
         (lambda doc: json.dumps({**doc, "config": {**doc["config"], "seed": "x"}}),
          "seed must be one or more integers >= 0, got 'x'"),
@@ -417,7 +431,8 @@ def result_doc(rng):
          "event-group-float", "event-dim-string", "event-iteration-float",
          "labels-string", "labels-bool", "labels-float", "loglik-trace-string",
          "responsibilities-string", "weights-string", "mean-string", "scales-bool",
-         "factor-string", "scale-nan", "weights-nan", "config-seed-string",
+         "factor-string", "scale-nan", "weights-nan", "scale-extent", "scale-count",
+         "scale-extra", "scale-asymmetric", "config-seed-string",
          "config-not-an-object", "config-unknown-field", "config-count-bool"],
 )
 def test_read_result_names_the_file_on_bad_input(tmp_path, result_doc, corrupt, match):

@@ -238,8 +238,9 @@ def test_sweep_skips_zero_weight_rows(dims, block_rows, rng, monkeypatch):
         white = oracles.whiten_all_modes(batch - new[k].mean, new[k].chol_factors())
         assert_matches_oracle(quad[:, k], (white.reshape(n, -1) ** 2).sum(axis=1))
     # before any sweep, every row is whitened from scratch
-    inv = [inv_lower(L)[None] for L in new[2].chol_factors()]
-    fresh = mlnd.SweepWorkspace(batch, 1).quad_matrix(new[2].mean[None], inv)
+    chol = [L[None] for L in new[2].chol_factors()]
+    inv = [inv_lower(L) for L in chol]
+    fresh = mlnd.SweepWorkspace(batch, 1).quad_matrix(new[2].mean[None], inv, np.zeros(1), chol)
     assert_matches_oracle(fresh[:, 0], (white.reshape(n, -1) ** 2).sum(axis=1))
 
 
@@ -255,7 +256,7 @@ def test_a_forms_only_workspace_holds_no_batch_sized_array(rng, monkeypatch):
     chols = [np.stack(mats) for mats in zip(*(c.chol_factors() for c in comps))]
     invs = [inv_lower(L) for L in chols]
     work = mlnd.SweepWorkspace(batch, 2)
-    quad = work.quad_matrix(means, invs)
+    quad = work.quad_matrix(means, invs, np.zeros(2), chols)
     assert work.held is None
     arrays = [v for v in vars(work).values() if isinstance(v, np.ndarray) and v is not batch]
     assert max(a.nbytes for a in arrays) <= 2 * 2 * batch[0].nbytes

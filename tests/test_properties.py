@@ -20,7 +20,7 @@ from tmclust.io import _load_csv_long, _parse_csv_long, _scan_csv_long  # noqa: 
 from tmclust.mlnd import MlndParams  # noqa: E402
 from tmclust.parsimony import ScaleModel, mcd_evi_update, mcd_vvi_update  # noqa: E402
 
-from conftest import spd_with_condition  # noqa: E402
+from conftest import mixture, spd_with_condition  # noqa: E402
 from oracles import dense_log_density, mcd_rowwise  # noqa: E402
 
 PROPERTY = settings(derandomize=True, max_examples=200, deadline=None, database=None)
@@ -151,7 +151,7 @@ def test_densities_match_the_dense_oracle(case):
     with pytest.MonkeyPatch.context() as mp:
         if block_rows is not None:
             mp.setattr(mlnd, "_BLOCK_BYTES", block_rows * batch[0].nbytes)
-        matrix = loglik_matrix(batch, MixtureModel(weights, comps))
+        matrix = loglik_matrix(batch, mixture(weights, comps))
         for k, comp in enumerate(comps):
             want = [dense_log_density(x, comp) for x in batch]
             np.testing.assert_allclose(mlnd.log_density_batch(batch, comp), want, rtol=1e-9)
