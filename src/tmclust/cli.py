@@ -106,6 +106,13 @@ def _options_from(args) -> FitOptions:
     )
 
 
+def _check_out_dirs(*paths) -> None:
+    """Fail before any work when an output path's directory does not exist."""
+    for path in paths:
+        if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
+            raise _UsageError(f"cannot write {path}: no directory {os.path.dirname(path)}")
+
+
 def _load(args):
     manifest = read_manifest(args.manifest)
     data = load_dataset(args.manifest, data_path=args.data)
@@ -116,6 +123,7 @@ def _load(args):
 
 
 def cmd_fit(args) -> int:
+    _check_out_dirs(args.out, args.labels_out)
     manifest, data = _load(args)
     specs = _parse_specs(args.scale_models) if args.scale_models else None
     options = _options_from(args)
@@ -140,6 +148,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    _check_out_dirs(args.out, args.best)
     manifest, data = _load(args)
     groups = _parse_groups(args.groups)
     candidates = _parse_grid_spec(args.scale_models_grid, len(manifest.dims))
@@ -169,6 +178,7 @@ def cmd_scan(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    _check_out_dirs(args.out)
     try:
         if args.full_study:
             configs = full_study()

@@ -9,16 +9,27 @@ inputs.  Result documents are checked field by field, arrays included, so
 a value of the wrong JSON type is an error, not a coercion.  All floats
 in JSON documents are written by Python's shortest round-trip repr, so a
 write/read cycle reproduces every double bit for bit.
+
+Every file tmclust writes goes through :func:`_output`, which rewrites an
+existing file in place: it opens the file without truncating it, writes
+the new bytes over the old ones and then cuts the file at the end of what
+it wrote.  On ext4, truncating a file on open when it was rewritten
+moments before can block for tens of milliseconds; overwriting does not.
+The file keeps its inode, mode and links, a symlink's target is
+rewritten, and a target that is not a regular file (``/dev/null``, a
+pipe) is written but not cut.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import itertools
 import json
 import math
 import os
 import re
+import stat
 import warnings
 from collections import Counter
 from dataclasses import dataclass, fields
@@ -145,11 +156,34 @@ def read_manifest(path) -> DatasetManifest:
         raise DataFormatError(f"manifest {path}: {exc}") from None
 
 
+@contextlib.contextmanager
+def _output(path, binary: bool = False):
+    """A text (or ``binary``) handle that rewrites ``path`` in place.
+
+    The file is created if missing and opened without ``O_TRUNC``; on exit,
+    error or not, a regular file is cut at the end of what was written, so
+    it holds exactly the new bytes.  Text is written without newline
+    translation.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "wb" if binary else "w", newline=None if binary else "") as fh:
+        try:
+            yield fh
+        finally:
+            fh.flush()
+            if stat.S_ISREG(os.fstat(fd).st_mode):  # /dev/null and pipes cannot be cut
+                os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+
+
 def _write_json(doc, path) -> None:
-    """Deterministic JSON: sorted keys, two-space indent, no NaN, final newline."""
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+    """Deterministic JSON: sorted keys, two-space indent, no NaN, final newline.
+
+    The document is serialized before the file is opened, so one that cannot
+    be written (a NaN, a value JSON has no form for) leaves the file as it was.
+    """
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    with _output(path) as fh:
+        fh.write(text + "\n")
 
 
 def write_manifest(manifest: DatasetManifest, path) -> None:
@@ -306,7 +340,7 @@ def write_csv_long(path, data) -> None:
     batch = as_batch(data)
     dims = batch.shape[1:]
     d = len(dims)
-    with open(path, "w", newline="") as fh:
+    with _output(path) as fh:
         w = csv.writer(fh)
         w.writerow(["obs_id"] + [f"i{k + 1}" for k in range(d)] + ["value"])
         for obs in range(batch.shape[0]):
@@ -317,7 +351,9 @@ def write_csv_long(path, data) -> None:
 
 def write_bin_f64(path, data) -> None:
     batch = as_batch(data)
-    np.ascontiguousarray(batch, dtype="<f8").tofile(path)
+    with _output(path, binary=True) as fh:
+        # the array's own buffer, not tofile(fh): that asks a pipe for a position
+        fh.write(np.ascontiguousarray(batch, dtype="<f8").data)
 
 
 # --- fit result documents ---------------------------------------------------------
@@ -472,7 +508,7 @@ def write_labels_csv(path, labels, responsibilities) -> None:
     z = np.asarray(responsibilities, dtype=np.float64)
     if z.ndim != 2 or z.shape[0] != labels.shape[0]:
         raise ValueError("responsibilities must be (N, G) matching labels")
-    with open(path, "w", newline="") as fh:
+    with _output(path) as fh:
         w = csv.writer(fh)
         w.writerow(["obs_id", "map_label"] + [f"z_{g + 1}" for g in range(z.shape[1])])
         for i in range(labels.shape[0]):

@@ -11,7 +11,7 @@ from typing import Sequence
 from ._blas import one_blas_thread
 from ._fields import _convert_field, _count, _items
 from .em import FitOptions, FitReport, MixtureModel, bic, fit, free_params
-from .io import _csv_cell
+from .io import _csv_cell, _output
 from .mda import as_batch
 from .parsimony import ScaleModel
 
@@ -174,7 +174,7 @@ def write_bic_table(result: ScanResult, path) -> None:
     header = ["G"] + [f"spec_d{i + 1}" for i in range(d)] + [
         "loglik", "rho", "bic", "converged", "singular_events",
     ]
-    with open(path, "w", newline="") as fh:
+    with _output(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in result.rows:

@@ -22,7 +22,7 @@ import numpy as np
 from ._blas import one_blas_thread
 from ._fields import _convert_field, _count, _integer, _items, _number
 from .em import FitOptions, MixtureModel, _normalize_stacks
-from .io import _csv_cell, _write_json
+from .io import _csv_cell, _output, _write_json
 from .metrics import adjusted_rand_index, kron_relative_error, relative_error
 from .mlnd import sample
 from .parsimony import ScaleModel
@@ -415,7 +415,7 @@ def write_report_csvs(report: StudyReport, directory) -> None:
     os.makedirs(directory, exist_ok=True)
 
     def write(name, header, rows):
-        with open(os.path.join(directory, name), "w", newline="") as fh:
+        with _output(os.path.join(directory, name)) as fh:
             w = csv.writer(fh)
             w.writerow(header)
             w.writerows([_csv_cell(v) for v in row] for row in rows)

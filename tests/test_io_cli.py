@@ -3,13 +3,16 @@
 import dataclasses
 import json
 import os
+import stat
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
 
 import tmclust
+import tmclust.cli
 from tmclust.cli import main
 from tmclust.em import FitOptions, fit
 from tmclust.errors import DataFormatError
@@ -28,7 +31,8 @@ from tmclust.io import (
 )
 from tmclust.mlnd import MlndParams, sample
 from tmclust.parsimony import ScaleModel
-from tmclust.selection import _cell_seed
+from tmclust.selection import ScanGrid, _cell_seed, scan, write_bic_table
+from tmclust.simulate import SimConfig, run_study, write_report_csvs, write_report_json
 
 
 @pytest.fixture
@@ -470,6 +474,125 @@ def test_labels_csv_pins_every_cell_format(tmp_path):
     )
 
 
+# --- rewriting output files ------------------------------------------------------------
+
+# every writer, by the name of the file it writes; the report CSVs are written
+# into the directory of the path given
+WRITERS = [
+    "write_result", "write_manifest", "write_report_json", "write_bic_table",
+    "write_labels_csv", "write_csv_long", "write_bin_f64",
+    "write_report_csvs/replicates.csv", "write_report_csvs/cells.csv",
+]
+
+
+@pytest.fixture(scope="module")
+def writers():
+    """Each writer as (file name, write(path))."""
+    batch = np.random.default_rng(11).normal(size=(12, 2, 3))
+    options = FitOptions(seed=1)
+    model, report = fit(batch, 2, options=options)
+    manifest = DatasetManifest(dims=(2, 3), n_obs=12, data="d.csv")
+    doc = result_document(model, report, options, manifest)
+    table = scan(batch, ScanGrid(groups=(1, 2), spec_candidates=[["VVV"], ["VVV", "EEE"]]))
+    study = run_study(
+        SimConfig(n_obs=24, dims=(2, 3), n_groups=3, replicates=1, base_seed=3, g_scan=(2, 3)),
+        workers=1,
+    )
+    return {
+        "write_result": ("r.json", lambda p: write_result(doc, p)),
+        "write_manifest": ("m.json", lambda p: write_manifest(manifest, p)),
+        "write_report_json": ("s.json", lambda p: write_report_json(study, p)),
+        "write_bic_table": ("t.csv", lambda p: write_bic_table(table, p)),
+        "write_labels_csv": (
+            "l.csv", lambda p: write_labels_csv(p, report.labels, report.responsibilities)
+        ),
+        "write_csv_long": ("d.csv", lambda p: write_csv_long(p, batch)),
+        "write_bin_f64": ("d.bin", lambda p: write_bin_f64(p, batch)),
+        "write_report_csvs/replicates.csv": (
+            "replicates.csv", lambda p: write_report_csvs(study, p.parent)
+        ),
+        "write_report_csvs/cells.csv": ("cells.csv", lambda p: write_report_csvs(study, p.parent)),
+    }
+
+
+def _fresh_bytes(tmp_path, name, write) -> bytes:
+    path = tmp_path / "fresh" / name
+    path.parent.mkdir()
+    write(path)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("writer", WRITERS)
+def test_writers_rewrite_a_file_in_place(tmp_path, monkeypatch, writers, writer):
+    """A longer old file ends with exactly a fresh write's bytes, keeps its
+    inode and mode, and is reached through a symlink; the file is never
+    opened with O_TRUNC, which can stall for tens of milliseconds on ext4."""
+    name, write = writers[writer]
+    want = _fresh_bytes(tmp_path, name, write)
+    flags = []
+    real_open = os.open
+
+    def recording_open(path, flag, *args, **kwargs):
+        flags.append(flag)
+        return real_open(path, flag, *args, **kwargs)
+
+    monkeypatch.setattr(tmclust.io.os, "open", recording_open)
+    target = tmp_path / "old" / name
+    target.parent.mkdir()
+    target.write_bytes(want + b"a stale tail\n" * 400)
+    target.chmod(0o640)
+    inode = target.stat().st_ino
+    write(target)
+    assert target.read_bytes() == want
+    assert target.stat().st_ino == inode
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
+
+    link = tmp_path / "link" / name
+    link.parent.mkdir()
+    link.symlink_to(target)
+    target.write_bytes(want * 2)
+    write(link)
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == want
+    assert flags and not any(flag & os.O_TRUNC for flag in flags)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd to name a pipe")
+@pytest.mark.parametrize("writer", [w for w in WRITERS if "/" not in w])
+def test_writers_write_into_a_pipe_and_the_null_device(tmp_path, writers, writer):
+    """A target that is not a regular file is written but not cut: a pipe
+    cannot seek and the null device cannot be truncated."""
+    name, write = writers[writer]
+    want = _fresh_bytes(tmp_path, name, write)
+    write(os.devnull)
+    read_fd, write_fd = os.pipe()
+    chunks = []
+
+    def drain():
+        while chunk := os.read(read_fd, 1 << 16):
+            chunks.append(chunk)
+
+    reader = threading.Thread(target=drain)
+    reader.start()
+    try:
+        write(f"/dev/fd/{write_fd}")
+    finally:
+        os.close(write_fd)
+        reader.join(timeout=60)
+        os.close(read_fd)
+    assert not reader.is_alive()
+    assert b"".join(chunks) == want
+
+
+def test_a_document_that_cannot_be_written_leaves_the_old_file(tmp_path, result_doc):
+    path = tmp_path / "result.json"
+    write_result(result_doc, path)
+    old = path.read_bytes()
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        write_result({**result_doc, "bic": float("nan")}, path)
+    assert path.read_bytes() == old
+
+
 # --- the command line ------------------------------------------------------------------
 
 
@@ -772,6 +895,42 @@ def test_labels_csv_needs_each_obs_id_once(tmp_path, capsys, ids, match):
     assert str(b) in str(info.value)
     assert main(["metrics", "--labels-a", str(a), "--labels-b", str(b)]) == 1
     assert str(b) in capsys.readouterr().err
+
+
+def test_cli_writes_every_output_to_the_null_device(cli_bundle, capsys):
+    _, manifest_path, _ = cli_bundle
+    data = ["--manifest", str(manifest_path)]
+    assert main(["fit", *data, "--groups", "1", "--out", os.devnull,
+                 "--labels-out", os.devnull]) == 0
+    assert main(["scan", *data, "--groups", "1..2", "--out", os.devnull,
+                 "--best", os.devnull]) == 0
+    assert main(["simulate", "--replicates", "1", "--out", os.devnull]) == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fit", "--groups", "1", "--out", "MISSING"],
+        ["fit", "--groups", "1", "--out", "OK", "--labels-out", "MISSING"],
+        ["scan", "--groups", "1", "--out", "MISSING"],
+        ["scan", "--groups", "1", "--out", "OK", "--best", "MISSING"],
+        ["simulate", "--full-study", "--out", "MISSING"],
+    ],
+    ids=["fit-out", "fit-labels-out", "scan-out", "scan-best", "simulate-out"],
+)
+def test_a_missing_output_directory_fails_before_any_work(cli_bundle, capsys, monkeypatch, argv):
+    tmp_path, manifest_path, _ = cli_bundle
+    calls = []
+    for name in ("fit", "scan", "run_study"):
+        monkeypatch.setattr(tmclust.cli, name, lambda *args, **kwargs: calls.append(args))
+    missing = str(tmp_path / "missing" / "out")
+    argv = [missing if a == "MISSING" else str(tmp_path / "ok") if a == "OK" else a for a in argv]
+    inputs = [] if argv[0] == "simulate" else ["--manifest", str(manifest_path)]
+    assert main([*argv, *inputs]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("tmclust: error: ") and missing in err
+    assert calls == []
+    assert not (tmp_path / "ok").exists()
 
 
 def test_usage_errors_exit_1(capsys):
