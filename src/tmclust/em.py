@@ -14,16 +14,13 @@ resolved once after convergence by rescaling every non-leading scale
 matrix to a unit leading entry, one stack at a time for all groups.
 
 The sweep whitens incrementally in one :class:`~tmclust.mlnd.SweepWorkspace`
-per fit: 3D-2 mode passes per group and iteration instead of D^2, the last
-giving the E-step's quadratic forms, and no temporary the size of the batch.
-A group sweeps only the observations whose responsibility is not exactly
-zero, since the others add nothing to its means and scatters; the E-step
-whitens those once with the new factors, or not at all where a bound
-carried from the last E-step proves that their responsibility underflows
-to 0.0 (:meth:`~tmclust.mlnd.SweepWorkspace.quad_matrix`).  One
-``_scatter_one`` call per dimension reads the state's factor stacks and
-returns its (G, n_d, n_d) scatters.  The workspace holds observation-last
-blocks, so the number of matrix products per pass does not grow with N.
+per fit: 3D-2 mode passes per iteration instead of D^2, each one call for
+all groups, the last giving the E-step's quadratic forms, and no temporary
+the size of the batch.  A group sweeps only the observations whose
+responsibility is not exactly zero; the E-step whitens the others once with
+the new factors, or not at all where a bound carried from the last E-step
+proves that their responsibility underflows to 0.0.  One ``_scatter_one``
+call per dimension returns its (G, n_d, n_d) scatters.
 
 A :class:`MixtureModel` holds the loop's arrays: the weights, the (G, n_1,
 ..., n_D) means and, per dimension, a (G, n_d, n_d) scale stack.  The loop

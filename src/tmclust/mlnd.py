@@ -24,19 +24,16 @@ from :func:`log_density_consts`.  A fresh workspace, as
 whitens every row from scratch in two block buffers.  A fit's workspace
 holds each group's centred support, the observations whose weight is not
 exactly zero, whitened on every mode but the one being updated;
-:func:`_scatter_one` advances the supports by the new L_d^{-1} and the old
-L_{d+1}.  The other observations add nothing to a group's scatters, so
-they are whitened once, from scratch, for the E-step, or not at all: from
-a fit's second E-step on, a lower bound on sqrt(Q) carried from the last
-one (Elkan's triangle-inequality bounds for k-means, 2003) skips every
-such pair whose entry provably lies 800 nats below its row's best.  Its
-form is +inf: the exact one's responsibility underflows to 0.0 just as
-exp(-inf) does, so the E-step's outputs are bit for bit those of
-whitening it.  Blocks keep observations last, so the contracted mode of
-every pass and Gram has them in its trailing extent.  Every centring and
-pass sequence runs in :meth:`SweepWorkspace.whiten`, and every single-mode
-pass through :func:`_solve_mode`.  :func:`chol_lower` and
-:func:`inv_lower` also take (G, n, n) stacks.
+:func:`_scatter_one` advances all supports at once by the new L_d^{-1} and
+the old L_{d+1}, one call per mode pass.  A group's other observations are
+whitened from scratch for the E-step, or not at all: from a fit's second
+E-step on, a lower bound on sqrt(Q) carried from the last one (Elkan's
+triangle-inequality bounds for k-means, 2003) skips every pair whose entry
+provably lies 800 nats below its row's best.  Its form is +inf, whose
+responsibility underflows to 0.0 as the exact one's does, so the E-step's
+outputs are bit for bit those of whitening it.  Every pass goes through
+:func:`_solve_mode`; :func:`chol_lower` and :func:`inv_lower` also take
+(G, n, n) stacks.
 """
 
 from __future__ import annotations
@@ -47,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotPositiveDefiniteError
-from .mda import _as_array, as_batch, multiply_axis
+from .mda import _as_array, _fibres, as_batch, multiply_axis
 
 _SYM_TOL = 1e-12
 _BLOCK_BYTES = 512 * 1024  # largest block of observations one sweep pass touches
@@ -71,12 +68,8 @@ def chol_lower(mat: np.ndarray, dim: int | None = None) -> np.ndarray:
 
 
 def inv_lower(L: np.ndarray) -> np.ndarray:
-    """Inverse of a lower Cholesky factor (or of each of a stack), itself
-    lower triangular.
-
-    ``tril`` drops the round-off that the pivoted LU inverse can leave above
-    the diagonal.
-    """
+    """Inverse of a lower Cholesky factor (or of each of a stack); ``tril``
+    drops the round-off the pivoted LU inverse can leave above the diagonal."""
     return np.tril(np.linalg.inv(L))
 
 
@@ -116,17 +109,9 @@ def _check_stacks(means, scales) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
 
 @dataclass(eq=False)
 class MlndParams:
-    """Parameters of one multilinear normal component.
-
-    Parameters
-    ----------
-    mean : array_like
-        The mean array, of shape ``dims`` and order D >= 2; kept as a
-        C-contiguous float64 ndarray.
-    scales : sequence of ndarray
-        Per-dimension scale matrices (Delta_1, ..., Delta_D), each symmetric
-        positive definite.
-    """
+    """Parameters of one multilinear normal component: the ``mean`` array
+    of shape ``dims`` and order D >= 2 (kept C-contiguous float64) and the
+    symmetric positive-definite ``scales`` (Delta_1, ..., Delta_D)."""
 
     mean: np.ndarray
     scales: tuple[np.ndarray, ...]
@@ -155,79 +140,96 @@ def log_density_consts(chols) -> np.ndarray:
     return -0.5 * n_star * (np.log(2.0 * np.pi) + ldt)
 
 
-def _solve_mode(values: np.ndarray, inv_factor: np.ndarray, axis: int, out=None) -> np.ndarray:
-    """Apply L^{-1} along one axis: one single-mode whitening pass (the EM
-    sweep also passes L, to undo one).  ``out`` as in ``multiply_axis``."""
-    return multiply_axis(values, inv_factor, axis, out)
+def _solve_mode(values: np.ndarray, factors: np.ndarray, axis: int, out=None) -> np.ndarray:
+    """Apply each group's factor along one axis of its array: the one
+    whitening pass (the EM sweep also passes L, to undo one)."""
+    return multiply_axis(values, factors, axis, out)
 
 
 class SweepWorkspace:
     """The buffers of one fit's whitening sweep.
 
-    A group's sweep touches only its support, the rows whose weight is not
-    exactly zero: the others add nothing to its means and scatters.  Arrays
-    are held observation-last, in blocks of shape (n_1, ..., n_D, b) of at
-    most ``_BLOCK_BYTES`` (at least one observation), so a pass on mode d is
-    prod(n_1..n_{d-1}) matrix products whatever N is.  ``blocks[k]`` lists
-    the (rows, block buffer, held block) of each block of group k's support,
-    held in group k's row of ``held``, which the first :meth:`restrict`
-    allocates.  Column k of the (N, G) mask ``idle`` marks its other rows,
-    its rest (before any sweep, all): :meth:`quad_matrix` whitens them in
-    the two block buffers, unless a fit's carried ``bound`` rules them out.
+    A group sweeps only its support, the rows of non-zero weight.  All groups
+    sweep at once, in blocks (G', n_1, ..., n_{D-1}, b, n_D) of at most
+    ``_BLOCK_BYTES`` (one row per group at least) stacking the G' groups with
+    rows in them, column j holding each one's j-th; a group whose rows end
+    inside a block is padded with the index N, read as row N-1 with weight
+    0, whose forms land in a discarded row.  ``axes`` gives each mode's block
+    axis, ``blocks`` the (rows, groups, weights, buffer, held block) of the
+    supports, held in ``held`` from the first :meth:`restrict` on.  The
+    (N, G) mask ``idle`` marks each group's rest (before any sweep, all
+    rows), which :meth:`quad_matrix` whitens in the two block buffers.
     """
 
     def __init__(self, batch: np.ndarray, n_groups: int):
         self.batch = batch
-        n = len(batch)
-        self.step = min(n, max(1, _BLOCK_BYTES // batch[0].nbytes))
+        n, d = len(batch), batch.ndim - 1
+        self.step = min(n, max(1, _BLOCK_BYTES // (n_groups * batch[0].nbytes)))
+        self.axes = (*range(1, d), d + 1)
         self.held = None
-        self.bufs = np.empty((2, self.step * batch[0].size))
-        self.blocks = [[] for _ in range(n_groups)]
+        self.bufs = np.empty((2, n_groups * self.step * batch[0].size))
+        self.blocks = []
         self.idle = np.ones((n, n_groups), dtype=bool)
         self.bound, self.last = 0.0, None
 
-    def restrict(self, k: int, weights: np.ndarray) -> None:
-        """Make group k's support the rows where ``weights`` is not zero."""
+    def restrict(self, z: np.ndarray) -> None:
+        """Make each group's support the rows where its column of the (N, G)
+        ``z`` is not zero; a block's (G', 1, b n_D) weights repeat along the
+        last mode, to weigh it in rows of b n_D entries."""
         if self.held is None:
-            self.held = np.empty((len(self.blocks), self.batch.size))
-        room = self.bufs.shape[1]  # the size of a full block
-        self.blocks[k] = [
-            (rows, tmp, self.held[k, j * room : j * room + tmp.size].reshape(tmp.shape))
-            for j, (rows, tmp, _) in enumerate(self.carve(np.flatnonzero(weights)))
-        ]
-        self.idle[:, k] = weights == 0
+            self.held = np.empty((self.idle.shape[1], self.batch.size))
+        self.idle = z == 0
+        padded = np.concatenate([z, np.zeros((1, z.shape[1]))])  # row N weighs the padding
+        groups, start, self.blocks = np.arange(z.shape[1])[:, None], 0, []
+        for rows, act, tmp, _ in self.carve(~self.idle):
+            weights = np.repeat(padded[rows, groups[act]], self.batch.shape[-1], axis=1)[:, None]
+            held = self.held.reshape(-1)[start : start + tmp.size].reshape(tmp.shape)
+            self.blocks.append((rows, act, weights, tmp, held))
+            start += tmp.size
 
-    def carve(self, rows: np.ndarray) -> list:
-        """(rows, buffer, spare) of each block of the ascending batch rows
-        ``rows``, the two block buffers viewed in the block's shape; rows
-        that are consecutive stay a slice, read without a gather copy."""
-        blocks, size = [], self.batch[0].size
-        for i in range(0, len(rows), self.step):
-            sel = rows[i : i + self.step]
-            b = len(sel)
-            if sel[-1] - sel[0] == b - 1:
-                sel = slice(int(sel[0]), int(sel[0]) + b)
-            shape = self.batch.shape[1:] + (b,)
-            blocks.append((sel, *(buf[: b * size].reshape(shape) for buf in self.bufs)))
+    def carve(self, mask: np.ndarray) -> list:
+        """(rows, groups, buffer, spare) of each block of the (N, G) ``mask``'s
+        pairs, the two buffers viewed in its shape: ``groups`` indexes the
+        groups with pairs in it (a full slice if all have), ``rows`` their
+        rows in ascending order, then N.  Blocks split the columns evenly, so
+        none is one column wide unless ``step`` or the widest group is."""
+        counts = np.count_nonzero(mask, axis=0)
+        width = int(counts.max(initial=0))
+        count = -(-width // self.step)
+        if not count:
+            return []
+        order = np.argsort(~mask, axis=0, kind="stable")[:width].T
+        rows = np.where(np.arange(width) < counts[:, None], order, len(mask))
+        blocks, dims = [], self.batch.shape[1:]
+        for lo, hi in [(j * width // count, (j + 1) * width // count) for j in range(count)]:
+            act = slice(None) if counts.min() > lo else np.flatnonzero(counts > lo)
+            shape = (len(rows[act]), *dims[:-1], hi - lo, dims[-1])
+            bufs = (buf[: math.prod(shape)].reshape(shape) for buf in self.bufs)
+            blocks.append((rows[act, lo:hi], act, *bufs))
         return blocks
 
-    def whiten(self, out: np.ndarray, spare: np.ndarray, passes, rows=None, mean=None):
-        """Apply the (factor, axis) ``passes`` in turn, ping-ponging so that
-        the last ends in ``out``.  The input is the batch's ``rows`` minus
-        ``mean`` (rows not given as a slice are gathered into a buffer, as
-        ``take`` allocates unless told to clip), or without a ``mean`` the
-        buffer the first pass reads: ``out`` if the passes are even."""
+    def whiten(self, out, spare, passes, act, rows=None, means=None):
+        """Apply the (factor stack, axis) ``passes`` at the block's groups
+        ``act``, ping-ponging so the last ends in ``out``, to the batch's
+        ``rows`` minus ``means`` (centred row-first in the other buffer, then
+        moved), or without ``means`` to the first pass's input: ``out`` if the
+        passes are even.  Rows all groups share, if consecutive, are a slice;
+        others are gathered (``take`` allocates unless told to clip, which
+        also reads the padding index N as row N-1)."""
         src, dst = (spare, out) if len(passes) % 2 else (out, spare)
-        if mean is not None:
-            b = out.shape[-1]
-            if isinstance(rows, slice):
-                obs = self.batch[rows]
+        if means is not None:
+            (g, b), first = rows.shape, int(rows[0, 0])
+            centred = dst.reshape(g, b, -1)
+            if first + b <= len(self.batch) and np.all(rows == np.arange(first, first + b)):
+                obs = self.batch[first : first + b].reshape(1, b, -1)
             else:
-                gathered = dst.reshape((b,) + mean.shape)
-                obs = np.take(self.batch, rows, axis=0, out=gathered, mode="clip")
-            np.subtract(obs.reshape(b, -1).T, mean.reshape(-1, 1), out=src.reshape(-1, b))
-        for factor, axis in passes:
-            _solve_mode(src, factor, axis, out=dst)
+                obs, shape = centred, (g * b,) + means.shape[1:]
+                np.take(self.batch, rows.ravel(), axis=0, out=obs.reshape(shape), mode="clip")
+            np.subtract(obs, means[act].reshape(g, 1, -1), out=centred)
+            run = np.dtype((np.void, 8 * means.shape[-1]))  # n_D entries moved as one, 2x faster
+            np.copyto(src.view(run).reshape(g, -1, b), centred.view(run).swapaxes(1, 2))
+        for factors, axis in passes:
+            _solve_mode(src, factors[act], axis, out=dst)
             src, dst = dst, src
 
     def quad_matrix(self, means: np.ndarray, invs, offsets, chols) -> np.ndarray:
@@ -235,28 +237,25 @@ class SweepWorkspace:
         (G, n_1, ..., n_D) new means, the per-dimension (G, n_d, n_d) stacks
         of the new L_d^{-1} and L_d, and the (G,) ``offsets`` log pi_k + c_k.
 
-        Each group's support lacks only the last mode's whitening, one pass
-        with the new L_D^{-1} into a block buffer.  Its rest (in a fresh
-        workspace, every row) is centred and whitened on every mode in the
-        two block buffers, except that from the second call on a rest pair
-        whose entry offsets_k - Q_ik / 2 provably sits _SKIP_NATS below its
-        row's best (:meth:`_unskipped`) is not whitened: its form is +inf.
+        The supports lack only the last mode's pass, with the new L_D^{-1}.
+        The rests (in a fresh workspace, all rows) are centred and whitened
+        on every mode, except, from the second call on, a pair whose entry
+        offsets_k - Q_ik / 2 provably sits _SKIP_NATS below its row's best
+        (:meth:`_unskipped`): its form is +inf.
         """
         if means.shape[1:] != self.batch.shape[1:]:
             raise ValueError(f"batch has dims {self.batch.shape[1:]}, expected {means.shape[1:]}")
-        quad = np.full((len(self.batch), len(means)), np.inf)
-        passes = [[(stack[k], axis) for axis, stack in enumerate(invs)] for k in range(len(means))]
-        for k, group in enumerate(self.blocks):
-            for rows, tmp, held in group:
-                self.whiten(tmp, held, passes[k][-1:])
-                quad[rows, k] = _column_norms(tmp)
-        todo = self._unskipped(quad, means, invs, offsets, chols)
-        for k, mean in enumerate(means):
-            for rows, tmp, spare in self.carve(np.flatnonzero(todo[:, k])):
-                self.whiten(tmp, spare, passes[k], rows, mean)
-                quad[rows, k] = _column_norms(tmp)
-        self.bound = np.where(self.idle & ~todo, self.bound, np.sqrt(quad))
-        return quad
+        n, groups = len(self.batch), np.arange(len(means))[:, None]
+        quad = np.full((n + 1, len(means)), np.inf)  # row N takes the padding's forms
+        for rows, act, _, tmp, held in self.blocks:
+            self.whiten(tmp, held, [(invs[-1], self.axes[-1])], act)
+            quad[rows, groups[act]] = _column_norms(tmp)
+        todo = self._unskipped(quad[:n], means, invs, offsets, chols)
+        for rows, act, tmp, spare in self.carve(todo):
+            self.whiten(tmp, spare, list(zip(invs, self.axes)), act, rows, means)
+            quad[rows, groups[act]] = _column_norms(tmp)
+        self.bound = np.where(self.idle & ~todo, self.bound, np.sqrt(quad[:n]))
+        return quad[:n]
 
     def _unskipped(self, quad, means, invs, offsets, chols) -> np.ndarray:
         """The (N, G) mask of rest pairs to whiten, given the support's forms
@@ -293,9 +292,10 @@ class SweepWorkspace:
 
 
 def _column_norms(block: np.ndarray) -> np.ndarray:
-    """Squared norm of each observation (trailing index) of a block."""
-    cols = block.reshape(-1, block.shape[-1])
-    return np.einsum("kn,kn->n", cols, cols)
+    """The (G', b) squared norms of a block's observations."""
+    g, b, n_last = len(block), block.shape[-2], block.shape[-1]
+    rows = block.reshape(g, -1, b * n_last)
+    return np.einsum("gpk,gpk->gk", rows, rows).reshape(g, b, n_last).sum(axis=2)
 
 
 def _scatter_one(work: SweepWorkspace, dim: int, means, z, invs, chols) -> np.ndarray:
@@ -303,24 +303,23 @@ def _scatter_one(work: SweepWorkspace, dim: int, means, z, invs, chols) -> np.nd
     ``dim``, from the per-dimension (G, n_d, n_d) stacks ``invs`` and
     ``chols`` of L_d^{-1} and L_d, new below ``dim`` and old from it on.
 
-    First advances each group's held support: dimension 1 takes it from
-    ``z``, centres it and whitens modes 2..D; a later one applies the new
+    First advances the held supports: dimension 1 takes them from ``z``,
+    centres them and whitens modes 2..D; a later one applies the new
     L_{dim-1}^{-1}, then the old L_dim to undo that mode.
     """
-    dims = work.batch.shape[1:]
-    n_d, lead = dims[dim - 1], math.prod(dims[: dim - 1])
+    axes, n_d = work.axes, means.shape[dim]
+    if dim == 1:
+        work.restrict(z)
+        passes = [(invs[m], axes[m]) for m in range(1, len(axes))]
+    else:
+        passes = [(invs[dim - 2], axes[dim - 2]), (chols[dim - 1], axes[dim - 1])]
     scatters = np.zeros((len(means), n_d, n_d))
-    for k, s in enumerate(scatters):
-        if dim == 1:
-            work.restrict(k, z[:, k])
-            passes = [(invs[m][k], m) for m in range(1, len(dims))]
-        else:
-            passes = [(invs[dim - 2][k], dim - 2), (chols[dim - 1][k], dim - 1)]
-        for rows, tmp, block in work.blocks[k]:
-            work.whiten(block, tmp, passes, rows, means[k] if dim == 1 else None)
-            np.multiply(block, z[rows, k], out=tmp)
-            fibres, weighted = block.reshape(lead, n_d, -1), tmp.reshape(lead, n_d, -1)
-            s += np.matmul(fibres, weighted.transpose(0, 2, 1)).sum(axis=0)
+    for rows, act, weights, tmp, block in work.blocks:
+        work.whiten(block, tmp, passes, act, rows, means if dim == 1 else None)
+        view = (len(block), -1, weights.shape[-1])
+        np.multiply(block.reshape(view), weights, out=tmp.reshape(view))
+        fibres, weighted = _fibres(block, axes[dim - 1]), _fibres(tmp, axes[dim - 1])
+        scatters[act] += np.matmul(fibres, weighted.swapaxes(2, 3)).sum(axis=1)
     return (scatters + scatters.transpose(0, 2, 1)) / 2.0
 
 
@@ -341,16 +340,10 @@ def log_density_batch(batch: np.ndarray, params: MlndParams) -> np.ndarray:
 
 
 def sample(params: MlndParams, rng, size: int | None = None):
-    """Draw from the distribution by coloring iid standard normals.
-
-    An iid N(0,1) array u is multiplied in mode d by the lower Cholesky
-    factor L_d of Delta_d for every d, then shifted by the mean; the result
-    has exactly the Kronecker vec-covariance.  ``rng`` needs only a
-    ``standard_normal(shape)`` method.
-
-    Returns one (n_1, ..., n_D) array when ``size`` is None, else the
-    stacked (size, n_1, ..., n_D) array of ``size`` draws.
-    """
+    """Draw by colouring iid standard normals: u is multiplied in each mode
+    d by L_d and shifted by the mean, which gives exactly the Kronecker
+    vec-covariance.  ``rng`` needs only ``standard_normal(shape)``.  Returns
+    one (n_1, ..., n_D) array when ``size`` is None, else (size, n_1, ...)."""
     n = 1 if size is None else int(size)
     u = np.asarray(rng.standard_normal((n,) + params.dims), dtype=np.float64)
     for d, L in enumerate(params.chol_factors()):

@@ -55,8 +55,8 @@ class SimConfig:
             _convert_field(self, name, "a number", _number, ValueError)
         if len(self.dims) < 2 or any(n < 1 for n in self.dims):
             raise ValueError("dims must have order >= 2 with positive extents")
-        if self.n_groups < 1:
-            raise ValueError("n_groups must be >= 1")
+        if self.n_groups < 2:  # one group has no between-group signal to scale to the SNR
+            raise ValueError(f"n_groups must be >= 2, got {self.n_groups}")
         if self.n_obs < 1 or self.n_obs % self.n_groups != 0:
             raise ValueError("n_obs must be a positive multiple of n_groups (equal groups)")
         if self.replicates < 1:
@@ -92,8 +92,8 @@ def default_study(base_seed: int = 0, replicates: int = 25) -> tuple[SimConfig, 
 
 def full_study(base_seed: int = 0, replicates: int = 250) -> tuple[SimConfig, ...]:
     """The complete grid: four sample sizes x four array sizes.  One replicate
-    of its 16 cells took 1.7-2.8 s on a 2-vCPU VM (numpy 2.4.6, OpenBLAS
-    0.3.31), so the default 250 take about 7 to 12 minutes on one worker."""
+    of its 16 cells took 1.0-1.1 s on a 2-vCPU Intel Xeon VM (numpy 2.4.6,
+    OpenBLAS 0.3.31): the default 250 take 4 to 5 minutes on one worker."""
     return tuple(
         SimConfig(n_obs=n, dims=(m, m, m, m), replicates=replicates, base_seed=base_seed)
         for n in (60, 90, 120, 180)
@@ -108,7 +108,7 @@ def load_study(source) -> tuple[SimConfig, ...]:
     ``{"cells": [{...}, ...], <shared fields>}`` where each cell entry
     overrides the shared fields.
     """
-    if isinstance(source, (str,)):
+    if isinstance(source, (str, os.PathLike)):
         with open(source) as fh:
             source = json.load(fh)
     if isinstance(source, list):

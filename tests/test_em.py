@@ -1173,11 +1173,11 @@ def test_fit_skips_the_e_step_pairs_it_rules_out(cell_7x4, monkeypatch):
     pair, the carried bound ruling each out, and the fit is bit for bit the
     one that whitens every pair (a floor of +inf nats)."""
     z = init_kmeans(cell_7x4, 3, rng=np.random.default_rng(0))
-    columns = []  # observations per mode pass
+    columns = []  # group-columns per mode pass
     solve_mode = mlnd._solve_mode
 
     def counted(values, inv_factor, axis, out=None):
-        columns.append(values.shape[-1])
+        columns.append(values.shape[0] * values.shape[-2])
         return solve_mode(values, inv_factor, axis, out)
 
     monkeypatch.setattr(mlnd, "_solve_mode", counted)

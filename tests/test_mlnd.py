@@ -136,19 +136,25 @@ def assert_matches_oracle(got, want):
 def test_whitening_matches_triangular_solve(dims, cond, rng):
     batch = rng.standard_normal((5,) + dims)
     # one mode pass on every axis of the (N, n_1, ..., n_D) batch, the first
-    # and the last included
+    # and the last included, as a one-group stack
     for axis, n in enumerate(batch.shape):
         L = chol_lower(spd_with_condition(n, cond, rng))
-        got = _solve_mode(batch, inv_lower(L), axis)
+        got = _solve_mode(batch[None], inv_lower(L)[None], axis + 1)[0]
         assert_matches_oracle(got, oracles.solve_mode(batch, L, axis))
     # all modes, with the factors of the parameters
     p = MlndParams(
         mean=np.zeros(dims), scales=tuple(spd_with_condition(n, cond, rng) for n in dims)
     )
-    got = batch
+    got = batch[None]
     for d, L in enumerate(p.chol_factors()):
-        got = _solve_mode(got, inv_lower(L), d + 1)
-    assert_matches_oracle(got, oracles.whiten_all_modes(batch, p.chol_factors()))
+        got = _solve_mode(got, inv_lower(L)[None], d + 2)
+    assert_matches_oracle(got[0], oracles.whiten_all_modes(batch, p.chol_factors()))
+    # two groups in one call: each group's batch by its own factor
+    stack = rng.standard_normal((2,) + batch.shape)
+    chols = [chol_lower(spd_with_condition(dims[0], cond, rng)) for _ in range(2)]
+    got = _solve_mode(stack, inv_lower(np.stack(chols)), 2)
+    for k, L in enumerate(chols):
+        assert_matches_oracle(got[k], oracles.solve_mode(stack[k], L, 1))
 
 
 def family_scales(family, dims, cond, rng):
@@ -177,12 +183,12 @@ def test_sweep_matches_from_scratch_scatter(dims, cond, family, block_rows, rng,
     """Each incremental scatter equals the from-scratch one under the factors
     the sweep has reached (new below the dimension, old above it), and the
     finished tensors give the quadratic forms under the new factors.  With
-    ``block_rows`` the passes run in blocks of two observations, the last
-    block trimmed to one."""
+    ``block_rows`` the passes run in blocks of two observations per group,
+    one block trimmed to one."""
     n = 9
     batch = rng.standard_normal((n,) + dims)
-    if block_rows is not None:
-        monkeypatch.setattr(mlnd, "_BLOCK_BYTES", block_rows * batch[0].nbytes)
+    if block_rows is not None:  # the budget of a block of both groups
+        monkeypatch.setattr(mlnd, "_BLOCK_BYTES", 2 * block_rows * batch[0].nbytes)
 
     def params():
         return [
@@ -206,42 +212,58 @@ def test_sweep_matches_from_scratch_scatter(dims, cond, family, block_rows, rng,
 @pytest.mark.parametrize("dims", [(4, 3), (2, 3, 4, 3)])
 def test_sweep_skips_zero_weight_rows(dims, block_rows, rng, monkeypatch):
     """Rows whose weight is exactly zero are left out of a group's sweep but
-    not out of its quadratic forms.  Group 0's support is one observation;
-    group 1's support and its complement each span several blocks, some of
-    consecutive rows and some not; group 2 is dense."""
-    n = 13
+    not out of its quadratic forms.  The five groups' supports are unequal,
+    so the stacked blocks pad the narrower ones or leave them out: group 0's
+    support is one observation, group 2 is dense, and with ``block_rows``
+    (columns per block) the supports span 1 to 7 blocks, of consecutive
+    rows and not."""
+    n, g = 13, 5
     batch = rng.standard_normal((n,) + dims)
-    if block_rows is not None:
-        monkeypatch.setattr(mlnd, "_BLOCK_BYTES", block_rows * batch[0].nbytes)
-    z = rng.random((n, 3)) + 0.05
+    if block_rows is not None:  # the budget of one block of all five groups
+        monkeypatch.setattr(mlnd, "_BLOCK_BYTES", g * block_rows * batch[0].nbytes)
+    z = rng.random((n, g)) + 0.05
     z[np.arange(n) != 6, 0] = 0.0
     z[[3, 4, 6, 9, 10, 12], 1] = 0.0
-    support = np.count_nonzero(z)  # rows swept, summed over the groups
-    columns = []  # observations per mode pass of the sweep
+    z[np.setdiff1d(np.arange(n), [2, 5, 8, 11]), 3] = 0.0
+    z[[0, 7, 12], 4] = 0.0
+    sizes = np.count_nonzero(z, axis=0)
+    assert sizes.tolist() == [1, 7, 13, 4, 10]
+    columns = []  # group-columns per mode pass of the sweep, padding included
 
     def solve_mode(values, inv_factor, axis, out=None):
-        columns.append(values.shape[-1])
+        columns.append(values.shape[0] * values.shape[-2])
         return _solve_mode(values, inv_factor, axis, out)
 
     monkeypatch.setattr(mlnd, "_solve_mode", solve_mode)
-    old, new = ([random_params(dims, rng) for _ in range(3)] for _ in range(2))
+    old, new = ([random_params(dims, rng) for _ in range(g)] for _ in range(2))
     scatters, quad = sweep_scatters(batch, z, old, new)
-    # 3D-3 passes over each support, then D passes over each complement and
-    # one over each support for the quadratic forms
+    # 3D-3 passes over the supports, then D passes over the rests and one
+    # over the supports for the quadratic forms.  A block stacks the groups
+    # with rows in it, padded to its width: in one block, all five supports
+    # to 13 and the four rests (12, 6, 9, 3) to 12; in blocks of two columns
+    # (the first of the supports' seven one column wide), 37 support columns
+    # for 35 rows and 32 rest columns for 30
     d = len(dims)
-    assert sum(columns) == (3 * d - 2) * support + d * (z.size - support)
-    for k in range(3):
+    support, rest = (5 * 13, 4 * 12) if block_rows is None else (37, 32)
+    assert sum(columns) == (3 * d - 2) * support + d * rest
+    for k in range(g):
         for d0 in range(d):
             chols = new[k].chol_factors()[:d0] + old[k].chol_factors()[d0:]
             want = oracles.scatter(batch, new[k].mean, z[:, k], chols, d0 + 1)
             assert_matches_oracle(scatters[d0][k], want)
         white = oracles.whiten_all_modes(batch - new[k].mean, new[k].chol_factors())
         assert_matches_oracle(quad[:, k], (white.reshape(n, -1) ** 2).sum(axis=1))
-    # before any sweep, every row is whitened from scratch
-    chol = [L[None] for L in new[2].chol_factors()]
+    # before any sweep, every row is whitened from scratch, in a G-group
+    # workspace as in a one-group one
+    means = np.stack([c.mean for c in new])
+    chol = [np.stack(mats) for mats in zip(*(c.chol_factors() for c in new))]
     inv = [inv_lower(L) for L in chol]
-    fresh = mlnd.SweepWorkspace(batch, 1).quad_matrix(new[2].mean[None], inv, np.zeros(1), chol)
-    assert_matches_oracle(fresh[:, 0], (white.reshape(n, -1) ** 2).sum(axis=1))
+    fresh = mlnd.SweepWorkspace(batch, g).quad_matrix(means, inv, np.zeros(g), chol)
+    assert_matches_oracle(fresh, quad)
+    one = mlnd.SweepWorkspace(batch, 1).quad_matrix(
+        means[2:3], [L[2:3] for L in inv], np.zeros(1), [L[2:3] for L in chol]
+    )
+    assert np.array_equal(one[:, 0], fresh[:, 2])
 
 
 def test_a_forms_only_workspace_holds_no_batch_sized_array(rng, monkeypatch):

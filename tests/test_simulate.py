@@ -84,6 +84,18 @@ def test_config_rejects_coercible_values(tmp_path, capsys, field, value, match):
     assert field in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n_groups", [1, 0])
+def test_config_rejects_fewer_than_two_groups(tmp_path, capsys, n_groups):
+    """One group has no between-group signal for the SNR, so every replicate
+    of such a study failed with a degenerate mean draw."""
+    with pytest.raises(ValueError, match=f"^n_groups must be >= 2, got {n_groups}$"):
+        SimConfig(n_obs=20, dims=(2, 2), n_groups=n_groups, replicates=2, g_scan=(1, 2))
+    path = tmp_path / "study.json"
+    path.write_text(json.dumps({**TINY.to_dict(), "n_groups": n_groups}))
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "r.json")]) == 1
+    assert "n_groups" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("workers", [0, -3, 2.5])
 def test_run_study_rejects_a_bad_worker_count(workers):
     with pytest.raises(ValueError, match=f"^workers must be an integer >= 1, got {workers!r}$"):
@@ -126,6 +138,7 @@ def test_load_study_accepts_three_shapes(tmp_path):
     path = tmp_path / "study.json"
     path.write_text(json.dumps(doc))
     assert load_study(str(path)) == cells
+    assert load_study(path) == cells  # any os.PathLike
     bad = tmp_path / "bad.json"
     bad.write_text('"just a string"')
     with pytest.raises(ValueError):
