@@ -20,6 +20,7 @@ from ._version import __version__
 from .em import FitOptions, fit
 from .errors import DataFormatError, TmclustError
 from .io import (
+    _read_json,
     load_dataset,
     read_labels_csv,
     read_manifest,
@@ -61,10 +62,6 @@ def _default_threads() -> int:
         raise _UsageError(f"TMCLUST_THREADS must be an integer, got {raw!r}")
 
 
-def _parse_specs(text: str) -> tuple[ScaleModel, ...]:
-    return tuple(ScaleModel.from_token(t) for t in text.split(",") if t.strip())
-
-
 def _parse_groups(text: str) -> tuple[int, ...]:
     text = text.strip()
     try:
@@ -81,11 +78,7 @@ def _parse_grid_spec(value: str | None, order: int):
     if value is None:
         return tuple((ScaleModel.VVV,) for _ in range(order))
     if os.path.exists(value):
-        with open(value) as fh:
-            try:
-                return json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise _UsageError(f"bad grid file {value}: {exc}") from None
+        return _read_json(value, "grid file", _UsageError)
     return [[t for t in part.split(",") if t.strip()] for part in value.split(";")]
 
 
@@ -125,7 +118,7 @@ def _load(args):
 def cmd_fit(args) -> int:
     _check_out_dirs(args.out, args.labels_out)
     manifest, data = _load(args)
-    specs = _parse_specs(args.scale_models) if args.scale_models else None
+    specs = [t for t in args.scale_models.split(",") if t.strip()] if args.scale_models else None
     options = _options_from(args)
     model, report = fit(data, args.groups, specs=specs, options=options)
     doc = result_document(model, report, options, manifest=manifest)
@@ -225,13 +218,16 @@ def cmd_metrics(args) -> int:
     else:
         if args.est is None or args.truth is None:
             raise _UsageError("--est and --truth are both required")
-        try:
-            est = np.loadtxt(args.est, delimiter=",", ndmin=2)
-            truth = np.loadtxt(args.truth, delimiter=",", ndmin=2)
-        except (OSError, ValueError) as exc:
-            raise _UsageError(f"cannot read matrix CSV: {exc}") from None
-        out = {"relative_error": relative_error(est, truth)}
-    print(json.dumps(out))
+        mats = []
+        for path in (args.est, args.truth):
+            try:
+                mats.append(np.loadtxt(path, delimiter=",", ndmin=2))
+            except (OSError, ValueError) as exc:
+                raise _UsageError(f"cannot read matrix CSV {path}: {exc}") from None
+            if not np.all(np.isfinite(mats[-1])):
+                raise _UsageError(f"matrix CSV {path} holds a non-finite value")
+        out = {"relative_error": relative_error(*mats)}
+    print(json.dumps(out, allow_nan=False))
     return 0
 
 

@@ -60,6 +60,7 @@ from .parsimony import (
     McdFactors,
     ScaleModel,
     SharedMcdFactors,
+    family_specs,
     gpcm_eee_update,
     gpcm_vvi_update,
     mcd_evi_update,
@@ -136,7 +137,7 @@ class MixtureModel:
     weights: np.ndarray
     means: np.ndarray
     scales: tuple[np.ndarray, ...]
-    specs: tuple[ScaleModel, ...] = ()
+    specs: tuple[ScaleModel, ...] | None = None
     factors: dict[int, object] = field(init=False)
 
     def __post_init__(self):
@@ -146,9 +147,7 @@ class MixtureModel:
             raise ValueError("need one weight per component")
         if not (np.all(self.weights > 0) and abs(float(self.weights.sum()) - 1.0) <= 1e-12):
             raise ValueError("weights must be positive and sum to 1")  # NaN is not positive
-        self.specs = tuple(ScaleModel(s) for s in self.specs or [ScaleModel.VVV] * len(self.scales))
-        if len(self.specs) != len(self.scales):
-            raise ValueError(f"got {len(self.specs)} specs for {len(self.scales)} dimensions")
+        self.specs = family_specs(self.specs, len(self.scales))
         self.factors = {}
         for dim, (spec, stack) in enumerate(zip(self.specs, self.scales), 1):
             try:
@@ -556,9 +555,7 @@ def free_params(specs: Sequence[ScaleModel], n_groups: int, dims: Sequence[int])
     constants across Kronecker factors are deliberately not subtracted.
     """
     dims = _items(dims, lambda n: _count("each dim", n))
-    specs = tuple(specs)
-    if len(specs) != len(dims):
-        raise ValueError(f"got {len(specs)} specs for {len(dims)} dimensions")
+    specs = family_specs(specs, len(dims))
     g = _count("n_groups", n_groups)
     per_dim = tuple(FAMILIES[s].n_params(n, g) for s, n in zip(specs, dims))
     return FreeParamCount(weights=g - 1, means=g * int(np.prod(dims)), per_dim=per_dim)
@@ -646,14 +643,9 @@ def fit(
         raise ValueError("data contains non-finite values")
     n = batch.shape[0]
     dims = batch.shape[1:]
-    d_count = len(dims)
     n_star = int(np.prod(dims))
     g = _group_count(n_groups, n)
-    if specs is None:
-        specs = [ScaleModel.VVV] * d_count
-    specs = tuple(ScaleModel(s) if not isinstance(s, ScaleModel) else s for s in specs)
-    if len(specs) != d_count:
-        raise ValueError(f"got {len(specs)} specs for {d_count} dimensions")
+    specs = family_specs(specs, len(dims))
 
     if init_z is None:
         z = init_kmeans(batch, g, options)

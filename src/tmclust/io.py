@@ -8,7 +8,8 @@ concatenated in canonical layout, no header) is the fast path for large
 inputs.  Result documents are checked field by field, arrays included, so
 a value of the wrong JSON type is an error, not a coercion.  All floats
 in JSON documents are written by Python's shortest round-trip repr, so a
-write/read cycle reproduces every double bit for bit.
+write/read cycle reproduces every double bit for bit.  Every file is read
+as UTF-8, whatever the locale's encoding, and an error about a file names it.
 
 Every file tmclust writes goes through :func:`_output`, which rewrites an
 existing file in place: it opens the file without truncating it, writes
@@ -32,7 +33,7 @@ import re
 import stat
 import warnings
 from collections import Counter
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -41,7 +42,6 @@ from ._version import __version__
 from .em import FitOptions, FitReport, MixtureModel, SingularEvent
 from .errors import DataFormatError
 from .mda import as_batch, matricize_mode1
-from .parsimony import ScaleModel
 
 _FORMATS = ("csv-long", "bin-f64")
 _CSV_CHUNK_LINES = 512  # lines of a long CSV parsed per np.loadtxt call
@@ -115,17 +115,9 @@ class DatasetManifest:
                 raise DataFormatError("temporal must have one flag per dimension")
 
     def to_dict(self) -> dict:
-        out = {
-            "dims": list(self.dims),
-            "n_obs": self.n_obs,
-            "data": self.data,
-            "format": self.format,
-        }
-        if self.dim_names is not None:
-            out["dim_names"] = list(self.dim_names)
-        if self.temporal is not None:
-            out["temporal"] = list(self.temporal)
-        return out
+        """The JSON form: every field that is set, in field order, tuples as lists."""
+        return {k: list(v) if isinstance(v, tuple) else v
+                for k, v in asdict(self).items() if v is not None}
 
     @classmethod
     def from_dict(cls, d: dict) -> "DatasetManifest":
@@ -142,12 +134,33 @@ class DatasetManifest:
             raise DataFormatError(f"missing required field {exc}") from None
 
 
-def read_manifest(path) -> DatasetManifest:
-    with open(path) as fh:
+@contextlib.contextmanager
+def _reading(path, newline=None):
+    """``path`` open as UTF-8 text; a byte that is not UTF-8 (its row named)
+    or a row the csv module refuses raises DataFormatError naming the file."""
+    try:
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        with open(path, "rb") as fh:  # a UTF-8 line survives decoding with replacement
+            bad = (n for n, b in enumerate(fh, 1) if b.decode(errors="replace").encode() != b)
+            row = next(bad, "?")
+        raise DataFormatError(f"{path}: row {row}: not UTF-8 ({exc.reason})") from None
+    except csv.Error as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
+
+
+def _read_json(path, what: str, error=DataFormatError):
+    """The JSON document in ``path``, read as UTF-8; a bad one raises ``error`` naming it."""
+    with open(path, encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(f"manifest {path}: invalid JSON ({exc})") from None
+            return json.load(fh)
+        except ValueError as exc:  # a JSONDecodeError or a UnicodeDecodeError
+            raise error(f"{what} {path}: invalid JSON ({exc})") from None
+
+
+def read_manifest(path) -> DatasetManifest:
+    doc = _read_json(path, "manifest")
     if not isinstance(doc, dict):
         raise DataFormatError(f"manifest {path}: expected a JSON object")
     try:
@@ -186,6 +199,14 @@ def _write_json(doc, path) -> None:
         fh.write(text + "\n")
 
 
+def write_csv_table(path, header, rows) -> None:
+    """A CSV table: the ``header`` row, then each row's cells by :func:`_csv_cell`."""
+    with _output(path) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([_csv_cell(v) for v in row] for row in rows)
+
+
 def write_manifest(manifest: DatasetManifest, path) -> None:
     _write_json(manifest.to_dict(), path)
 
@@ -194,6 +215,10 @@ def _resolve(manifest_path, data_path: str) -> str:
     if os.path.isabs(data_path):
         return data_path
     return os.path.join(os.path.dirname(os.path.abspath(manifest_path)), data_path)
+
+
+def _csv_long_header(order: int) -> list[str]:
+    return ["obs_id", *(f"i{k + 1}" for k in range(order)), "value"]
 
 
 def _load_csv_long(path, dims: tuple[int, ...], n_obs: int) -> np.ndarray:
@@ -220,11 +245,11 @@ def _parse_csv_long(path, dims: tuple[int, ...], n_obs: int) -> np.ndarray | Non
     d = len(dims)
     shape = (n_obs,) + dims
     fields = [(f"i{k}", np.int64) for k in range(d + 1)] + [("value", np.float64)]
-    expected = ",".join(["obs_id"] + [f"i{k + 1}" for k in range(d)] + ["value"])
+    expected = ",".join(_csv_long_header(d))
     values = np.empty(math.prod(shape))
     seen = np.zeros(values.size, dtype=bool)
     n_rows = 0
-    with open(path) as fh, warnings.catch_warnings():
+    with _reading(path) as fh, warnings.catch_warnings():
         warnings.simplefilter("error")  # a warning is a parse failure here
         try:
             if ",".join(h.strip() for h in fh.readline().rstrip("\n").split(",")) != expected:
@@ -253,10 +278,10 @@ def _scan_csv_long(path, dims: tuple[int, ...], n_obs: int) -> np.ndarray:
     """Read a long CSV row by row, raising :class:`DataFormatError` at the
     first bad row."""
     d = len(dims)
-    expected_header = ["obs_id"] + [f"i{k + 1}" for k in range(d)] + ["value"]
+    expected_header = _csv_long_header(d)
     values = np.empty((n_obs,) + dims)
     seen = np.zeros((n_obs,) + dims, dtype=bool)
-    with open(path, newline="") as fh:
+    with _reading(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -309,7 +334,7 @@ def _scan_csv_long(path, dims: tuple[int, ...], n_obs: int) -> np.ndarray:
 
 def _load_bin_f64(path, dims: tuple[int, ...], n_obs: int) -> np.ndarray:
     raw = np.fromfile(path, dtype="<f8")
-    n_star = int(np.prod(dims))
+    n_star = math.prod(dims)  # exact: a manifest's extents may overflow int64
     if raw.size != n_obs * n_star:
         raise DataFormatError(
             f"{path}: expected {n_obs * n_star} doubles ({n_obs} x {dims}), got {raw.size}"
@@ -338,15 +363,8 @@ def load_dataset(manifest_path, data_path: str | None = None) -> np.ndarray:
 def write_csv_long(path, data) -> None:
     """Write a batch in the long format, cells in canonical (row-major) order."""
     batch = as_batch(data)
-    dims = batch.shape[1:]
-    d = len(dims)
-    with _output(path) as fh:
-        w = csv.writer(fh)
-        w.writerow(["obs_id"] + [f"i{k + 1}" for k in range(d)] + ["value"])
-        for obs in range(batch.shape[0]):
-            flat = batch[obs].reshape(-1)
-            for j, idx in enumerate(np.ndindex(dims)):
-                w.writerow([obs + 1] + [i + 1 for i in idx] + [repr(float(flat[j]))])
+    rows = ((*(i + 1 for i in idx), value) for idx, value in np.ndenumerate(batch))
+    write_csv_table(path, _csv_long_header(batch.ndim - 1), rows)
 
 
 def write_bin_f64(path, data) -> None:
@@ -410,11 +428,8 @@ def result_document(
             {"group": e.group, "dim": e.dim, "iteration": e.iteration}
             for e in report.singular_events
         ],
-        "config": {
-            "max_iterations": options.max_iterations,
-            "aitken_epsilon": options.aitken_epsilon,
-            "reg_epsilon": options.reg_epsilon,
-            "kmeans_restarts": options.kmeans_restarts,
+        "config": {  # every FitOptions field, as FitOptions(**config) reads it back
+            **asdict(options),
             "seed": list(options.seed) if isinstance(options.seed, tuple) else options.seed,
         },
     }
@@ -439,11 +454,7 @@ def read_result(path) -> tuple[MixtureModel, FitReport, dict]:
     holding ``NaN``) or a ``config`` echo that :class:`FitOptions` rejects
     raises :class:`DataFormatError` naming the file.
     """
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(f"result {path}: invalid JSON ({exc})") from None
+    doc = _read_json(path, "result")
     try:
         try:
             dims = _items(doc["dims"])
@@ -469,7 +480,7 @@ def read_result(path) -> tuple[MixtureModel, FitReport, dict]:
             weights=np.asarray(_entries(doc, "weights"), dtype=np.float64),
             means=np.reshape(means, (len(means), *dims)),
             scales=[[s[d] for s in scales if d < len(s)] for d in range(count)],
-            specs=tuple(ScaleModel.from_token(t) for t in doc["scale_models"]),
+            specs=tuple(doc["scale_models"]),
         )
         report = FitReport(
             loglik_trace=np.asarray(_entries(doc, "loglik_trace"), dtype=np.float64),
@@ -508,16 +519,14 @@ def write_labels_csv(path, labels, responsibilities) -> None:
     z = np.asarray(responsibilities, dtype=np.float64)
     if z.ndim != 2 or z.shape[0] != labels.shape[0]:
         raise ValueError("responsibilities must be (N, G) matching labels")
-    with _output(path) as fh:
-        w = csv.writer(fh)
-        w.writerow(["obs_id", "map_label"] + [f"z_{g + 1}" for g in range(z.shape[1])])
-        for i in range(labels.shape[0]):
-            w.writerow([_csv_cell(v) for v in (i + 1, int(labels[i]) + 1, *z[i])])
+    header = ["obs_id", "map_label", *(f"z_{g + 1}" for g in range(z.shape[1]))]
+    rows = ((i + 1, int(label) + 1, *zi) for i, (label, zi) in enumerate(zip(labels, z)))
+    write_csv_table(path, header, rows)
 
 
 def read_labels_csv(path) -> np.ndarray:
     """MAP labels (0-based) from a labels CSV whose obs_ids are 1..N, each once."""
-    with open(path, newline="") as fh:
+    with _reading(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or header[:2] != ["obs_id", "map_label"]:

@@ -47,12 +47,27 @@ class ScaleModel(str, Enum):
     GPCM_VVI = "VVI-GPCM"
 
     @classmethod
-    def from_token(cls, token: str) -> "ScaleModel":
+    def from_token(cls, token) -> "ScaleModel":
+        """The family a token names, surrounding whitespace ignored (a ScaleModel
+        is its own token); an unknown token raises ValueError, a non-string TypeError."""
+        if not isinstance(token, str):
+            raise TypeError(f"a family token is a string, got {token!r}")
         try:
             return cls(token.strip())
         except ValueError:
             valid = ", ".join(m.value for m in cls)
             raise ValueError(f"unknown scale-model token {token!r} (expected one of {valid})")
+
+
+def family_specs(tokens, order: int) -> tuple[ScaleModel, ...]:
+    """One family per dimension of an order-``order`` array from ``tokens``,
+    all-VVV when ``tokens`` is None; a list of another length raises ValueError."""
+    if tokens is None:
+        return (ScaleModel.VVV,) * order
+    specs = tuple(map(ScaleModel.from_token, tokens))
+    if len(specs) != order:
+        raise ValueError(f"got {len(specs)} specs for {order} dimensions")
+    return specs
 
 
 @dataclass(frozen=True)
@@ -154,6 +169,7 @@ __all__ = [
     "McdFactors",
     "ScaleModel",
     "SharedMcdFactors",
+    "family_specs",
     "gpcm_eee_update",
     "gpcm_vvi_update",
     "mcd_evi_update",

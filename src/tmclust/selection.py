@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -11,19 +10,12 @@ from typing import Sequence
 from ._blas import one_blas_thread
 from ._fields import _convert_field, _count, _items
 from .em import FitOptions, FitReport, MixtureModel, bic, fit, free_params
-from .io import _csv_cell, _output
+from .io import write_csv_table
 from .mda import as_batch
 from .parsimony import ScaleModel
 
 _TIE_TOL = 1e-9
 _FAMILY_ORDINAL = {m: i for i, m in enumerate(ScaleModel)}
-
-
-def _family(token) -> ScaleModel:
-    """A family token (a :class:`ScaleModel` is one); a number is not."""
-    if not isinstance(token, str):
-        raise TypeError("a family token is a string")
-    return ScaleModel.from_token(token)
 
 
 @dataclass(frozen=True)
@@ -44,7 +36,7 @@ class ScanGrid:
             raise ValueError("groups must be a nonempty sequence of positive ints")
         _convert_field(
             self, "spec_candidates", "a list of family-token lists",
-            lambda v: _items(v, lambda tokens: _items(tokens, _family)), ValueError,
+            lambda v: _items(v, lambda tokens: _items(tokens, ScaleModel.from_token)), ValueError,
         )
         if not self.spec_candidates or not all(self.spec_candidates):
             raise ValueError("every dimension needs a nonempty candidate list")
@@ -170,17 +162,11 @@ def write_bic_table(result: ScanResult, path) -> None:
     """Emit the scan rows as CSV: G, spec_d1.., loglik, rho, bic, converged, singular_events."""
     if not result.rows:
         raise ValueError("empty scan result")
-    d = len(result.rows[0].specs)
-    header = ["G"] + [f"spec_d{i + 1}" for i in range(d)] + [
-        "loglik", "rho", "bic", "converged", "singular_events",
-    ]
-    with _output(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in result.rows:
-            cells = (row.g, *(s.value for s in row.specs), row.loglik, row.rho, row.bic,
-                     row.converged, row.n_singular_events)
-            writer.writerow([_csv_cell(v) for v in cells])
+    header = ["G", *(f"spec_d{i + 1}" for i in range(len(result.rows[0].specs))),
+              "loglik", "rho", "bic", "converged", "singular_events"]
+    rows = ((r.g, *(s.value for s in r.specs), r.loglik, r.rho, r.bic, r.converged,
+             r.n_singular_events) for r in result.rows)
+    write_csv_table(path, header, rows)
 
 
 __all__ = ["ScanGrid", "ScanResult", "ScanRow", "bic", "scan", "write_bic_table"]

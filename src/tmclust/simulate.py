@@ -10,11 +10,9 @@ count or scheduling.
 
 from __future__ import annotations
 
-import csv
-import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -22,7 +20,7 @@ import numpy as np
 from ._blas import one_blas_thread
 from ._fields import _convert_field, _count, _integer, _items, _number
 from .em import FitOptions, MixtureModel, _normalize_stacks
-from .io import _csv_cell, _output, _write_json
+from .io import _read_json, _write_json, write_csv_table
 from .metrics import adjusted_rand_index, kron_relative_error, relative_error
 from .mlnd import sample
 from .parsimony import ScaleModel
@@ -106,11 +104,10 @@ def load_study(source) -> tuple[SimConfig, ...]:
 
     Accepts a single config object, a list of config objects, or a document
     ``{"cells": [{...}, ...], <shared fields>}`` where each cell entry
-    overrides the shared fields.
+    overrides the shared fields; a path names a UTF-8 JSON file holding one.
     """
     if isinstance(source, (str, os.PathLike)):
-        with open(source) as fh:
-            source = json.load(fh)
+        source = _read_json(source, "study", ValueError)
     if isinstance(source, list):
         return tuple(SimConfig.from_dict(d) for d in source)
     if not isinstance(source, dict):
@@ -413,31 +410,15 @@ def write_report_csvs(report: StudyReport, directory) -> None:
     layout does not depend on the group count.
     """
     os.makedirs(directory, exist_ok=True)
-
-    def write(name, header, rows):
-        with _output(os.path.join(directory, name)) as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            w.writerows([_csv_cell(v) for v in row] for row in rows)
-
-    write(
-        "replicates.csv",
-        [
-            "cell_index", "n_obs", "dims", "replicate", "error", "selected_g",
-            "true_g_selected", "ari", "singular", "n_singular_events",
-            "rel_err_mean", "rel_err_scale",
-        ],
-        (
-            [
-                r.cell_index, r.n_obs, "x".join(map(str, r.dims)), r.replicate, r.error,
-                r.selected_g, r.true_g_selected, r.ari, r.singular, r.n_singular_events,
-                r.rel_err_mean, r.rel_err_scale,
-            ]
-            for r in report.records
-        ),
+    names = [f.name for f in fields(ReplicateRecord)]
+    write_csv_table(
+        os.path.join(directory, "replicates.csv"),
+        names,
+        (["x".join(map(str, r.dims)) if n == "dims" else getattr(r, n) for n in names]
+         for r in report.records),
     )
-    write(
-        "cells.csv",
+    write_csv_table(
+        os.path.join(directory, "cells.csv"),
         [
             "cell_index", "n_obs", "dims", "n_star", "n_replicates", "n_failed",
             "share_true_g", "ari_mean", "ari_sd", "n_singular",

@@ -23,7 +23,7 @@ def random_params(dims, rng: np.random.Generator) -> MlndParams:
     return MlndParams(mean=mean, scales=tuple(scales))
 
 
-def mixture(weights, components, specs=()) -> MixtureModel:
+def mixture(weights, components, specs=None) -> MixtureModel:
     """The mixture of the ``MlndParams`` ``components``, as stacks."""
     stacks = [np.stack(mats) for mats in zip(*(c.scales for c in components))]
     return MixtureModel(weights, np.stack([c.mean for c in components]), stacks, specs)

@@ -463,7 +463,7 @@ def _toy_model(rng, dims=(2, 2, 3), g=2, specs=None):
         )
         for _ in range(g)
     )
-    return mixture(np.full(g, 1.0 / g), comps, specs or ())
+    return mixture(np.full(g, 1.0 / g), comps, specs)
 
 
 def test_normalize_two_dim_fixture():

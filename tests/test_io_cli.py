@@ -14,7 +14,7 @@ import pytest
 import tmclust
 import tmclust.cli
 from tmclust.cli import main
-from tmclust.em import FitOptions, fit
+from tmclust.em import FitOptions, MixtureModel, fit, free_params
 from tmclust.errors import DataFormatError
 from tmclust.io import (
     DatasetManifest,
@@ -32,7 +32,13 @@ from tmclust.io import (
 from tmclust.mlnd import MlndParams, sample
 from tmclust.parsimony import ScaleModel
 from tmclust.selection import ScanGrid, _cell_seed, scan, write_bic_table
-from tmclust.simulate import SimConfig, run_study, write_report_csvs, write_report_json
+from tmclust.simulate import (
+    SimConfig,
+    load_study,
+    run_study,
+    write_report_csvs,
+    write_report_json,
+)
 
 
 @pytest.fixture
@@ -345,7 +351,8 @@ def result_doc(rng):
          "missing field 'weights'"),
         (lambda doc: json.dumps({**doc, "scale_models": ["VII", "VVV"]}),
          "unknown scale-model token 'VII'"),
-        (lambda doc: json.dumps({**doc, "scale_models": [3, "VVV"]}), "has no attribute 'strip'"),
+        (lambda doc: json.dumps({**doc, "scale_models": [3, "VVV"]}),
+         "a family token is a string, got 3"),
         # the transposed (n_1, n*/n_1) matrix has the right size but not the right shape
         (lambda doc: json.dumps({**doc, "groups": [
             {**g, "mean_matricization": np.asarray(g["mean_matricization"]).T.tolist()}
@@ -949,3 +956,119 @@ def test_import_loads_no_scipy():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+# --- family tokens and unreadable files -------------------------------------------
+
+
+def test_every_reader_of_family_tokens_reads_them_alike(cli_bundle, result_doc, capsys):
+    """fit, MixtureModel, free_params, ScanGrid (through scan), the CLI and
+    read_result share one token rule and one spec-list rule: surrounding
+    whitespace is ignored, an unknown token is rejected by name (by
+    free_params too, never with a bare KeyError), and so is a list for
+    another number of dimensions."""
+    tmp_path, manifest_path, _ = cli_bundle
+    batch = load_dataset(manifest_path)
+    options = FitOptions(max_iterations=3)
+
+    def cli(tokens):
+        argv = ["fit", "--manifest", str(manifest_path), "--groups", "1",
+                "--scale-models", ",".join(tokens), "--out", str(tmp_path / "r.json")]
+        if main(argv) != 0:
+            raise ValueError(capsys.readouterr().err)
+
+    def result_file(tokens):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps({**result_doc, "scale_models": tokens}))
+        return read_result(path)
+
+    readers = {
+        "fit": lambda tokens: fit(batch, 1, tokens, options),
+        "MixtureModel": lambda tokens: MixtureModel(
+            [1.0], np.zeros((1, 2, 3)), [np.eye(2)[None], np.eye(3)[None]], tokens),
+        "free_params": lambda tokens: free_params(tokens, 2, (3, 2)),
+        "ScanGrid": lambda tokens: scan(
+            batch, ScanGrid(groups=(1,), spec_candidates=[[t] for t in tokens], options=options)),
+        "cli": cli,
+        "read_result": result_file,
+    }
+    for name, read in readers.items():
+        read([" VVV", "VVV"])
+        for tokens, match in [(["XYZ", "VVV"], "unknown scale-model token 'XYZ'"),
+                              (["VVV"], "got 1 specs for 2 dimensions")]:
+            with pytest.raises((ValueError, DataFormatError), match=match):
+                read(tokens)
+
+
+def _spoil(path, row: int) -> None:
+    """Put a byte that is not UTF-8 at the start of line ``row`` of ``path``."""
+    lines = path.read_bytes().split(b"\n")
+    lines[row - 1] = b"\xff" + lines[row - 1]
+    path.write_bytes(b"\n".join(lines))
+
+
+@pytest.mark.parametrize("row", [5, 1000])  # in the first block the decoder reads, and later
+def test_a_long_csv_that_is_not_utf8_names_the_file_and_row(tmp_path, capsys, row):
+    manifest_path, data_path = _write_bundle(tmp_path, np.random.default_rng(0).normal(
+        size=(60, 4, 5)))
+    _spoil(data_path, row)
+    with pytest.raises(DataFormatError, match=f"row {row}: not UTF-8") as info:
+        load_dataset(manifest_path)
+    assert str(data_path) in str(info.value)
+    assert main(["fit", "--manifest", str(manifest_path), "--groups", "1",
+                 "--out", str(tmp_path / "r.json")]) == 1
+    assert str(data_path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "spoil, match",
+    [(lambda path: _spoil(path, 3), "row 3: not UTF-8"),
+     (lambda path: path.write_text("obs_id,map_label\n1," + "1" * 200_000 + "\n"),
+      "field larger than field limit")],
+    ids=["not-utf8", "csv-field-limit"],
+)
+def test_an_unreadable_labels_csv_names_the_file(tmp_path, capsys, spoil, match):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    for path in (a, b):
+        write_labels_csv(path, [0, 1, 1], np.eye(2)[[0, 1, 1]])
+    spoil(b)
+    with pytest.raises(DataFormatError, match=match) as info:
+        read_labels_csv(b)
+    assert str(b) in str(info.value)
+    assert main(["metrics", "--labels-a", str(a), "--labels-b", str(b)]) == 1
+    assert str(b) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("body", [b"{ nope", b'{"dims": \xff}'], ids=["invalid-json", "not-utf8"])
+def test_every_json_reader_names_a_bad_file(cli_bundle, capsys, body):
+    """The manifest, result, study and grid-file readers reject a file that
+    is not UTF-8 JSON with their own error type, naming the file."""
+    tmp_path, manifest_path, _ = cli_bundle
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(body)
+    for read, error in [(read_manifest, DataFormatError), (read_result, DataFormatError),
+                        (load_study, ValueError)]:
+        with pytest.raises(error, match="invalid JSON") as info:
+            read(bad)
+        assert str(bad) in str(info.value)
+    for argv in (
+        ["simulate", "--config", str(bad), "--out", str(tmp_path / "s.json")],
+        ["scan", "--manifest", str(manifest_path), "--groups", "1",
+         "--scale-models-grid", str(bad), "--out", str(tmp_path / "t.csv")],
+        ["fit", "--manifest", str(bad), "--groups", "1", "--out", str(tmp_path / "r.json")],
+    ):
+        assert main(argv) == 1
+        assert str(bad) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("flag", ["--est", "--truth"])
+def test_cmd_metrics_rejects_a_non_finite_matrix(tmp_path, capsys, flag, value):
+    """A relative error of NaN or infinity has no JSON form."""
+    good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+    np.savetxt(good, np.eye(2), delimiter=",")
+    bad.write_text(f"1,0\n0,{value}\n")
+    paths = {"--est": good, "--truth": good, flag: bad}
+    assert main(["metrics", *(str(v) for item in paths.items() for v in item)]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and str(bad) in out.err

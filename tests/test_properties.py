@@ -4,6 +4,8 @@ Each test is derandomized with a fixed example budget, so a run is
 reproducible and its cost is bounded.
 """
 
+import dataclasses
+import json
 import os
 import tempfile
 
@@ -14,14 +16,31 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import event, given, settings, strategies as st  # noqa: E402
 
 from tmclust import mlnd  # noqa: E402
-from tmclust.em import FAMILIES, FitOptions, MixtureModel, fit, loglik_matrix  # noqa: E402
+from tmclust.em import (  # noqa: E402
+    FAMILIES,
+    FitOptions,
+    MixtureModel,
+    fit,
+    loglik_matrix,
+    normalize_identifiability,
+)
 from tmclust.errors import DataFormatError, TmclustError  # noqa: E402
-from tmclust.io import _load_csv_long, _parse_csv_long, _scan_csv_long  # noqa: E402
+from tmclust.io import (  # noqa: E402
+    _load_csv_long,
+    _parse_csv_long,
+    _scan_csv_long,
+    load_dataset,
+    read_labels_csv,
+    read_manifest,
+    read_result,
+    result_document,
+    write_result,
+)
 from tmclust.mlnd import MlndParams  # noqa: E402
 from tmclust.parsimony import ScaleModel, mcd_evi_update, mcd_vvi_update  # noqa: E402
 
 from conftest import mixture, spd_with_condition  # noqa: E402
-from oracles import dense_log_density, mcd_rowwise  # noqa: E402
+from oracles import dense_log_density, kron, mcd_rowwise  # noqa: E402
 
 PROPERTY = settings(derandomize=True, max_examples=200, deadline=None, database=None)
 
@@ -277,3 +296,176 @@ def test_skipped_e_step_pairs_leave_fits_bit_for_bit(case):
         assert got == want
     else:
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+# --- fitted mixtures ---------------------------------------------------------------------
+
+FITS = settings(derandomize=True, max_examples=75, deadline=None, database=None)
+
+
+def fitted(case):
+    """The model, report and options of a generated case's fit; None where it raised."""
+    batch, g, specs, seed = case
+    options = FitOptions(max_iterations=30, seed=seed)
+    try:
+        return (*fit(batch, g, specs, options), options)
+    except (ArithmeticError, ValueError, TmclustError):
+        return None
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@FITS
+@given(mixture_fits())
+def test_em_is_monotone_on_fits_without_a_singular_event(case):
+    """Each EM iteration of a fit that needed no singularity repair raises the
+    log-likelihood, up to round-off (the acceptance suite's 1e-8 relative)."""
+    out = fitted(case)
+    event("fit raised" if out is None else f"singular events: {bool(out[1].singular_events)}")
+    if out is None or out[1].singular_events:
+        return
+    trace = out[1].loglik_trace
+    drops = trace[:-1] - trace[1:]
+    assert np.all(drops <= 1e-8 * np.maximum(np.abs(trace[:-1]), 1.0))
+
+
+@FITS
+@given(mixture_fits(), st.floats(-3, 3))
+def test_normalization_is_idempotent_and_keeps_every_density(case, log_c):
+    """A fitted model is normalized already, and a second normalization
+    returns any normalized model bit for bit.  Normalizing a model whose
+    first and last scales trade a factor c keeps each group's Kronecker
+    covariance, and with its weights and means every density, to round-off:
+    the entries are products, so the error is a few ulps, whatever the
+    conditioning (which the densities' own round-off grows with)."""
+    out = fitted(case)
+    if out is None:
+        return
+    model = out[0]
+    again = normalize_identifiability(model)
+    assert all(same_bits(a, b) for a, b in zip(again.scales, model.scales))
+    c = 10.0**log_c
+    moved = [model.scales[0] / c, *model.scales[1:-1], model.scales[-1] * c]
+    once = normalize_identifiability(MixtureModel(model.weights, model.means, moved, model.specs))
+    twice = normalize_identifiability(once)
+    assert all(same_bits(a, b) for a, b in zip(once.scales, twice.scales))
+    assert same_bits(once.weights, model.weights) and same_bits(once.means, model.means)
+    for k in range(model.n_groups):
+        want = kron([s[k] for s in model.scales])
+        got = kron([s[k] for s in once.scales])
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+@FITS
+@given(mixture_fits())
+def test_a_written_result_reads_back_bit_for_bit(case):
+    """write_result then read_result gives back the model's arrays and
+    families, every report field and the options, bit for bit."""
+    out = fitted(case)
+    if out is None:
+        return
+    model, report, options = out
+    doc = result_document(model, report, options)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "result.json")
+        write_result(doc, path)
+        model2, report2, config = read_result(path)
+    assert model2.specs == model.specs
+    assert same_bits(model2.weights, model.weights) and same_bits(model2.means, model.means)
+    assert all(same_bits(a, b) for a, b in zip(model2.scales, model.scales))
+    for f in dataclasses.fields(report):
+        got, want = getattr(report2, f.name), getattr(report, f.name)
+        assert same_bits(got, want) if isinstance(want, np.ndarray) else got == want, f.name
+    assert FitOptions(**config) == options
+
+
+# --- fuzzed input files --------------------------------------------------------------------
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                               max_size=3),
+    max_leaves=6,
+)
+
+
+def spoiled(draw, raw: bytes) -> bytes:
+    """``raw`` with up to three spans replaced by arbitrary bytes, which need
+    not be UTF-8."""
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(raw)))
+        raw = raw[:at] + draw(st.binary(max_size=3)) + raw[at + draw(st.integers(0, 3)):]
+    return raw
+
+
+def only_data_format_errors(read, raw: bytes, name: str, *files):
+    """``read`` of a file holding ``raw`` (next to ``files``, name and bytes)
+    returns or raises DataFormatError naming the file, nothing else."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for other, content in files:
+            with open(os.path.join(tmp, other), "wb") as fh:
+                fh.write(content)
+        path = os.path.join(tmp, name)
+        with open(path, "wb") as fh:
+            fh.write(raw)
+        try:
+            read(path)
+        except DataFormatError as exc:
+            event("rejected")
+            assert tmp in str(exc)
+
+
+@st.composite
+def manifest_files(draw):
+    """A manifest with fields dropped or replaced by any JSON value, then spoiled bytes."""
+    doc = {"dims": [2, 3], "n_obs": 4, "data": "x.csv", "format": "csv-long",
+           "dim_names": ["a", "b"], "temporal": [True, False]}
+    for key in draw(st.lists(st.sampled_from(sorted(doc)), max_size=3)):
+        if draw(st.booleans()):
+            doc[key] = draw(JSON_VALUES)
+        else:
+            doc.pop(key, None)
+    return spoiled(draw, json.dumps(doc).encode())
+
+
+@PROPERTY
+@given(manifest_files())
+def test_a_fuzzed_manifest_raises_only_data_format_error(raw):
+    only_data_format_errors(read_manifest, raw, "m.json")
+
+
+@st.composite
+def labels_files(draw):
+    """A labels CSV of 1-4 rows in any order, then spoiled bytes."""
+    n = draw(st.integers(1, 4))
+    rows = [f"{i + 1},{draw(st.integers(1, 3))},1.0" for i in draw(st.permutations(range(n)))]
+    return spoiled(draw, "\n".join(["obs_id,map_label,z_1", *rows, ""]).encode())
+
+
+@PROPERTY
+@given(labels_files())
+def test_a_fuzzed_labels_csv_raises_only_data_format_error(raw):
+    only_data_format_errors(read_labels_csv, raw, "labels.csv")
+
+
+@st.composite
+def bin_f64_files(draw):
+    """A bin-f64 manifest of small (or int64-overflowing) extents and a data
+    file of its doubles, some of them not finite, or of spoiled bytes."""
+    dims = draw(st.lists(st.integers(1, 3) | st.just(2**70), min_size=2, max_size=3))
+    n_obs = draw(st.integers(1, 3))
+    manifest = {"dims": dims, "n_obs": n_obs, "data": "x.bin", "format": "bin-f64"}
+    size = n_obs * int(np.prod(dims, dtype=object))
+    values = draw(st.lists(st.floats(width=64), min_size=min(size, 30), max_size=min(size, 30)))
+    raw = spoiled(draw, np.asarray(values, dtype="<f8").tobytes())
+    return json.dumps(manifest).encode(), raw
+
+
+@PROPERTY
+@given(bin_f64_files())
+def test_a_fuzzed_bin_f64_input_raises_only_data_format_error(case):
+    manifest, raw = case
+    only_data_format_errors(load_dataset, manifest, "m.json", ("x.bin", raw))
