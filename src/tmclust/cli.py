@@ -95,7 +95,7 @@ def _options_from(args) -> FitOptions:
         max_iterations=args.max_iter,
         aitken_epsilon=args.tol,
         reg_epsilon=args.reg_eps,
-        seed=_parse_seed(args.seed),
+        seed=args.seed,
     )
 
 
@@ -183,6 +183,8 @@ def cmd_simulate(args) -> int:
             configs = tuple(replace(c, replicates=args.replicates) for c in configs)
     except (ValueError, TypeError, OSError) as exc:  # a JSONDecodeError is a ValueError
         raise _UsageError(f"invalid simulation config: {exc}") from None
+    if args.csv_dir:  # a path that cannot be a directory fails here, not after the study
+        os.makedirs(args.csv_dir, exist_ok=True)
     report = run_study(configs, workers=args.threads)
     write_report_json(report, args.out)
     if args.csv_dir:
@@ -244,10 +246,12 @@ def build_parser() -> _Parser:
         p.add_argument("--data", help="override the manifest's data file path")
 
     def add_fit_flags(p):
-        p.add_argument("--max-iter", type=int, default=500)
-        p.add_argument("--tol", type=float, default=1e-5, help="Aitken epsilon")
-        p.add_argument("--reg-eps", type=float, default=1e-3)
-        p.add_argument("--seed", default="0", help="integer or comma list")
+        p.add_argument("--max-iter", type=int, default=FitOptions.max_iterations)
+        p.add_argument("--tol", type=float, default=FitOptions.aitken_epsilon,
+                       help="Aitken epsilon")
+        p.add_argument("--reg-eps", type=float, default=FitOptions.reg_epsilon)
+        p.add_argument("--seed", type=_parse_seed, default=FitOptions.seed,
+                       help="integer or comma list")
 
     p_fit = sub.add_parser("fit", help="fit one mixture model")
     add_data_flags(p_fit)

@@ -205,12 +205,12 @@ def init_kmeans(data, n_groups: int, options: FitOptions | None = None, rng=None
     Runs ``options.kmeans_restarts`` restarts from random distinct
     observations and keeps the assignment with the lowest within-cluster sum
     of squares.  Deterministic given the generator state; ties keep the
-    first-found solution.  Distances are |v|^2 - 2 v.c + |c|^2.  When
-    N <= n*, the steps run on the N x N Gram matrix, computed once and no
-    larger than the batch: a centre is a mean of rows, so its products with
-    the rows are the same mean of Gram columns (kernel k-means with a linear
-    kernel).  Otherwise the centres and the products come from GEMMs on the
-    batch.  Either way no temporary is larger than the batch.
+    first-found solution.  Distances are |v|^2 - 2 v.c + |c|^2.  The centres
+    are (N, G) weights on the rows, one-hot at the seeds, then one-hot /
+    sizes.  When N <= n*, their products with the rows come from the N x N
+    Gram matrix, computed once and no larger than the batch (kernel k-means
+    with a linear kernel); otherwise from GEMMs on the batch.  Either way no
+    temporary is larger than the batch.
     """
     options = options or FitOptions()
     batch = as_batch(data)
@@ -218,36 +218,18 @@ def init_kmeans(data, n_groups: int, options: FitOptions | None = None, rng=None
     g = _group_count(n_groups, n)
     rng = rng if rng is not None else options.rng()
     v = batch.reshape(n, -1)
-    # seed(rows) and step(one_hot, sizes) give the centres' products with
-    # every row (N, G) and their squared norms (G,)
-    if n <= v.shape[1]:
-        gram = v @ v.T
-        v_sq = gram.diagonal()
+    gram = v @ v.T if n <= v.shape[1] else None
+    v_sq = gram.diagonal() if gram is not None else np.einsum("ij,ij->i", v, v)
 
-        def seed(rows):
-            return gram[:, rows], v_sq[rows]
-
-        def step(one_hot, sizes):
-            member = one_hot / sizes
-            cross = gram @ member
-            return cross, np.einsum("ik,ik->k", member, cross)
-
-    else:
-        v_sq = np.einsum("ij,ij->i", v, v)
-
-        def products(centers):
-            return v @ centers.T, np.einsum("kj,kj->k", centers, centers)
-
-        def seed(rows):
-            return products(v[rows])
-
-        def step(one_hot, sizes):
-            return products((one_hot.T @ v) / sizes[:, None])
+    def products(member):  # centres member.T @ v: (N, G) products with the rows, (G,) norms^2
+        cross = gram @ member if gram is not None else v @ (member.T @ v).T
+        return cross, np.einsum("ik,ik->k", member, cross)
 
     best_inertia = np.inf
     best_labels = None
     for _ in range(options.kmeans_restarts):
-        cross, c_sq = seed(rng.choice(n, size=g, replace=False))
+        seeds = rng.choice(n, size=g, replace=False)
+        cross, c_sq = products((np.arange(n)[:, None] == seeds).astype(float))
         labels = None
         for _ in range(100):
             d2 = v_sq[:, None] - 2.0 * cross + c_sq
@@ -264,7 +246,7 @@ def init_kmeans(data, n_groups: int, options: FitOptions | None = None, rng=None
             if labels is not None and np.array_equal(labels, new_labels):
                 break  # the centres are those d2 was computed from
             labels = new_labels
-            cross, c_sq = step(np.eye(g)[labels], sizes)
+            cross, c_sq = products(np.eye(g)[labels] / sizes)
         else:
             d2 = v_sq[:, None] - 2.0 * cross + c_sq
         inertia = float(d2[np.arange(n), labels].sum())

@@ -33,7 +33,7 @@ import re
 import stat
 import warnings
 from collections import Counter
-from dataclasses import asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
@@ -122,14 +122,8 @@ class DatasetManifest:
     @classmethod
     def from_dict(cls, d: dict) -> "DatasetManifest":
         try:
-            return cls(
-                dims=d["dims"],
-                n_obs=d["n_obs"],
-                data=d["data"],
-                format=d.get("format", "csv-long"),
-                dim_names=d.get("dim_names"),
-                temporal=d.get("temporal"),
-            )
+            return cls(**{f.name: d[f.name] for f in fields(cls)
+                          if f.name in d or f.default is MISSING})
         except KeyError as exc:
             raise DataFormatError(f"missing required field {exc}") from None
 
@@ -223,7 +217,17 @@ def _csv_long_header(order: int) -> list[str]:
 
 def _load_csv_long(path, dims: tuple[int, ...], n_obs: int) -> np.ndarray:
     """The batch of a long CSV: parsed in chunks, or, if that fails, by the
-    row scan, which raises the error that names the first bad row."""
+    row scan, which raises the error that names the first bad row.
+
+    A regular file too small to hold N * n* rows is rejected before either
+    allocates the batch: a row's d + 2 fields, d + 1 commas and line break
+    take at least 2 d + 4 bytes.
+    """
+    rows, info = n_obs * math.prod(dims), os.stat(path)
+    if stat.S_ISREG(info.st_mode) and rows * (2 * len(dims) + 4) > info.st_size:
+        raise DataFormatError(
+            f"{path}: {n_obs} x {dims} needs {rows} rows, more than {info.st_size} bytes hold"
+        )
     values = _parse_csv_long(path, dims, n_obs)
     return values if values is not None else _scan_csv_long(path, dims, n_obs)
 

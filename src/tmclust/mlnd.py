@@ -211,21 +211,16 @@ class SweepWorkspace:
     def whiten(self, out, spare, passes, act, rows=None, means=None):
         """Apply the (factor stack, axis) ``passes`` at the block's groups
         ``act``, ping-ponging so the last ends in ``out``, to the batch's
-        ``rows`` minus ``means`` (centred row-first in the other buffer, then
-        moved), or without ``means`` to the first pass's input: ``out`` if the
-        passes are even.  Rows all groups share, if consecutive, are a slice;
-        others are gathered (``take`` allocates unless told to clip, which
-        also reads the padding index N as row N-1)."""
+        ``rows`` minus ``means`` (gathered and centred row-first in the other
+        buffer, then moved), or without ``means`` to the first pass's input:
+        ``out`` if the passes are even.  ``take`` allocates unless told to
+        clip, which also reads the padding index N as row N-1."""
         src, dst = (spare, out) if len(passes) % 2 else (out, spare)
         if means is not None:
-            (g, b), first = rows.shape, int(rows[0, 0])
-            centred = dst.reshape(g, b, -1)
-            if first + b <= len(self.batch) and np.all(rows == np.arange(first, first + b)):
-                obs = self.batch[first : first + b].reshape(1, b, -1)
-            else:
-                obs, shape = centred, (g * b,) + means.shape[1:]
-                np.take(self.batch, rows.ravel(), axis=0, out=obs.reshape(shape), mode="clip")
-            np.subtract(obs, means[act].reshape(g, 1, -1), out=centred)
+            (g, b), centred = rows.shape, dst.reshape(rows.shape + (-1,))
+            np.take(self.batch, rows.ravel(), axis=0, out=centred.reshape(-1, *means.shape[1:]),
+                    mode="clip")
+            np.subtract(centred, means[act].reshape(g, 1, -1), out=centred)
             run = np.dtype((np.void, 8 * means.shape[-1]))  # n_D entries moved as one, 2x faster
             np.copyto(src.view(run).reshape(g, -1, b), centred.view(run).swapaxes(1, 2))
         for factors, axis in passes:

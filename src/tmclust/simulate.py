@@ -69,10 +69,7 @@ class SimConfig:
             raise ValueError("g_scan must be a nonempty list of positive ints")
 
     def to_dict(self) -> dict:
-        out = asdict(self)
-        out["dims"] = list(self.dims)
-        out["g_scan"] = list(self.g_scan)
-        return out
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "SimConfig":

@@ -15,7 +15,7 @@ import tmclust
 import tmclust.cli
 from tmclust.cli import main
 from tmclust.em import FitOptions, MixtureModel, fit, free_params
-from tmclust.errors import DataFormatError
+from tmclust.errors import DataFormatError, EmptyComponentError
 from tmclust.io import (
     DatasetManifest,
     load_dataset,
@@ -199,6 +199,66 @@ def test_bin_size_mismatch_rejected(tmp_path, dataset):
     data_path.write_bytes(raw[:-8])
     with pytest.raises(DataFormatError, match="expected 36 doubles"):
         load_dataset(manifest_path)
+
+
+def test_missing_data_file_is_named(tmp_path, dataset):
+    manifest_path, data_path = _write_bundle(tmp_path, dataset)
+    data_path.unlink()
+    with pytest.raises(DataFormatError, match=f"data file not found: .*{data_path.name}"):
+        load_dataset(manifest_path)
+
+
+def test_bin_non_finite_value_names_its_element(tmp_path, dataset):
+    dataset = dataset.copy()
+    dataset[1, 0, 2] = np.nan  # element 6 + 2 of the flat file
+    manifest_path, data_path = _write_bundle(tmp_path, dataset, "bin-f64")
+    with pytest.raises(DataFormatError, match="non-finite value at element 8") as info:
+        load_dataset(manifest_path)
+    assert str(data_path) in str(info.value)
+
+
+@pytest.mark.parametrize("extent", [200_000, 2**40], ids=["1.16-TiB", "past-intp"])
+def test_csv_too_small_for_its_manifest_fails_before_allocating(tmp_path, capsys, extent):
+    """A manifest whose N * n* rows the file cannot hold is a format error
+    naming the file, not a MemoryError or numpy's dimension error."""
+    data_path = tmp_path / "d.csv"
+    write_csv_long(data_path, np.zeros((4, 2, 2)))
+    manifest_path = tmp_path / "big.json"
+    write_manifest(DatasetManifest(dims=(extent, extent), n_obs=4, data="d.csv"), manifest_path)
+    with pytest.raises(DataFormatError, match=f"{4 * extent**2} rows") as info:
+        load_dataset(manifest_path)
+    assert str(data_path) in str(info.value)
+    out = tmp_path / "r.json"
+    assert main(["fit", "--manifest", str(manifest_path), "--groups", "1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("tmclust: error: ") and str(data_path) in err
+    assert not out.exists()
+
+
+def test_csv_of_the_shortest_rows_passes_the_size_rule(tmp_path):
+    """Rows of one-character fields, the last with no line break, are the
+    smallest file the size rule must let through."""
+    body = [f"1,{i},{j},{k},0" for i in range(1, 4) for j in range(1, 4) for k in range(1, 4)]
+    data_path = tmp_path / "d.csv"
+    data_path.write_text("obs_id,i1,i2,i3,value\n" + "\n".join(body))
+    write_manifest(DatasetManifest(dims=(3, 3, 3), n_obs=1, data="d.csv"), tmp_path / "m.json")
+    assert np.array_equal(load_dataset(tmp_path / "m.json"), np.zeros((1, 3, 3, 3)))
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd to name a pipe")
+def test_csv_read_from_a_pipe_skips_the_size_rule(tmp_path, dataset):
+    """A pipe has no size to check, so its rows are read as a file's are."""
+    manifest_path, data_path = _write_bundle(tmp_path, dataset)
+    read_fd, write_fd = os.pipe()
+    feeder = threading.Thread(target=lambda: (os.write(write_fd, data_path.read_bytes()),
+                                              os.close(write_fd)))
+    feeder.start()
+    try:
+        loaded = load_dataset(manifest_path, data_path=f"/dev/fd/{read_fd}")
+    finally:
+        feeder.join(timeout=60)
+        os.close(read_fd)
+    assert np.array_equal(loaded, dataset)
 
 
 def test_manifest_validation(tmp_path):
@@ -938,6 +998,34 @@ def test_a_missing_output_directory_fails_before_any_work(cli_bundle, capsys, mo
     assert err.startswith("tmclust: error: ") and missing in err
     assert calls == []
     assert not (tmp_path / "ok").exists()
+
+
+@pytest.mark.parametrize("csv_dir", ["afile", "afile/sub"])
+def test_a_csv_dir_that_cannot_be_made_fails_before_any_work(tmp_path, capsys, monkeypatch,
+                                                             csv_dir):
+    calls = []
+    monkeypatch.setattr(tmclust.cli, "run_study", lambda *args, **kwargs: calls.append(args))
+    afile, out = tmp_path / "afile", tmp_path / "s.json"
+    afile.write_text("kept\n")
+    csv_dir = str(tmp_path / csv_dir)
+    assert main(["simulate", "--replicates", "1", "--out", str(out), "--csv-dir", csv_dir]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("tmclust: error: ") and csv_dir in err
+    assert calls == [] and not out.exists()
+    assert afile.read_text() == "kept\n"
+
+
+def test_a_fit_aborted_by_a_degeneracy_exits_2(cli_bundle, capsys, monkeypatch):
+    tmp_path, manifest_path, _ = cli_bundle
+
+    def collapse(*args, **kwargs):
+        raise EmptyComponentError("group 2 collapsed", group=1, iteration=3)
+
+    monkeypatch.setattr(tmclust.cli, "fit", collapse)
+    out = tmp_path / "r.json"
+    assert main(["fit", "--manifest", str(manifest_path), "--groups", "2", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "tmclust: aborted: group 2 collapsed\n"
+    assert not out.exists()
 
 
 def test_usage_errors_exit_1(capsys):

@@ -371,6 +371,36 @@ def test_report_csvs_pin_every_cell_format(tmp_path):
     )
 
 
+def test_a_replicate_that_raises_is_recorded_and_the_study_still_reports(tmp_path, monkeypatch):
+    """An exception inside one replicate becomes that record's ``error``; the
+    other replicates, the summaries and both report files are still made."""
+    import tmclust.simulate as simulate
+
+    calls = []
+
+    def flaky(cfg, rng):
+        calls.append(None)
+        if len(calls) == 2:
+            raise RuntimeError("generator broke")
+        return generate_dataset(cfg, rng)
+
+    monkeypatch.setattr(simulate, "generate_dataset", flaky)
+    cfg = SimConfig(n_obs=12, dims=(2, 3), n_groups=2, replicates=2, g_scan=(2,))
+    report = run_study(cfg, workers=1)
+    assert [r.error for r in report.records] == [None, "RuntimeError: generator broke"]
+    failed = report.records[1]
+    assert failed.selected_g is None and failed.ari is None
+    assert report.cells[0].n_replicates == 2 and report.cells[0].n_failed == 1
+    write_report_json(report, tmp_path / "report.json")
+    write_report_csvs(report, tmp_path / "csvs")
+    doc = json.loads((tmp_path / "report.json").read_text())
+    assert doc["records"][1]["error"] == "RuntimeError: generator broke"
+    rows = (tmp_path / "csvs" / "replicates.csv").read_text().splitlines()
+    assert rows[2].startswith("0,12,2x3,1,RuntimeError: generator broke,")
+    cells = (tmp_path / "csvs" / "cells.csv").read_text().splitlines()
+    assert cells[1].startswith("0,12,2x3,6,2,1,")  # two replicates, one failed
+
+
 def test_run_study_requires_cells():
     with pytest.raises(ValueError):
         run_study(())
