@@ -1,15 +1,17 @@
 """Dataset manifests, long-CSV / binary readers and writers, result documents.
 
 The long CSV (header ``obs_id,i1,...,iD,value``, 1-based indices, any row
-order, every cell exactly once) is the canonical interchange format; it is
-parsed in chunks by ``np.loadtxt`` and re-read row by row only to name the
-first bad row.  ``bin-f64`` (raw little-endian doubles, observations
-concatenated in canonical layout, no header) is the fast path for large
-inputs.  Result documents are checked field by field, arrays included, so
-a value of the wrong JSON type is an error, not a coercion.  All floats
-in JSON documents are written by Python's shortest round-trip repr, so a
-write/read cycle reproduces every double bit for bit.  Every file is read
-as UTF-8, whatever the locale's encoding, and an error about a file names it.
+order, every cell exactly once) is the canonical interchange format.  A
+file or a pipe is read once, in chunks that ``np.loadtxt`` parses or else
+row by row, and gives the same message naming the first bad row; a batch
+too large to allocate is a format error too.  ``bin-f64`` (raw
+little-endian doubles, observations concatenated in canonical layout, no
+header) is the fast path for large inputs.  Result documents are checked
+field by field, arrays included, so a value of the wrong JSON type is an
+error, not a coercion.  All floats in JSON documents are written by
+Python's shortest round-trip repr, so a write/read cycle reproduces every
+double bit for bit.  Every file is read as UTF-8, whatever the locale's
+encoding, and an error about a file names it.
 
 Every file tmclust writes goes through :func:`_output`, which rewrites an
 existing file in place: it opens the file without truncating it, writes
@@ -29,7 +31,6 @@ import itertools
 import json
 import math
 import os
-import re
 import stat
 import warnings
 from collections import Counter
@@ -45,7 +46,7 @@ from .mda import as_batch, matricize_mode1
 
 _FORMATS = ("csv-long", "bin-f64")
 _CSV_CHUNK_LINES = 512  # lines of a long CSV parsed per np.loadtxt call
-_CSV_OTHER_CHARS = re.compile(r"[^0-9eE.+\- \t,\n]")
+_CSV_CHUNK_BYTES = b"0123456789eE.+- \t,\r\n"  # all that a chunk np.loadtxt parses may hold
 
 
 def _csv_cell(value):
@@ -128,18 +129,32 @@ class DatasetManifest:
             raise DataFormatError(f"missing required field {exc}") from None
 
 
-@contextlib.contextmanager
-def _reading(path, newline=None):
-    """``path`` open as UTF-8 text; a byte that is not UTF-8 (its row named)
-    or a row the csv module refuses raises DataFormatError naming the file."""
+def _reading(path):
+    """``path`` open as UTF-8 text for :func:`_records`, which names the row
+    of a byte that is not UTF-8."""
+    return open(path, encoding="utf-8", errors="surrogateescape", newline="")
+
+
+def _records(path, lines, row: int = 1, stop=math.inf):
+    """``(row, fields)`` for each csv record of ``lines``, numbered from ``row``, until one
+    ends on or past line ``stop``; a byte that is not UTF-8 or a record the
+    csv module refuses raises DataFormatError naming the file."""
+    def checked():
+        for line in lines:
+            if not line.isascii():
+                try:  # a bad byte is a lone surrogate here
+                    line.encode("utf-8", "surrogateescape").decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise DataFormatError(f"{path}: row {row}: not UTF-8 ({exc.reason})") from None
+            yield line
+
+    reader = csv.reader(checked())
     try:
-        with open(path, encoding="utf-8", newline=newline) as fh:
-            yield fh
-    except UnicodeDecodeError as exc:
-        with open(path, "rb") as fh:  # a UTF-8 line survives decoding with replacement
-            bad = (n for n, b in enumerate(fh, 1) if b.decode(errors="replace").encode() != b)
-            row = next(bad, "?")
-        raise DataFormatError(f"{path}: row {row}: not UTF-8 ({exc.reason})") from None
+        for fields in reader:
+            yield row, fields
+            if reader.line_num >= stop:
+                return
+            row += 1
     except csv.Error as exc:
         raise DataFormatError(f"{path}: {exc}") from None
 
@@ -216,124 +231,93 @@ def _csv_long_header(order: int) -> list[str]:
 
 
 def _load_csv_long(path, dims: tuple[int, ...], n_obs: int) -> np.ndarray:
-    """The batch of a long CSV: parsed in chunks, or, if that fails, by the
-    row scan, which raises the error that names the first bad row.
-
-    A regular file too small to hold N * n* rows is rejected before either
-    allocates the batch: a row's d + 2 fields, d + 1 commas and line break
-    take at least 2 d + 4 bytes.
-    """
-    rows, info = n_obs * math.prod(dims), os.stat(path)
-    if stat.S_ISREG(info.st_mode) and rows * (2 * len(dims) + 4) > info.st_size:
-        raise DataFormatError(
-            f"{path}: {n_obs} x {dims} needs {rows} rows, more than {info.st_size} bytes hold"
-        )
-    values = _parse_csv_long(path, dims, n_obs)
-    return values if values is not None else _scan_csv_long(path, dims, n_obs)
-
-
-def _parse_csv_long(path, dims: tuple[int, ...], n_obs: int) -> np.ndarray | None:
-    """The fast path of :func:`_load_csv_long`: None unless the file is valid.
-
-    The data rows are parsed in chunks of ``_CSV_CHUNK_LINES`` lines by
-    ``np.loadtxt`` into integer indices and float values.  A chunk must hold
-    only ASCII digits, signs, points, exponents, commas, spaces and tabs:
-    ``np.loadtxt`` reads some other characters as digits or whitespace where
-    ``int`` and ``float`` reject them.  On those characters it rejects every
-    token the row scan rejects (``1.0`` as an index, blank fields, lines of
-    whitespace) and reads every value it accepts as ``float`` does, through
-    the same correctly rounded conversion.  N * n* rows that each name a cell
-    in range, with finite values, cover every cell exactly once when no cell
-    is missing, so one mask checks duplicates and missing cells at once.
-    """
-    d = len(dims)
-    shape = (n_obs,) + dims
-    fields = [(f"i{k}", np.int64) for k in range(d + 1)] + [("value", np.float64)]
-    expected = ",".join(_csv_long_header(d))
-    values = np.empty(math.prod(shape))
-    seen = np.zeros(values.size, dtype=bool)
-    n_rows = 0
-    with _reading(path) as fh, warnings.catch_warnings():
-        warnings.simplefilter("error")  # a warning is a parse failure here
+    """The batch of a long CSV, read once in chunks of ``_CSV_CHUNK_LINES`` lines; a
+    chunk :func:`_store_chunk` refuses goes row by row through :func:`_store_row`,
+    and the first bad row raises :class:`DataFormatError`.  A regular file too small
+    for N * n* rows (each at least 2 d + 4 bytes) is rejected before the batch is
+    allocated; a pipe has no size, so there an allocation that fails is the error."""
+    shape, order = (n_obs,) + dims, len(dims)
+    with _reading(path) as fh:
+        info, n_rows = os.fstat(fh.fileno()), math.prod(shape)
+        needs = f"{path}: {n_obs} x {dims} needs {n_rows} rows"
+        if stat.S_ISREG(info.st_mode) and n_rows * (2 * order + 4) > info.st_size:
+            raise DataFormatError(f"{needs}, more than {info.st_size} bytes hold")
         try:
-            if ",".join(h.strip() for h in fh.readline().rstrip("\n").split(",")) != expected:
-                return None
-            while lines := list(itertools.islice(fh, _CSV_CHUNK_LINES)):
-                text = "".join(lines)
-                if _CSV_OTHER_CHARS.search(text):
-                    return None
-                if not text.strip("\n"):
-                    continue  # blank lines only
-                rows = np.loadtxt(lines, dtype=fields, delimiter=",", comments=None, ndmin=1)
-                if not np.all(np.isfinite(rows["value"])):
-                    return None
-                cells = np.ravel_multi_index([rows[f"i{k}"] - 1 for k in range(d + 1)], shape)
-                values[cells] = rows["value"]
-                seen[cells] = True
-                n_rows += len(rows)
-        except (ValueError, Warning):
-            return None
-    if n_rows != values.size or not seen.all():
-        return None
-    return values.reshape(shape)
-
-
-def _scan_csv_long(path, dims: tuple[int, ...], n_obs: int) -> np.ndarray:
-    """Read a long CSV row by row, raising :class:`DataFormatError` at the
-    first bad row."""
-    d = len(dims)
-    expected_header = _csv_long_header(d)
-    values = np.empty((n_obs,) + dims)
-    seen = np.zeros((n_obs,) + dims, dtype=bool)
-    with _reading(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError(f"{path}: empty file") from None
-        if [h.strip() for h in header] != expected_header:
-            raise DataFormatError(
-                f"{path}: bad header {header!r}, expected {expected_header}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
+            values, seen = np.empty(shape), np.zeros(shape, dtype=bool)
+        except (MemoryError, ValueError):
+            raise DataFormatError(f"{needs}, too many to allocate") from None
+        _, header = next(_records(path, fh, stop=1), (1, None))
+        if header is None:
+            raise DataFormatError(f"{path}: empty file")
+        if [h.strip() for h in header] != (expected := _csv_long_header(order)):
+            raise DataFormatError(f"{path}: bad header {header!r}, expected {expected}")
+        row = 2
+        while lines := list(itertools.islice(fh, _CSV_CHUNK_LINES)):
+            if _store_chunk(lines, values, seen):
+                row += len(lines)
                 continue
-            if len(row) != d + 2:
-                raise DataFormatError(
-                    f"{path}: row {lineno}: expected {d + 2} fields, got {len(row)}"
-                )
-            try:
-                obs = int(row[0])
-                idx = tuple(int(v) for v in row[1 : d + 1])
-                val = float(row[d + 1])
-            except ValueError as exc:
-                raise DataFormatError(f"{path}: row {lineno}: {exc}") from None
-            if not 1 <= obs <= n_obs:
-                raise DataFormatError(
-                    f"{path}: row {lineno}: obs_id {obs} outside 1..{n_obs}"
-                )
-            for k, (i, n) in enumerate(zip(idx, dims)):
-                if not 1 <= i <= n:
-                    raise DataFormatError(
-                        f"{path}: row {lineno}: i{k + 1}={i} outside 1..{n}"
-                    )
-            if not np.isfinite(val):
-                raise DataFormatError(f"{path}: row {lineno}: value {row[d+1]!r} not finite")
-            cell = (obs - 1,) + tuple(i - 1 for i in idx)
-            if seen[cell]:
-                raise DataFormatError(
-                    f"{path}: row {lineno}: duplicate cell obs_id={obs}, index={idx}"
-                )
-            seen[cell] = True
-            values[cell] = val
-    if not seen.all():
-        missing = np.argwhere(~seen)
-        first = missing[0]
-        raise DataFormatError(
-            f"{path}: {len(missing)} missing cells, first: obs_id={first[0] + 1}, "
-            f"index={tuple(int(i) + 1 for i in first[1:])}"
-        )
+            for row, fields in _records(path, itertools.chain(lines, fh), row, len(lines)):
+                try:
+                    _store_row(fields, values, seen)
+                except ValueError as exc:
+                    raise DataFormatError(f"{path}: row {row}: {exc}") from None
+            row += 1  # the row after the chunk's last record
+    if not seen.all():  # counted and found without a mask of the missing cells
+        first = [int(i) + 1 for i in np.unravel_index(np.argmin(seen), shape)]
+        raise DataFormatError(f"{path}: {seen.size - np.count_nonzero(seen)} missing cells, "
+                              f"first: obs_id={first[0]}, index={tuple(first[1:])}")
     return values
+
+
+def _store_row(fields: list[str], values: np.ndarray, seen: np.ndarray) -> None:
+    """Store a long-CSV row, read by ``int`` and ``float``, unless it is blank; a row that
+    breaks a rule or names a cell already ``seen`` raises ValueError."""
+    if not fields:
+        return
+    if len(fields) != seen.ndim + 1:
+        raise ValueError(f"expected {seen.ndim + 1} fields, got {len(fields)}")
+    ids, value = [int(v) for v in fields[:-1]], float(fields[-1])
+    for k, (i, n) in enumerate(zip(ids, seen.shape)):
+        if not 1 <= i <= n:
+            raise ValueError(f"{f'i{k}=' if k else 'obs_id '}{i} outside 1..{n}")
+    if not math.isfinite(value):
+        raise ValueError(f"value {fields[-1]!r} not finite")
+    cell = tuple(i - 1 for i in ids)
+    if seen[cell]:
+        raise ValueError(f"duplicate cell obs_id={ids[0]}, index={tuple(ids[1:])}")
+    seen[cell], values[cell] = True, value
+
+
+def _store_chunk(lines: list[str], values: np.ndarray, seen: np.ndarray) -> bool:
+    """Store a chunk of long-CSV rows parsed by ``np.loadtxt`` in ``values`` and ``seen``;
+    False, storing nothing, unless every row is valid and names a cell seen nowhere.
+
+    Only ``_CSV_CHUNK_BYTES`` may appear: ``np.loadtxt`` reads some other characters as
+    digits or whitespace where ``int`` and ``float`` reject them.  On these it rejects
+    every token the row rules reject (``1.0`` as an index, blank fields, lines of
+    whitespace) and reads every value as ``float`` does, correctly rounded.  A chunk
+    longer than the csv module's field limit is left to the rules that apply it."""
+    text = "".join(lines)
+    if (len(text) > csv.field_size_limit() or not text.isascii()
+            or text.encode().translate(None, _CSV_CHUNK_BYTES)):
+        return False
+    if not text.strip("\r\n"):
+        return True  # blank lines only
+    fields = [(f"i{k}", np.int64) for k in range(seen.ndim)] + [("value", np.float64)]
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning is a parse failure here
+            rows = np.loadtxt(lines, dtype=fields, delimiter=",", comments=None, ndmin=1)
+        cells = np.ravel_multi_index([rows[f"i{k}"] - 1 for k in range(seen.ndim)], seen.shape)
+    except (ValueError, Warning):
+        return False
+    ordered = np.sort(cells)
+    if (not np.isfinite(rows["value"]).all() or seen.reshape(-1)[cells].any()
+            or (ordered[1:] == ordered[:-1]).any()):
+        return False
+    values.reshape(-1)[cells] = rows["value"]
+    seen.reshape(-1)[cells] = True
+    return True
 
 
 def _load_bin_f64(path, dims: tuple[int, ...], n_obs: int) -> np.ndarray:
@@ -530,13 +514,13 @@ def write_labels_csv(path, labels, responsibilities) -> None:
 
 def read_labels_csv(path) -> np.ndarray:
     """MAP labels (0-based) from a labels CSV whose obs_ids are 1..N, each once."""
-    with _reading(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+    with _reading(path) as fh:
+        records = _records(path, fh)
+        _, header = next(records, (1, None))
         if header is None or header[:2] != ["obs_id", "map_label"]:
             raise DataFormatError(f"{path}: expected a labels CSV header")
         rows = []
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in records:
             try:
                 if row:
                     rows.append((int(row[0]), int(row[1])))

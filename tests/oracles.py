@@ -35,10 +35,15 @@ to the front.
   component at a time through ``tmclust.mlnd.log_density_batch``, the
   reference for ``tmclust.em.loglik_matrix``'s one G-group workspace.  It
   does share the package's whitening: the two must agree bit for bit.
+* :func:`scan_csv_long` — a long CSV read as one csv-module pass over the
+  whole file, row by row, raising at the first bad row: the row scan that
+  ``tmclust.io._load_csv_long``'s chunked reader must agree with.
 """
 
 from __future__ import annotations
 
+import contextlib
+import csv
 from dataclasses import dataclass
 from functools import reduce
 
@@ -47,6 +52,8 @@ from scipy.linalg import solve_triangular
 from scipy.optimize import minimize
 
 from tmclust.em import FitOptions
+from tmclust.errors import DataFormatError
+from tmclust.io import _csv_long_header
 from tmclust.mda import as_batch, vectorize
 from tmclust.metrics import relative_error
 from tmclust.mlnd import MlndParams, log_density_batch
@@ -332,3 +339,77 @@ def record_scale(record, k: int) -> np.ndarray:
     if isinstance(fac, McdFactors):
         return mcd_scale(fac.t, fac.delta)
     return fac.scale * np.diag(fac.shape)
+
+
+@contextlib.contextmanager
+def _reading(path, newline=None):
+    """``path`` open as UTF-8 text; a byte that is not UTF-8 (its row named)
+    or a row the csv module refuses raises DataFormatError naming the file."""
+    try:
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        with open(path, "rb") as fh:  # a UTF-8 line survives decoding with replacement
+            bad = (n for n, b in enumerate(fh, 1) if b.decode(errors="replace").encode() != b)
+            row = next(bad, "?")
+        raise DataFormatError(f"{path}: row {row}: not UTF-8 ({exc.reason})") from None
+    except csv.Error as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
+
+
+def scan_csv_long(path, dims: tuple[int, ...], n_obs: int) -> np.ndarray:
+    """Read a long CSV row by row, raising :class:`DataFormatError` at the
+    first bad row."""
+    d = len(dims)
+    expected_header = _csv_long_header(d)
+    values = np.empty((n_obs,) + dims)
+    seen = np.zeros((n_obs,) + dims, dtype=bool)
+    with _reading(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataFormatError(f"{path}: empty file") from None
+        if [h.strip() for h in header] != expected_header:
+            raise DataFormatError(
+                f"{path}: bad header {header!r}, expected {expected_header}"
+            )
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != d + 2:
+                raise DataFormatError(
+                    f"{path}: row {lineno}: expected {d + 2} fields, got {len(row)}"
+                )
+            try:
+                obs = int(row[0])
+                idx = tuple(int(v) for v in row[1 : d + 1])
+                val = float(row[d + 1])
+            except ValueError as exc:
+                raise DataFormatError(f"{path}: row {lineno}: {exc}") from None
+            if not 1 <= obs <= n_obs:
+                raise DataFormatError(
+                    f"{path}: row {lineno}: obs_id {obs} outside 1..{n_obs}"
+                )
+            for k, (i, n) in enumerate(zip(idx, dims)):
+                if not 1 <= i <= n:
+                    raise DataFormatError(
+                        f"{path}: row {lineno}: i{k + 1}={i} outside 1..{n}"
+                    )
+            if not np.isfinite(val):
+                raise DataFormatError(f"{path}: row {lineno}: value {row[d+1]!r} not finite")
+            cell = (obs - 1,) + tuple(i - 1 for i in idx)
+            if seen[cell]:
+                raise DataFormatError(
+                    f"{path}: row {lineno}: duplicate cell obs_id={obs}, index={idx}"
+                )
+            seen[cell] = True
+            values[cell] = val
+    if not seen.all():
+        missing = np.argwhere(~seen)
+        first = missing[0]
+        raise DataFormatError(
+            f"{path}: {len(missing)} missing cells, first: obs_id={first[0] + 1}, "
+            f"index={tuple(int(i) + 1 for i in first[1:])}"
+        )
+    return values

@@ -193,6 +193,19 @@ def test_csv_tokens_read_as_the_row_scan_reads_them(tmp_path, dataset, field, to
     assert np.array_equal(load_dataset(manifest_path), want)
 
 
+def test_csv_field_past_the_csv_modules_limit_is_refused(tmp_path, dataset):
+    """The row rules' csv module refuses a field longer than its limit, so a
+    chunk that np.loadtxt could parse is refused too: whether the chunk also
+    holds a quoted field does not decide the outcome."""
+    manifest_path, data_path = _write_bundle(tmp_path, dataset)
+    lines = data_path.read_text().splitlines()
+    lines[1] = lines[1].rsplit(",", 1)[0] + ",0." + "0" * 200_000 + "1"
+    data_path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataFormatError, match="field larger than field limit") as info:
+        load_dataset(manifest_path)
+    assert str(data_path) in str(info.value)
+
+
 def test_bin_size_mismatch_rejected(tmp_path, dataset):
     manifest_path, data_path = _write_bundle(tmp_path, dataset, "bin-f64")
     raw = data_path.read_bytes()
@@ -259,6 +272,92 @@ def test_csv_read_from_a_pipe_skips_the_size_rule(tmp_path, dataset):
         feeder.join(timeout=60)
         os.close(read_fd)
     assert np.array_equal(loaded, dataset)
+
+
+def _outcome(read, path):
+    """What ``read(path)`` returns, or its DataFormatError's message with
+    the path written as ``<file>``."""
+    try:
+        return read(path)
+    except DataFormatError as exc:
+        return str(exc).replace(str(path), "<file>")
+
+
+def _through_a_pipe(read, raw: bytes):
+    """:func:`_outcome` of ``read`` on a pipe that holds ``raw``."""
+    read_fd, write_fd = os.pipe()
+    os.write(write_fd, raw)  # less than a pipe's buffer holds, so nothing reads it yet
+    os.close(write_fd)
+    try:
+        return _outcome(read, f"/dev/fd/{read_fd}")
+    finally:
+        os.close(read_fd)
+
+
+# a long CSV's lines, header first, changed so that a regular file is named
+# at its bad row or missing cell, or read with a quoted field
+PIPED_CSVS = {
+    "out-of-range": lambda lines: lines[:2] + [lines[2].replace(b",1,", b",9,", 1)] + lines[3:],
+    "duplicate": lambda lines: lines + lines[1:2],
+    "missing": lambda lines: lines[:3] + lines[4:],
+    "not-utf8": lambda lines: lines[:3] + [b"\xff" + lines[3]] + lines[4:],
+    "quoted": lambda lines: lines[:1] + [b'"1"' + lines[1][1:]] + lines[2:],
+}
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd to name a pipe")
+@pytest.mark.parametrize("change", PIPED_CSVS.values(), ids=PIPED_CSVS.keys())
+def test_csv_from_a_pipe_reads_as_a_regular_file(tmp_path, dataset, change):
+    """A pipe is read once, so it gives the regular file's message or array,
+    not ``empty file``."""
+    manifest_path, data_path = _write_bundle(tmp_path, dataset)
+    data_path.write_bytes(b"\n".join(change(data_path.read_bytes().splitlines())) + b"\n")
+    read = lambda path: load_dataset(manifest_path, data_path=path)  # noqa: E731
+    want, got = _outcome(read, data_path), _through_a_pipe(read, data_path.read_bytes())
+    if isinstance(want, str):
+        assert got == want and "empty file" not in want
+    else:
+        assert np.array_equal(got, want) and np.array_equal(want, dataset)
+
+
+def test_csv_names_its_first_bad_row_before_a_later_bad_byte(tmp_path, dataset):
+    """The text decoder reads ahead of the rows, but a byte that is not
+    UTF-8 is named only when the reader comes to its row."""
+    manifest_path, data_path = _write_bundle(tmp_path, dataset)
+    lines = data_path.read_bytes().splitlines()
+    lines[2] = lines[2].replace(b",1,", b",9,", 1)
+    lines[5] = b"\xff" + lines[5]
+    data_path.write_bytes(b"\n".join(lines) + b"\n")
+    with pytest.raises(DataFormatError, match="row 3: i1=9 outside 1..2"):
+        load_dataset(manifest_path)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd to name a pipe")
+def test_csv_from_a_pipe_too_large_to_allocate_is_a_format_error(tmp_path, capsys):
+    """A pipe has no size for the size rule, so a manifest of 1.16 TiB
+    fails as a format error naming the pipe and the rows it needs, not as
+    a MemoryError."""
+    write_csv_long(tmp_path / "d.csv", np.zeros((4, 2, 2)))
+    manifest_path = tmp_path / "big.json"
+    write_manifest(DatasetManifest(dims=(200_000, 200_000), n_obs=4, data="d.csv"), manifest_path)
+    raw = (tmp_path / "d.csv").read_bytes()
+    got = _through_a_pipe(lambda path: load_dataset(manifest_path, data_path=path), raw)
+    assert got == "<file>: 4 x (200000, 200000) needs 160000000000 rows, too many to allocate"
+    argv = ["fit", "--manifest", str(manifest_path), "--groups", "1",
+            "--out", str(tmp_path / "r.json")]
+    assert _through_a_pipe(lambda path: main(argv + ["--data", path]), raw) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("tmclust: error: /dev/fd/") and "160000000000 rows" in err
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd to name a pipe")
+def test_labels_csv_from_a_pipe_names_the_row_that_is_not_utf8(tmp_path):
+    path = tmp_path / "labels.csv"
+    write_labels_csv(path, [0, 1, 1, 0], np.eye(2)[[0, 1, 1, 0]])
+    _spoil(path, 4)
+    want = _outcome(read_labels_csv, path)
+    assert want.startswith("<file>: row 4: not UTF-8")
+    assert _through_a_pipe(read_labels_csv, path.read_bytes()) == want
 
 
 def test_manifest_validation(tmp_path):

@@ -15,6 +15,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import event, given, settings, strategies as st  # noqa: E402
 
+import tmclust.io  # noqa: E402
 from tmclust import mlnd  # noqa: E402
 from tmclust.em import (  # noqa: E402
     FAMILIES,
@@ -27,8 +28,6 @@ from tmclust.em import (  # noqa: E402
 from tmclust.errors import DataFormatError, TmclustError  # noqa: E402
 from tmclust.io import (  # noqa: E402
     _load_csv_long,
-    _parse_csv_long,
-    _scan_csv_long,
     load_dataset,
     read_labels_csv,
     read_manifest,
@@ -40,7 +39,7 @@ from tmclust.mlnd import MlndParams  # noqa: E402
 from tmclust.parsimony import ScaleModel, mcd_evi_update, mcd_vvi_update  # noqa: E402
 
 from conftest import mixture, spd_with_condition  # noqa: E402
-from oracles import dense_log_density, kron, mcd_rowwise  # noqa: E402
+from oracles import dense_log_density, kron, mcd_rowwise, scan_csv_long  # noqa: E402
 
 PROPERTY = settings(derandomize=True, max_examples=200, deadline=None, database=None)
 
@@ -109,22 +108,24 @@ def outcome(load, path, dims, n_obs):
 @PROPERTY
 @given(csv_long_files())
 def test_csv_long_fast_path_agrees_with_the_row_scan(case):
-    """The chunked parse gives the row scan's array bit for bit, or the row
-    scan's error; whatever it accepts, the row scan accepts too."""
+    """The chunked reader gives the row scan's array bit for bit, or the row
+    scan's error, at every chunk size: chunks of 1, 2 and 3 lines put chunk
+    boundaries among the bad rows and quoted fields that the default chunk
+    holds in one."""
     dims, n_obs, text = case
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "arrays.csv")
         with open(path, "w", newline="") as fh:
             fh.write(text)
-        want = outcome(_scan_csv_long, path, dims, n_obs)
-        got = outcome(_load_csv_long, path, dims, n_obs)
-        fast = _parse_csv_long(path, dims, n_obs)
-    if isinstance(want, str):
-        assert got == want
-        assert fast is None
-    else:
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
-        assert fast is None or np.array_equal(fast.view(np.int64), want.view(np.int64))
+        want = outcome(scan_csv_long, path, dims, n_obs)
+        for lines in (1, 2, 3, tmclust.io._CSV_CHUNK_LINES):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(tmclust.io, "_CSV_CHUNK_LINES", lines)
+                got = outcome(_load_csv_long, path, dims, n_obs)
+            if isinstance(want, str):
+                assert got == want, f"chunks of {lines} lines"
+            else:
+                assert np.array_equal(got.view(np.int64), want.view(np.int64)), f"{lines} lines"
 
 
 # --- the density's one whitening route --------------------------------------------------
