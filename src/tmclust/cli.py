@@ -107,9 +107,8 @@ def _check_out_dirs(*paths) -> None:
 
 
 def _load(args):
-    manifest = read_manifest(args.manifest)
-    data = load_dataset(args.manifest, data_path=args.data)
-    return manifest, data
+    manifest = read_manifest(args.manifest)  # read once: it may be a pipe
+    return manifest, load_dataset(args.manifest, data_path=args.data, manifest=manifest)
 
 
 # --- commands ----------------------------------------------------------------

@@ -5,29 +5,26 @@ cyclic conditional M-step sweep — weights, then means, then the scale matrix
 of each dimension in order by its family's update in :data:`FAMILIES`, every
 update using the freshest estimates — so the observed log-likelihood is
 monotone.  :data:`FAMILIES` is the one place a scale family is defined: its
-update and singularity repair, parameter count and factor record.  A scale
-stack is the only state of a fitted scale: a family's record (such as the
-MCD families' T and delta) is derived from it, in one place, whenever a
-:class:`MixtureModel` is built.  Stopping uses the Aitken estimate of the
-asymptotic log-likelihood.  The Kronecker rescaling indeterminacy is
-resolved once after convergence by rescaling every non-leading scale
-matrix to a unit leading entry, one stack at a time for all groups.
+estimate, parameter count and factor record; one step,
+:func:`regularize_and_check`, repairs and factors every family's estimate.
+A scale stack is the only state of a fitted scale: a family's record (such
+as the MCD families' T and delta) is derived from it, in one place,
+whenever a :class:`MixtureModel` is built.  Stopping uses the Aitken
+estimate of the asymptotic log-likelihood.  The Kronecker rescaling
+indeterminacy is resolved once after convergence by rescaling every
+non-leading scale matrix to a unit leading entry, one stack at a time for
+all groups.
 
 The sweep whitens incrementally in one :class:`~tmclust.mlnd.SweepWorkspace`
-per fit: 3D-2 mode passes per iteration instead of D^2, each one call for
-all groups, the last giving the E-step's quadratic forms, and no temporary
-the size of the batch.  A group sweeps only the observations whose
-responsibility is not exactly zero; the E-step whitens the others once with
-the new factors, or not at all where a bound carried from the last E-step
-proves that their responsibility underflows to 0.0.  One ``_scatter_one``
-call per dimension returns its (G, n_d, n_d) scatters.
+per fit, as :mod:`tmclust.mlnd` describes: 3D-2 mode passes per iteration
+instead of D^2 (fewer in the first, which skips its identity factors), each
+one call for all groups, and no temporary the size of the batch.  One
+``_scatter_one`` call per dimension returns its (G, n_d, n_d) scatters.
 
-A :class:`MixtureModel` holds the loop's arrays: the weights, the (G, n_1,
-..., n_D) means and, per dimension, a (G, n_d, n_d) scale stack.  The loop
-adds each stack's Cholesky factors L, from the batched Cholesky that checks
-it, their inverses and the workspace.  :func:`e_step` evaluates that state,
-or a model's stacks factored the same way in a fresh workspace.  A fit
-builds its model once, from the normalized stacks.
+A :class:`MixtureModel` holds the loop's arrays; the loop adds the factors
+L that :func:`regularize_and_check` returns, their inverses and the
+workspace.  :func:`e_step` evaluates that state, or a model's stacks in a
+fresh workspace.  A fit builds its model once, from the normalized stacks.
 
 A fit runs numpy's OpenBLAS on one thread (restoring the caller's count on
 exit): its products are small, and a second BLAS thread only spins.  Its
@@ -265,7 +262,7 @@ def init_kmeans(data, n_groups: int, options: FitOptions | None = None, rng=None
 class _Stacks:
     """The EM loop's state: weights (G,), means (G, n_1, ..., n_D), per
     dimension (G, n_d, n_d) stacks of the scales, their Cholesky factors L
-    and the inverses L^{-1}, and the fit's sweep workspace."""
+    and inverses L^{-1} (None for identity scales), and the sweep workspace."""
 
     weights: np.ndarray
     means: np.ndarray
@@ -277,13 +274,10 @@ class _Stacks:
 
 def loglik_matrix(data, model: MixtureModel | _Stacks):
     """(N, G) matrix of log(pi_g) + per-component log densities, from one
-    :meth:`~tmclust.mlnd.SweepWorkspace.quad_matrix` call.
-
-    A :class:`MixtureModel` gets a batched Cholesky of each scale stack and a
-    fresh workspace, which whitens every pair.  Inside ``fit``, ``model`` is
-    the loop's state, whose workspace whitens only the last mode of each
-    group's support, and the rest from scratch, or not where the rest's
-    responsibility provably underflows to 0 (its entry is then -inf).
+    :meth:`~tmclust.mlnd.SweepWorkspace.quad_matrix` call: a
+    :class:`MixtureModel`'s in a fresh workspace, which whitens every pair;
+    the loop's state in its own, which whitens the last mode of each support
+    and the rests, but not where they provably underflow to 0 (entry -inf).
     """
     if isinstance(model, MixtureModel):
         chols = [chol_lower(stack, dim=d + 1) for d, stack in enumerate(model.scales)]
@@ -337,14 +331,25 @@ def aitken_stop(window: Sequence[float], epsilon: float) -> bool:
     return 0.0 <= gap < epsilon
 
 
-def _factor(
-    stack: np.ndarray, flags: np.ndarray, reg_epsilon: float, reset: np.ndarray | None = None
-):
-    """``(stack, L, flags)``, L the stack's lower Cholesky factors from one
-    batched call.  If a matrix is flagged or the call fails, every matrix
-    without a factor of its own is flagged too; the flagged ones get
-    ``reg_epsilon * I`` added (or become ``reg_epsilon * reset``, if a
-    ``reset`` matrix is given) in a copy, which is factored."""
+def regularize_and_check(
+    stack: np.ndarray, reg_epsilon: float, flags: np.ndarray | None = None, reset=None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The one repair step: a family's (G, n, n) scale estimates, repaired,
+    and their Cholesky factors L, returned as ``(stack, L, flags)``.
+
+    ``flags`` (G,) marks the estimates to repair; without it, one batched SVD
+    flags each whose inverse condition number is below machine epsilon.  One
+    batched Cholesky factors a stack with no flag; otherwise, or if it fails,
+    a Cholesky of each matrix flags every one without a factor.  A flagged
+    matrix gets ``reg_epsilon * I`` added, or becomes ``reg_epsilon * reset``,
+    in a copy; a copy without factors raises :class:`SingularScaleError`.
+    """
+    stack = np.asarray(stack, dtype=np.float64)
+    if flags is None:
+        svals = np.linalg.svd(stack, compute_uv=False)
+        smax = svals[:, 0]
+        invcond = np.divide(svals[:, -1], smax, out=np.zeros_like(smax), where=smax > 0)
+        flags = ~(invcond >= np.finfo(np.float64).eps)
     if not flags.any():
         try:
             return stack, chol_lower(stack), flags
@@ -358,28 +363,8 @@ def _factor(
     stack = stack.copy()
     ridge = reg_epsilon * np.eye(stack.shape[-1])
     stack[flags] = reg_epsilon * reset if reset is not None else stack[flags] + ridge
-    return stack, chol_lower(stack), flags
-
-
-def regularize_and_check(
-    stack: np.ndarray, reg_epsilon: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Repair near-singular symmetric scale estimates with a ridge.
-
-    ``stack`` is a (G, n, n) stack, checked with one batched SVD and one
-    batched Cholesky.  A matrix whose inverse condition number
-    (smallest/largest singular value) falls below machine epsilon — or whose
-    Cholesky factorization fails outright — gets ``reg_epsilon * I`` added
-    and its flag set.  Returns the stack, its Cholesky factors L and the (G,)
-    bool flags; a repaired stack without factors raises :class:`SingularScaleError`.
-    """
-    stack = np.asarray(stack, dtype=np.float64)
-    svals = np.linalg.svd(stack, compute_uv=False)
-    smax = svals[:, 0]
-    invcond = np.divide(svals[:, -1], smax, out=np.zeros_like(smax), where=smax > 0)
-    flags = ~(invcond >= np.finfo(np.float64).eps)
     try:
-        return _factor(stack, flags, reg_epsilon)
+        return stack, chol_lower(stack), flags
     except NotPositiveDefiniteError:
         raise SingularScaleError("scale matrix is not positive definite after regularization")
 
@@ -392,18 +377,29 @@ class _Family:
 
     ``update(lams, counts, n_obs, n_star, previous, reg_epsilon)`` is the
     M-step of one dimension from the (G, n_d, n_d) scatters Lambda_g, the
-    group sizes n_g and the dimension's previous (G, n_d, n_d) scale stack
-    (the identity at first).  It returns ``(scales, chols, flagged)``: the
-    stacks of new scales and of their Cholesky factors L from one batched
-    call, and the repaired groups (group None for a shared matrix).
-    ``n_params(n_d, G)`` counts free parameters.  ``record(scales)`` is the
-    factor record of a scale stack, or None if the family keeps none: the
-    family's own estimator run on the scales at n* = n_d, which returns a
-    family member's own parameters, up to round-off; a scale that it does not
-    reconstruct is not a member, and ValueError names its group.  The
-    estimators and ``regularize_and_check`` are looked up in this module's
-    globals at call time, so wrappers set on them see every call.
+    group sizes n_g and the previous (G, n_d, n_d) scales (the identity at
+    first).  The family only estimates: ``estimate`` takes the same
+    arguments but the last and returns ``(stack, flags, reset)``, and
+    :func:`regularize_and_check` repairs and factors it.  ``update`` returns
+    the new scales, their Cholesky factors L and the repaired groups; a
+    ``shared`` family's one matrix is repeated to the G groups, as group
+    None.  ``n_params(n_d, G)`` counts free parameters.  ``record(scales)``
+    is a scale stack's factor record, or None: the family's estimator run at
+    n* = n_d, which gives a member's own parameters up to round-off, and
+    ValueError names a group it does not reconstruct.  Estimators and the
+    repair step are looked up in this module's globals at call time, so
+    wrappers set on them see every call.
     """
+
+    shared = False
+
+    def update(self, lams, counts, n_obs, n_star, previous, reg_epsilon):
+        stack, flags, reset = self.estimate(lams, counts, n_obs, n_star, previous)
+        scales, chols, flags = regularize_and_check(stack, reg_epsilon, flags, reset)
+        if self.shared:
+            scales, chols = (np.repeat(a, len(lams), axis=0) for a in (scales, chols))
+            return scales, chols, [None] if flags[0] else []
+        return scales, chols, np.flatnonzero(flags).tolist()
 
     def record(self, scales):
         return None
@@ -438,32 +434,28 @@ def _ldl_reach(t: np.ndarray, deltas: np.ndarray) -> np.ndarray:
 
 
 class _Vvv(_Family):
-    def update(self, lams, counts, n_obs, n_star, previous, reg_epsilon):
-        scales, chols, flags = regularize_and_check((lams.shape[1] / n_star) * lams, reg_epsilon)
-        return scales, chols, np.flatnonzero(flags).tolist()
+    def estimate(self, lams, counts, n_obs, n_star, previous):
+        return (lams.shape[1] / n_star) * lams, None, None
 
     def n_params(self, n_d: int, n_groups: int) -> int:
         return n_groups * n_d * (n_d + 1) // 2
 
 
 class _Eee(_Family):
-    def update(self, lams, counts, n_obs, n_star, previous, reg_epsilon):
-        pooled = gpcm_eee_update(lams, counts, n_obs, n_star)
-        new, chol, repaired = regularize_and_check(pooled[None], reg_epsilon)
-        new, chol = (np.repeat(a, len(lams), axis=0) for a in (new, chol))
-        return new, chol, [None] if repaired[0] else []
+    shared = True
+
+    def estimate(self, lams, counts, n_obs, n_star, previous):
+        return gpcm_eee_update(lams, counts, n_obs, n_star)[None], None, None
 
     def n_params(self, n_d: int, n_groups: int) -> int:
         return n_d * (n_d + 1) // 2
 
 
 class _McdVvi(_Family):
-    def update(self, lams, counts, n_obs, n_star, previous, reg_epsilon):
+    def estimate(self, lams, counts, n_obs, n_star, previous):
+        # a repaired group (delta_g = 0) becomes reg_epsilon * I
         _, deltas, shapes = mcd_vvi_update(lams, n_star)
-        scales, chols, flags = _factor(
-            deltas[:, None, None] * shapes, ~(deltas > 0), reg_epsilon, np.eye(lams.shape[1])
-        )
-        return scales, chols, np.flatnonzero(flags).tolist()
+        return deltas[:, None, None] * shapes, ~(deltas > 0), np.eye(lams.shape[1])
 
     def n_params(self, n_d: int, n_groups: int) -> int:
         return n_groups * (n_d * (n_d - 1) // 2 + 1)
@@ -475,13 +467,10 @@ class _McdVvi(_Family):
 
 
 class _McdEvi(_Family):
-    def update(self, lams, counts, n_obs, n_star, previous, reg_epsilon):
+    def estimate(self, lams, counts, n_obs, n_star, previous):
         # a repaired group keeps the shared T, with delta_g = reg_epsilon
         _, deltas, shape = mcd_evi_update(lams, counts, previous[:, 0, 0], n_star)
-        scales, chols, flags = _factor(
-            deltas[:, None, None] * shape, ~(deltas > 0), reg_epsilon, shape
-        )
-        return scales, chols, np.flatnonzero(flags).tolist()
+        return deltas[:, None, None] * shape, ~(deltas > 0), shape
 
     def n_params(self, n_d: int, n_groups: int) -> int:
         return n_d * (n_d - 1) // 2 + n_groups
@@ -494,10 +483,10 @@ class _McdEvi(_Family):
 
 
 class _GpcmVvi(_Vvv):
-    def update(self, lams, counts, n_obs, n_star, previous, reg_epsilon):
-        # the VVV update of the diagonal scatters
+    def estimate(self, lams, counts, n_obs, n_star, previous):
+        # the VVV estimate of the diagonal scatters
         diag = np.where(np.eye(lams.shape[1], dtype=bool), lams, 0.0)
-        return super().update(diag, counts, n_obs, n_star, previous, reg_epsilon)
+        return super().estimate(diag, counts, n_obs, n_star, previous)
 
     def n_params(self, n_d: int, n_groups: int) -> int:
         return n_groups * n_d
@@ -609,7 +598,7 @@ def fit(
     options : FitOptions, optional
     init_z : ndarray (N, G), optional
         Initial responsibilities, finite and non-negative with rows that sum
-        to 1; defaults to k-means hard assignments.
+        to 1; defaults to k-means hard assignments (ones when G = 1).
         Mainly for symmetry tests and warm starts.
 
     Returns
@@ -630,7 +619,7 @@ def fit(
     specs = family_specs(specs, len(dims))
 
     if init_z is None:
-        z = init_kmeans(batch, g, options)
+        z = init_kmeans(batch, g, options) if g > 1 else np.ones((n, 1))
     else:
         z = np.asarray(init_z, dtype=np.float64)
         if z.shape != (n, g):
@@ -641,7 +630,7 @@ def fit(
             raise ValueError("init_z rows must sum to 1")
 
     eyes = [np.broadcast_to(np.eye(n_d), (g, n_d, n_d)) for n_d in dims]
-    state = _Stacks(None, None, list(eyes), list(eyes), list(eyes), SweepWorkspace(batch, g))
+    state = _Stacks(None, None, eyes, list(eyes), [None] * len(dims), SweepWorkspace(batch, g))
     events: list[SingularEvent] = []
     trace: list[float] = []
     converged = False

@@ -333,13 +333,14 @@ def _load_bin_f64(path, dims: tuple[int, ...], n_obs: int) -> np.ndarray:
     return raw.astype(np.float64).reshape((n_obs,) + dims)
 
 
-def load_dataset(manifest_path, data_path: str | None = None) -> np.ndarray:
+def load_dataset(manifest_path, data_path: str | None = None, manifest=None) -> np.ndarray:
     """Load the (N, n_1, ..., n_D) batch a manifest describes, observations in
     ascending obs_id order.
 
     ``data_path`` overrides the manifest's data file location (same format).
+    A ``manifest`` already read from ``manifest_path`` is not read again.
     """
-    manifest = read_manifest(manifest_path)
+    manifest = read_manifest(manifest_path) if manifest is None else manifest
     path = data_path if data_path is not None else _resolve(manifest_path, manifest.data)
     if not os.path.exists(path):
         raise DataFormatError(f"data file not found: {path}")

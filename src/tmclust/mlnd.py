@@ -25,15 +25,13 @@ whitens every row from scratch in two block buffers.  A fit's workspace
 holds each group's centred support, the observations whose weight is not
 exactly zero, whitened on every mode but the one being updated;
 :func:`_scatter_one` advances all supports at once by the new L_d^{-1} and
-the old L_{d+1}, one call per mode pass.  A group's other observations are
-whitened from scratch for the E-step, or not at all: from a fit's second
-E-step on, a lower bound on sqrt(Q) carried from the last one (Elkan's
-triangle-inequality bounds for k-means, 2003) skips every pair whose entry
-provably lies 800 nats below its row's best.  Its form is +inf, whose
-responsibility underflows to 0.0 as the exact one's does, so the E-step's
-outputs are bit for bit those of whitening it.  Every pass goes through
-:func:`_solve_mode`; :func:`chol_lower` and :func:`inv_lower` also take
-(G, n, n) stacks.
+the old L_{d+1}, one call per mode pass and none by an identity.  A
+group's other observations are whitened from scratch for the E-step, or
+not at all where a bound carried from the last E-step (Elkan's
+triangle-inequality bounds for k-means, 2003) proves that their
+responsibility underflows to 0.0 (:meth:`SweepWorkspace._unskipped`).
+Every pass goes through :func:`_solve_mode`; :func:`chol_lower` and
+:func:`inv_lower` also take (G, n, n) stacks.
 """
 
 from __future__ import annotations
@@ -174,15 +172,16 @@ class SweepWorkspace:
 
     def restrict(self, z: np.ndarray) -> None:
         """Make each group's support the rows where its column of the (N, G)
-        ``z`` is not zero; a block's (G', 1, b n_D) weights repeat along the
-        last mode, to weigh it in rows of b n_D entries."""
+        ``z`` is not zero; a block's (G', 1, b n_D) weights, None if all are
+        exactly 1, repeat along the last mode to weigh rows of b n_D entries."""
         if self.held is None:
             self.held = np.empty((self.idle.shape[1], self.batch.size))
         self.idle = z == 0
         padded = np.concatenate([z, np.zeros((1, z.shape[1]))])  # row N weighs the padding
         groups, start, self.blocks = np.arange(z.shape[1])[:, None], 0, []
         for rows, act, tmp, _ in self.carve(~self.idle):
-            weights = np.repeat(padded[rows, groups[act]], self.batch.shape[-1], axis=1)[:, None]
+            w = padded[rows, groups[act]]
+            weights = None if np.all(w == 1.0) else np.repeat(w, tmp.shape[-1], axis=1)[:, None]
             held = self.held.reshape(-1)[start : start + tmp.size].reshape(tmp.shape)
             self.blocks.append((rows, act, weights, tmp, held))
             start += tmp.size
@@ -296,23 +295,34 @@ def _column_norms(block: np.ndarray) -> np.ndarray:
 def _scatter_one(work: SweepWorkspace, dim: int, means, z, invs, chols) -> np.ndarray:
     """The (G, n_d, n_d) unnormalized weighted scatters sum_i z_ik (...) for
     ``dim``, from the per-dimension (G, n_d, n_d) stacks ``invs`` and
-    ``chols`` of L_d^{-1} and L_d, new below ``dim`` and old from it on.
+    ``chols`` of L_d^{-1} and L_d, new below ``dim`` and old from it on;
+    an L^{-1} of None marks identity scales, whose passes are skipped.
 
     First advances the held supports: dimension 1 takes them from ``z``,
     centres them and whitens modes 2..D; a later one applies the new
-    L_{dim-1}^{-1}, then the old L_dim to undo that mode.
+    L_{dim-1}^{-1}, then the old L_dim to undo that mode (a lone pass ends in
+    the other buffer, copied back).  That buffer then takes the Gram's second
+    operand, the weighted block, or a copy where every weight is 1.
     """
     axes, n_d = work.axes, means.shape[dim]
     if dim == 1:
         work.restrict(z)
-        passes = [(invs[m], axes[m]) for m in range(1, len(axes))]
+        modes, factors = range(1, len(axes)), invs[1:]
     else:
-        passes = [(invs[dim - 2], axes[dim - 2]), (chols[dim - 1], axes[dim - 1])]
+        modes, factors = (dim - 2, dim - 1), (invs[dim - 2], chols[dim - 1])
+    passes = [(f, axes[m]) for m, f in zip(modes, factors) if invs[m] is not None]
     scatters = np.zeros((len(means), n_d, n_d))
     for rows, act, weights, tmp, block in work.blocks:
-        work.whiten(block, tmp, passes, act, rows, means if dim == 1 else None)
-        view = (len(block), -1, weights.shape[-1])
-        np.multiply(block.reshape(view), weights, out=tmp.reshape(view))
+        if dim > 1 and len(passes) == 1:
+            work.whiten(tmp, block, passes, act)
+            np.copyto(block, tmp)
+        else:
+            work.whiten(block, tmp, passes, act, rows, means if dim == 1 else None)
+            if weights is None:
+                np.copyto(tmp, block)
+        if weights is not None:
+            view = (len(block), -1, weights.shape[-1])
+            np.multiply(block.reshape(view), weights, out=tmp.reshape(view))
         fibres, weighted = _fibres(block, axes[dim - 1]), _fibres(tmp, axes[dim - 1])
         scatters[act] += np.matmul(fibres, weighted.swapaxes(2, 3)).sum(axis=1)
     return (scatters + scatters.transpose(0, 2, 1)) / 2.0

@@ -440,7 +440,9 @@ def test_check_flags_a_well_conditioned_indefinite_matrix(rng):
     assert np.array_equal(out[0], good)
     assert np.array_equal(out[1], bad + 1e-3 * np.eye(2))
     assert_factors(chols, out)
-    out, chols, flags = em._factor(np.stack([good, bad]), np.zeros(2, bool), 1e-3, reset=np.eye(2))
+    out, chols, flags = regularize_and_check(
+        np.stack([good, bad]), 1e-3, np.zeros(2, bool), reset=np.eye(2)
+    )
     assert flags.tolist() == [False, True]
     assert np.array_equal(out[0], good)
     assert np.array_equal(out[1], 1e-3 * np.eye(2))
@@ -746,6 +748,23 @@ def test_fit_factors_each_new_stack_once(rng, spec, monkeypatch):
     assert not report.singular_events
     assert len(shapes) == 3 * report.n_iterations
     assert all(len(shape) == 3 for shape in shapes)
+
+
+def test_one_group_fit_runs_no_kmeans(rng, monkeypatch):
+    """A G = 1 fit starts every row at responsibility 1 without k-means,
+    bit for bit the fit started from ``init_z`` of ones."""
+    batch = rng.normal(size=(30, 3, 2, 2))
+    options = FitOptions(seed=4)
+    want_model, want = fit(batch, 1, options=options, init_z=np.ones((30, 1)))
+    monkeypatch.setattr(em, "init_kmeans", lambda *args: pytest.fail("init_kmeans was called"))
+    got_model, got = fit(batch, 1, options=options)
+    for got_array, want_array in zip(
+        (got_model.weights, got_model.means, *got_model.scales),
+        (want_model.weights, want_model.means, *want_model.scales),
+    ):
+        assert np.array_equal(got_array, want_array)
+    for name in ("loglik_trace", "responsibilities", "labels", "n_iterations", "bic"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
 
 
 def test_fit_single_group_matches_sample_moments(rng):
@@ -1171,13 +1190,16 @@ def test_public_loglik_peak_is_one_workspace(cell_7x4):
 def test_fit_skips_the_e_step_pairs_it_rules_out(cell_7x4, monkeypatch):
     """On these separated groups the E-steps after the first whiten no rest
     pair, the carried bound ruling each out, and the fit is bit for bit the
-    one that whitens every pair (a floor of +inf nats)."""
+    one that whitens every pair (a floor of +inf nats).  No pass multiplies
+    by an identity, such as a factor of the first iteration's scales."""
     z = init_kmeans(cell_7x4, 3, rng=np.random.default_rng(0))
-    columns = []  # group-columns per mode pass
+    columns, identities = [], []  # group-columns per mode pass; identity factor stacks
     solve_mode = mlnd._solve_mode
 
     def counted(values, inv_factor, axis, out=None):
         columns.append(values.shape[0] * values.shape[-2])
+        eye = np.eye(inv_factor.shape[-1])
+        identities.append(all(np.array_equal(f, eye) for f in inv_factor))
         return solve_mode(values, inv_factor, axis, out)
 
     monkeypatch.setattr(mlnd, "_solve_mode", counted)
@@ -1192,3 +1214,4 @@ def test_fit_skips_the_e_step_pairs_it_rules_out(cell_7x4, monkeypatch):
         assert np.array_equal(getattr(pruned, field), getattr(full, field))
     assert np.count_nonzero(full.responsibilities == 0) == 2 * 180
     assert full_cols - cols == 4 * 3 * 2 * 180  # D passes, E-steps 2 to 4, the rest pairs
+    assert identities and not any(identities)

@@ -320,6 +320,25 @@ def test_csv_from_a_pipe_reads_as_a_regular_file(tmp_path, dataset, change):
         assert np.array_equal(got, want) and np.array_equal(want, dataset)
 
 
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd to name a pipe")
+@pytest.mark.parametrize("command", [["fit", "--groups", "1"], ["scan", "--groups", "1..2"]],
+                         ids=["fit", "scan"])
+def test_cli_reads_a_piped_manifest_once(tmp_path, dataset, command):
+    """The CLI reads its manifest once, so a manifest from a pipe writes
+    what the regular file does, instead of failing as empty JSON."""
+    manifest_path, data_path = _write_bundle(tmp_path, dataset)
+
+    def run(manifest, tag):
+        out = tmp_path / f"{tag}.out"
+        code = main([command[0], "--manifest", manifest, "--data", str(data_path),
+                     *command[1:], "--out", str(out)])
+        return code, out.read_bytes() if code == 0 else None
+
+    want = run(str(manifest_path), "file")
+    assert want[0] == 0
+    assert _through_a_pipe(lambda path: run(path, "pipe"), manifest_path.read_bytes()) == want
+
+
 def test_csv_names_its_first_bad_row_before_a_later_bad_byte(tmp_path, dataset):
     """The text decoder reads ahead of the rows, but a byte that is not
     UTF-8 is named only when the reader comes to its row."""

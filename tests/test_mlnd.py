@@ -266,6 +266,38 @@ def test_sweep_skips_zero_weight_rows(dims, block_rows, rng, monkeypatch):
     assert np.array_equal(one[:, 0], fresh[:, 2])
 
 
+@pytest.mark.parametrize("dims", [(4, 3), (2, 3, 4, 3)])
+def test_unit_weight_blocks_copy_instead_of_multiplying(dims, rng, monkeypatch):
+    """A block whose weights are all exactly 1, as under hard assignments,
+    keeps no weights and copies its rows for the Gram; its scatters and
+    forms are bit for bit those of multiplying by its weights.  Supports of
+    8 and 5 rows in blocks of two columns: the third block pads the second
+    group, so it still multiplies."""
+    n = 13
+    batch = rng.standard_normal((n,) + dims)
+    monkeypatch.setattr(mlnd, "_BLOCK_BYTES", 2 * 2 * batch[0].nbytes)
+    second = np.arange(n) % 3 == 0
+    z = np.stack([~second, second], axis=1).astype(float)
+    old, new = ([random_params(dims, rng) for _ in range(2)] for _ in range(2))
+    copied = sweep_scatters(batch, z, old, new)
+    restrict, unit = mlnd.SweepWorkspace.restrict, []
+
+    def weighted(work, z):  # every block multiplies, by ones where it had none
+        restrict(work, z)
+        unit.append([w is None for _, _, w, _, _ in work.blocks])
+        work.blocks = [
+            (rows, act, np.ones((len(tmp), 1, tmp.shape[-2] * tmp.shape[-1])) if w is None else w,
+             tmp, held)
+            for rows, act, w, tmp, held in work.blocks
+        ]
+
+    monkeypatch.setattr(mlnd.SweepWorkspace, "restrict", weighted)
+    multiplied = sweep_scatters(batch, z, old, new)
+    assert unit == [[True, True, False, True]]
+    for got, want in zip(copied[0] + [copied[1]], multiplied[0] + [multiplied[1]]):
+        assert np.array_equal(got, want)
+
+
 def test_a_forms_only_workspace_holds_no_batch_sized_array(rng, monkeypatch):
     """A workspace that never sweeps centres and whitens every block in its
     two block buffers: it holds no array larger than those two blocks, and
