@@ -1,7 +1,8 @@
 """Command-line entry points: fit, scan, simulate, metrics.
 
 Exit codes: 0 success, 1 input or usage error, 2 completed with warnings
-(non-convergence, all scan cells failed, or a fit aborted by a degeneracy).
+(non-convergence, all scan cells failed) or aborted (a fit by a degeneracy,
+a scan or study because a pool worker died).
 Every command is deterministic given its flags; ``--threads`` (default from
 ``TMCLUST_THREADS``, else 1) changes wall time only, never results.
 """

@@ -220,12 +220,6 @@ def write_manifest(manifest: DatasetManifest, path) -> None:
     _write_json(manifest.to_dict(), path)
 
 
-def _resolve(manifest_path, data_path: str) -> str:
-    if os.path.isabs(data_path):
-        return data_path
-    return os.path.join(os.path.dirname(os.path.abspath(manifest_path)), data_path)
-
-
 def _csv_long_header(order: int) -> list[str]:
     return ["obs_id", *(f"i{k + 1}" for k in range(order)), "value"]
 
@@ -339,11 +333,17 @@ def load_dataset(manifest_path, data_path: str | None = None, manifest=None) -> 
 
     ``data_path`` overrides the manifest's data file location (same format).
     A ``manifest`` already read from ``manifest_path`` is not read again.
+    A relative ``data`` entry resolves against the manifest's directory.
     """
     manifest = read_manifest(manifest_path) if manifest is None else manifest
-    path = data_path if data_path is not None else _resolve(manifest_path, manifest.data)
+    path, why = data_path, ""
+    if path is None:  # os.path.join keeps an absolute entry as it is
+        path = os.path.join(os.path.dirname(os.path.abspath(manifest_path)), manifest.data)
+        if not os.path.isabs(manifest.data):
+            why = (f" (data {manifest.data!r} in manifest {manifest_path} resolves"
+                   " against the manifest's directory)")
     if not os.path.exists(path):
-        raise DataFormatError(f"data file not found: {path}")
+        raise DataFormatError(f"data file not found: {path}{why}")
     if manifest.format == "csv-long":
         return _load_csv_long(path, manifest.dims, manifest.n_obs)
     return _load_bin_f64(path, manifest.dims, manifest.n_obs)

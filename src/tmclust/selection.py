@@ -1,15 +1,18 @@
-"""Grid scans over group counts and scale families, ranked by BIC."""
+"""Grid scans over group counts and scale families, ranked by BIC, and the
+one process fan-out, which runs a scan's cells and a study's replicates."""
 
 from __future__ import annotations
 
 import itertools
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 from ._blas import one_blas_thread
 from ._fields import _convert_field, _count, _items
 from .em import FitOptions, FitReport, MixtureModel, bic, fit, free_params
+from .errors import TmclustError
 from .io import write_csv_table
 from .mda import as_batch
 from .parsimony import ScaleModel
@@ -80,19 +83,37 @@ def _cell_seed(base_seed, g: int, specs: Sequence[ScaleModel]) -> tuple[int, ...
     return base + (104729, g) + tuple(_FAMILY_ORDINAL[s] for s in specs)
 
 
-_worker_batch = None  # the scan's batch, sent once to each pool worker
+_worker = None  # (fn, shared) of the fan-out a pool worker serves
 
 
-def _set_worker_batch(batch) -> None:
-    global _worker_batch
-    _worker_batch = batch
+def _start_worker(fn, shared) -> None:
+    global _worker
+    _worker = fn, shared
 
 
-def _run_cell(task, batch=None) -> ScanRow:
+def _run_in_worker(task):
+    fn, shared = _worker
+    return fn(task, shared)
+
+
+@one_blas_thread()
+def _fan_out(fn, tasks, workers: int, shared=None) -> list:
+    """``fn(task, shared)`` for each task, in task order: here for one worker
+    or one task, else in a pool whose initializer hands ``shared`` to each
+    worker once, not with every task.  Forked workers start in the scope of
+    one BLAS thread and keep it; one that dies raises TmclustError."""
+    if workers < 2 or len(tasks) < 2:
+        return [fn(task, shared) for task in tasks]
+    try:
+        with ProcessPoolExecutor(workers, initializer=_start_worker, initargs=(fn, shared)) as pool:
+            return list(pool.map(_run_in_worker, tasks))
+    except BrokenProcessPool as exc:
+        raise TmclustError(f"a worker process died: {exc}") from exc
+
+
+def _run_cell(task, batch) -> ScanRow:
     g, specs, options, keep_models = task
-    batch = _worker_batch if batch is None else batch
-    dims = batch.shape[1:]
-    rho = free_params(specs, g, dims).total
+    rho = free_params(specs, g, batch.shape[1:]).total
     try:
         model, report = fit(batch, g, specs=specs, options=options)
     except Exception as exc:  # failed cells are recorded, never selected
@@ -128,7 +149,6 @@ def _prefer(candidate: ScanRow, incumbent: ScanRow | None) -> bool:
     return candidate.g < incumbent.g
 
 
-@one_blas_thread()
 def scan(data, grid: ScanGrid, threads: int = 1, keep_models: bool = False) -> ScanResult:
     """Fit every (G, specs) cell of the grid and pick the BIC winner.
 
@@ -136,9 +156,9 @@ def scan(data, grid: ScanGrid, threads: int = 1, keep_models: bool = False) -> S
     options' base seed, G, and the family encoding, so the outcome is a pure
     function of (data, grid) regardless of ``threads``, the number of worker
     processes: an integer >= 1, or ValueError.  Cells that raise (degenerate
-    G, collapsed components, ...) are recorded as failed rows; a grid with
-    a candidate list for another number of dimensions than the data's
-    raises ValueError.
+    G, collapsed components, ...) are recorded as failed rows; a worker
+    process that dies raises TmclustError, and a grid with a candidate list
+    for another number of dimensions than the data's raises ValueError.
     """
     threads = _count("threads", threads)
     batch = as_batch(data)
@@ -146,11 +166,7 @@ def scan(data, grid: ScanGrid, threads: int = 1, keep_models: bool = False) -> S
         (g, specs, replace(grid.options, seed=_cell_seed(grid.options.seed, g, specs)), keep_models)
         for g, specs in grid.cells()
     ]
-    if threads > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(threads, initializer=_set_worker_batch, initargs=(batch,)) as pool:
-            rows = list(pool.map(_run_cell, tasks))
-    else:
-        rows = [_run_cell(t, batch) for t in tasks]
+    rows = _fan_out(_run_cell, tasks, threads, batch)
     best = None
     for row in rows:
         if row.selectable and _prefer(row, best):

@@ -5,26 +5,25 @@ a fresh mixture, runs a BIC scan over candidate group counts, and records
 selection, agreement, singularity, and parameter-recovery summaries.  Seeds
 are derived per (cell, replicate) from counter-based ``SeedSequence`` spawns,
 so results are a pure function of the configuration — independent of worker
-count or scheduling.
+count or scheduling.  Replicates run through the process fan-out that runs
+a scan's cells.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Sequence
 
 import numpy as np
 
-from ._blas import one_blas_thread
 from ._fields import _convert_field, _count, _integer, _items, _number
 from .em import FitOptions, MixtureModel, _normalize_stacks
 from .io import _read_json, _write_json, write_csv_table
 from .metrics import adjusted_rand_index, kron_relative_error, relative_error
 from .mlnd import sample
 from .parsimony import ScaleModel
-from .selection import ScanGrid, scan
+from .selection import ScanGrid, _fan_out, scan
 
 # Stream tags keeping data generation and fitting on disjoint seed paths.
 _DATA_STREAM = 11
@@ -228,9 +227,8 @@ def _best_permutation(true_labels, est_labels, g: int) -> tuple[int, ...]:
     return tuple(perm)
 
 
-def _run_replicate(
-    cfg: SimConfig, cell_index: int, rep: int, options: FitOptions
-) -> ReplicateRecord:
+def _run_replicate(task, options: FitOptions) -> ReplicateRecord:
+    cfg, cell_index, rep = task
     record = ReplicateRecord(
         cell_index=cell_index, n_obs=cfg.n_obs, dims=cfg.dims, replicate=rep
     )
@@ -353,30 +351,20 @@ def _summarize_cell(index: int, cfg: SimConfig, records: list[ReplicateRecord]) 
     )
 
 
-@one_blas_thread()
 def run_study(configs, options: FitOptions | None = None, workers: int = 1) -> StudyReport:
     """Run every replicate of every cell and aggregate a stratified report.
 
     ``workers``, an integer >= 1 (otherwise ValueError), is the number of
-    processes; above 1 it fans replicates out to a process pool.  Because
-    every replicate derives its own seeds from (base_seed, cell,
-    replicate), the report is identical for any worker count.
+    processes; above 1 it fans replicates out to a process pool, and a worker
+    that dies raises TmclustError.  Every replicate derives its own seeds from
+    (base_seed, cell, replicate), so the report is the same for any count.
     """
     workers = _count("workers", workers)
-    if isinstance(configs, SimConfig):
-        configs = (configs,)
-    configs = tuple(configs)
+    configs = (configs,) if isinstance(configs, SimConfig) else tuple(configs)
     if not configs:
         raise ValueError("need at least one cell config")
-    options = options or FitOptions()
-    tasks = [
-        (cfg, i, rep, options) for i, cfg in enumerate(configs) for rep in range(cfg.replicates)
-    ]
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_run_replicate, *zip(*tasks)))
-    else:
-        records = [_run_replicate(*t) for t in tasks]
+    tasks = [(cfg, i, rep) for i, cfg in enumerate(configs) for rep in range(cfg.replicates)]
+    records = _fan_out(_run_replicate, tasks, workers, options or FitOptions())
 
     cells = [
         _summarize_cell(i, cfg, [r for r in records if r.cell_index == i])

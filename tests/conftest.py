@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
@@ -56,6 +59,26 @@ def sweep_scatters(batch, z, comps, next_comps=None):
         chols[d0] = np.stack([c.chol_factors()[d0] for c in next_comps])
         invs[d0] = inv_lower(chols[d0])
     return scatters, work.quad_matrix(means, invs, np.zeros(len(comps)), chols)
+
+
+# a worker that dies is made by a patched module attribute, which only a
+# forked worker inherits
+forked = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork", reason="pool workers are not forked"
+)
+
+
+def dies_in_a_child(monkeypatch, module, name: str) -> None:
+    """Patch ``module.name`` to end at once, without cleanup, any process but
+    this one that calls it; this process still calls the original."""
+    parent, inner = os.getpid(), getattr(module, name)
+
+    def call(*args, **kwargs):
+        if os.getpid() != parent:
+            os._exit(3)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, call)
 
 
 @pytest.fixture

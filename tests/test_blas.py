@@ -7,6 +7,7 @@ import threading
 import numpy as np
 import pytest
 
+from conftest import forked
 from tmclust import _blas, em, selection, simulate
 from tmclust.em import FitOptions, fit
 from tmclust.errors import EmptyComponentError
@@ -111,6 +112,25 @@ def test_scan_workers_inherit_one_thread(rng, caller_count, monkeypatch):
     grid = ScanGrid(groups=(1, 2), spec_candidates=((ScaleModel.VVV,),) * 2, options=OPTIONS)
     result = scan(rng.normal(size=(30, 3, 2)), grid, threads=2)
     assert [row.error for row in result.rows] == [None, None]
+    assert CONTROL[0]() == caller_count
+
+
+@forked
+def test_study_workers_inherit_one_thread(caller_count, monkeypatch):
+    # read in the worker as it draws the data, outside any fit's scope; a
+    # failed check shows as a failed replicate
+    inner = simulate.sample
+
+    def checked_sample(*args, **kwargs):
+        count = CONTROL[0]()
+        if count != 1:
+            raise RuntimeError(f"worker runs OpenBLAS on {count} threads")
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(simulate, "sample", checked_sample)
+    cfg = simulate.SimConfig(n_obs=12, dims=(3, 2), n_groups=2, replicates=2, g_scan=(1, 2))
+    report = simulate.run_study(cfg, workers=2)
+    assert [record.error for record in report.records] == [None, None]
     assert CONTROL[0]() == caller_count
 
 

@@ -13,6 +13,8 @@ import pytest
 
 import tmclust
 import tmclust.cli
+from conftest import dies_in_a_child, forked
+from tmclust import selection, simulate
 from tmclust.cli import main
 from tmclust.em import FitOptions, MixtureModel, fit, free_params
 from tmclust.errors import DataFormatError, EmptyComponentError
@@ -337,6 +339,28 @@ def test_cli_reads_a_piped_manifest_once(tmp_path, dataset, command):
     want = run(str(manifest_path), "file")
     assert want[0] == 0
     assert _through_a_pipe(lambda path: run(path, "pipe"), manifest_path.read_bytes()) == want
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd to name a pipe")
+def test_a_piped_manifest_names_its_relative_data_entry(tmp_path, dataset, capsys):
+    """A relative ``data`` entry resolves against the manifest's directory,
+    which for a pipe is /dev/fd, so the error names the manifest, the entry
+    and that rule, not only a data path the user never wrote."""
+    manifest_path, _ = _write_bundle(tmp_path, dataset)
+    raw = manifest_path.read_bytes()
+    assert _through_a_pipe(load_dataset, raw) == (
+        "data file not found: /dev/fd/data.csv (data 'data.csv' in manifest <file>"
+        " resolves against the manifest's directory)"
+    )
+    out = tmp_path / "r.json"
+
+    def run(path):
+        return main(["fit", "--manifest", path, "--groups", "1", "--out", str(out)])
+
+    assert _through_a_pipe(run, raw) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("tmclust: error: data file not found: /dev/fd/data.csv (data 'data.csv'")
+    assert "resolves against the manifest's directory" in err and not out.exists()
 
 
 def test_csv_names_its_first_bad_row_before_a_later_bad_byte(tmp_path, dataset):
@@ -967,6 +991,25 @@ def test_cmd_simulate_thread_independence(tmp_path, capsys):
     assert main(["simulate", "--config", str(config), "--threads", "2",
                  "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+@forked
+@pytest.mark.parametrize("command", ["scan", "simulate"])
+def test_cli_reports_a_dead_worker_without_a_traceback(cli_bundle, capsys, monkeypatch, command):
+    tmp_path, manifest_path, _ = cli_bundle
+    if command == "scan":
+        dies_in_a_child(monkeypatch, selection, "fit")
+        argv = ["scan", "--manifest", str(manifest_path), "--groups", "1..2"]
+    else:
+        dies_in_a_child(monkeypatch, simulate, "scan")
+        config = tmp_path / "sim.json"
+        config.write_text(json.dumps({"n_obs": 12, "dims": [2, 3], "replicates": 2,
+                                      "n_groups": 2, "g_scan": [1, 2]}))
+        argv = ["simulate", "--config", str(config)]
+    out = tmp_path / "out"
+    assert main(argv + ["--threads", "2", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("tmclust: aborted: a worker process died: ") and not out.exists()
 
 
 def test_cmd_simulate_replicates_override_and_bad_config(tmp_path, capsys):

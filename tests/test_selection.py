@@ -1,11 +1,16 @@
-"""BIC values, scan grids, winner selection, and the CSV table."""
+"""BIC values, scan grids, winner selection, the CSV table, and the fan-out."""
 
 import csv
+from concurrent.futures import ProcessPoolExecutor
+from multiprocessing.reduction import ForkingPickler
 
 import numpy as np
 import pytest
 
+from conftest import dies_in_a_child, forked
+from tmclust import selection
 from tmclust.em import FitOptions
+from tmclust.errors import TmclustError
 from tmclust.mlnd import MlndParams, sample
 from tmclust.parsimony import ScaleModel
 from tmclust.selection import (
@@ -154,6 +159,45 @@ def test_scan_thread_count_does_not_change_results(rng):
         assert (a.g, a.specs, a.loglik, a.bic, a.converged, a.options) == (
             b.g, b.specs, b.loglik, b.bic, b.converged, b.options,
         )
+
+
+def _tagged(task, shared):
+    return task, len(shared)
+
+
+def test_fan_out_sends_shared_once_per_worker_and_keeps_task_order(monkeypatch):
+    """The pool's initializer carries ``shared``; each task ships without it."""
+    pools, task_bytes = [], []
+
+    class CountingExecutor(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            pools.append(kwargs["initargs"])
+
+        def submit(self, fn, /, *args, **kwargs):
+            task_bytes.append(len(ForkingPickler.dumps((fn, args, kwargs))))
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(selection, "ProcessPoolExecutor", CountingExecutor)
+    shared = np.zeros(10_000)  # 80,000 bytes
+    tasks = [5, 3, 8, 0, 9, 1, 7, 2, 6, 4]
+    want = [(t, 10_000) for t in tasks]
+    assert selection._fan_out(_tagged, tasks, 1, shared) == want
+    assert selection._fan_out(_tagged, tasks[:1], 2, shared) == want[:1]
+    assert pools == []  # one worker or one task runs here
+    assert selection._fan_out(_tagged, tasks, 2, shared) == want
+    assert len(pools) == 1 and any(arg is shared for arg in pools[0])
+    assert len(task_bytes) == len(tasks) and max(task_bytes) < 1_000
+
+
+@forked
+def test_scan_turns_a_dead_worker_into_a_tmclust_error(rng, monkeypatch):
+    dies_in_a_child(monkeypatch, selection, "fit")
+    batch, _ = three_group_batch(rng, n=30)
+    grid = ScanGrid(groups=(1, 2), spec_candidates=((ScaleModel.VVV,), (ScaleModel.VVV,)))
+    with pytest.raises(TmclustError, match="^a worker process died: "):
+        scan(batch, grid, threads=2)
+    assert scan(batch, grid, threads=1).best is not None  # this process still fits
 
 
 def test_scan_rows_carry_their_cell_options(rng):

@@ -7,8 +7,11 @@ import time
 import numpy as np
 import pytest
 
+from conftest import dies_in_a_child, forked
+from tmclust import simulate
 from tmclust.cli import main
 from tmclust.em import FitOptions, fit
+from tmclust.errors import TmclustError
 from tmclust.metrics import adjusted_rand_index
 from tmclust.mlnd import MlndParams, sample
 from tmclust.simulate import (
@@ -327,6 +330,13 @@ def test_worker_count_does_not_change_report(tmp_path, tiny_report):
     write_report_json(tiny_report, p1)
     write_report_json(pooled, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@forked
+def test_run_study_turns_a_dead_worker_into_a_tmclust_error(monkeypatch):
+    dies_in_a_child(monkeypatch, simulate, "scan")
+    with pytest.raises(TmclustError, match="^a worker process died: "):
+        run_study(TINY, workers=2)
 
 
 def test_report_csvs_written(tmp_path, tiny_report):
